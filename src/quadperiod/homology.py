@@ -5,6 +5,17 @@ measured after projecting a cycle to the black or white diagonal graph;
 prescribed periods are imposed through integer cocycles supported on the
 diagonals.  Everything here is exact integer combinatorics; geometry
 enters only through the counterclockwise rotation system.
+
+All spanning trees come from `surface.spanning_tree` (breadth-first, on
+scipy.sparse.csgraph).  Without reference loops the basis cycles follow a
+tree-cotree split of the vertex graph (Eppstein, "Dynamic generators of
+topologically embedded graphs", SODA 2003): a breadth-first tree from
+vertex 0, a breadth-first tree of the dual quad graph over the remaining
+edges, and one cycle per leftover edge.  The cocycles of one color come
+from the same split of its diagonal graph: each leftover diagonal gets a
+unit, the dual tree diagonals take the values that close every face,
+computed for all 2g units at once as subtree sums, and an exact rational
+solve combines the units into cochains with periods delta_jk.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .surface import BLACK, WHITE
+from .surface import BLACK, WHITE, spanning_tree
 
 
 class HomologyError(ValueError):
@@ -36,10 +47,7 @@ class Cycle:
         return len(self.verts)
 
     def reversed(self):
-        n = len(self.verts)
-        verts = [self.verts[0]] + [self.verts[n - 1 - i] for i in range(n - 1)]
-        eids = [self.eids[n - 1 - i] for i in range(n)]
-        return Cycle(verts, eids)
+        return Cycle(self.verts[:1] + self.verts[:0:-1], self.eids[::-1])
 
     def passages(self):
         """(vertex, incoming edge, outgoing edge) per step of the walk."""
@@ -94,95 +102,51 @@ def cycle_from_vertices(graph, walk, edge_keys=None):
 # ---------------------------------------------------------------------------
 
 def tree_cotree(graph):
-    """Spanning tree of the vertex graph, spanning tree of the dual quad
-    graph on the remaining edges, and the 2g leftover edges."""
+    """Breadth-first spanning tree of the vertex graph, spanning tree of
+    the dual quad graph on the remaining edges, and the 2g leftover edges."""
     V, F, E = graph.n_vertices, graph.n_quads, graph.n_edges()
-    in_tree = np.zeros(E, dtype=bool)
-    parent = np.full(V, -1, dtype=np.int64)
-    parent_edge = np.full(V, -1, dtype=np.int64)
-    order = [0]
-    seen = np.zeros(V, dtype=bool)
-    seen[0] = True
-    adj = [[] for _ in range(V)]
-    for e, (a, b) in enumerate(graph.edge_list):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for u, e in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                parent_edge[u] = e
-                in_tree[e] = True
-                order.append(u)
-    if not seen.all():
+    a, b = np.asarray(graph.edge_list, dtype=np.int64).T
+    tree = spanning_tree(V, a, b)
+    if np.any(tree.depth < 0):
         raise HomologyError("disconnected graph")
-
-    in_cotree = np.zeros(E, dtype=bool)
-    quad_parent = np.full(F, -1, dtype=np.int64)
-    quad_parent_edge = np.full(F, -1, dtype=np.int64)
-    quad_seen = np.zeros(F, dtype=bool)
-    quad_seen[0] = True
-    dual_order = [0]
-    qi = 0
-    while qi < len(dual_order):
-        q = dual_order[qi]
-        qi += 1
-        for s in range(4):
-            e = int(graph.dart_edge[q, s])
-            if in_tree[e] or in_cotree[e]:
-                continue
-            (qa, sa), (qb, sb) = graph.edge_occ[e]
-            q2 = qb if qa == q else qa
-            if not quad_seen[q2]:
-                quad_seen[q2] = True
-                quad_parent[q2] = q
-                quad_parent_edge[q2] = e
-                in_cotree[e] = True
-                dual_order.append(q2)
-    if not quad_seen.all():
+    in_tree = np.isin(np.arange(E), tree.parent_edge)
+    # dual arcs are the darts d = 4q + s, from quad q across its side s, so
+    # each quad meets its neighbours in its own side order
+    dart_edge = graph.dart_edge.ravel()
+    pairs = np.argsort(dart_edge, kind="stable").reshape(E, 2)
+    across = np.empty(4 * F, dtype=np.int64)
+    across[pairs] = pairs[:, ::-1] // 4
+    dual = spanning_tree(F, np.arange(4 * F) // 4, across, ~in_tree[dart_edge],
+                         directed=True)
+    if np.any(dual.depth < 0):
         raise HomologyError("dual graph disconnected off the tree")
+    in_cotree = np.isin(np.arange(E), dart_edge[dual.parent_edge[dual.parent_edge >= 0]])
     leftover = np.where(~in_tree & ~in_cotree)[0]
     if len(leftover) != 2 * graph.genus():
         raise HomologyError(
             f"{len(leftover)} leftover edges, expected {2 * graph.genus()}")
     return {
         "in_tree": in_tree,
-        "parent": parent,
-        "parent_edge": parent_edge,
+        "parent": tree.parent,
+        "parent_edge": tree.parent_edge,
+        "depth": tree.depth,
         "in_cotree": in_cotree,
         "leftover": leftover,
     }
 
 
 def _tree_path(tc, v, u):
-    """Vertex/edge path from v to u through the spanning tree."""
-    parent, pedge = tc["parent"], tc["parent_edge"]
-    anc_v, anc_u = [v], [u]
-    av, au = v, u
-    seen_v = {v: 0}
-    while parent[av] >= 0:
-        av = int(parent[av])
-        seen_v[av] = len(anc_v)
-        anc_v.append(av)
-    while au not in seen_v:
-        au = int(parent[au])
-        if au < 0:
-            raise HomologyError("vertices in different components")
-        anc_u.append(au)
-    meet = au
-    up = anc_v[:seen_v[meet] + 1]
-    down = []
-    au = u
-    while au != meet:
-        down.append(au)
-        au = int(parent[au])
-    verts = up + list(reversed(down))
-    eids = [int(pedge[x]) for x in up[:-1]] + [int(pedge[x]) for x in reversed(down)]
-    return verts, eids
+    """Vertex/edge path from v to u through the spanning tree: climb from
+    the deeper end until the two walks meet."""
+    parent, pedge, depth = tc["parent"], tc["parent_edge"], tc["depth"]
+    up, down = [v], [u]
+    while up[-1] != down[-1]:
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(int(parent[up[-1]]))
+        else:
+            down.append(int(parent[down[-1]]))
+    down = down[-2::-1]
+    return up + down, [int(pedge[x]) for x in up[:-1] + down]
 
 
 def basis_cycles(graph, tc=None):
@@ -204,16 +168,8 @@ def _covered(rot_pos_v, deg, e_in, e_out):
     """Darts swept by the left push-off of a passage (e_in, e_out) at a
     vertex of degree deg: strictly counterclockwise between e_out and
     e_in.  A U-turn covers every other dart."""
-    i_out = rot_pos_v[e_out]
-    i_in = rot_pos_v[e_in]
-    covered = set()
-    t = (i_out + 1) % deg
-    while t != i_in:
-        covered.add(t)
-        t = (t + 1) % deg
-    if e_in == e_out:
-        covered.discard(i_in)
-    return covered
+    i_out, i_in = rot_pos_v[e_out], rot_pos_v[e_in]
+    return {(i_out + k) % deg for k in range(1, (i_in - i_out) % deg or deg)}
 
 
 def intersection_number(graph, c1, c2):
@@ -410,108 +366,17 @@ def compile_steps(chain_projections):
         for q, s in dc.steps:
             qs.append(q)
             ws.append(coeff * s)
-    return np.asarray(qs, dtype=np.int64), np.asarray(ws, dtype=np.float64)
+    return np.asarray(qs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Cocycles with prescribed periods
 # ---------------------------------------------------------------------------
 
-def _diagonal_tree_cotree(graph, color):
-    """Tree-cotree on one diagonal graph.  Nodes are vertices of the given
-    color, edges are quads (each quad is one diagonal); faces are the
-    vertices of the opposite color."""
-    lo, hi = (0, 2) if color == BLACK else (1, 3)
-    flo, fhi = (1, 3) if color == BLACK else (0, 2)
-    F = graph.n_quads
-    nodes = np.where(graph.color == color)[0]
-    in_tree = np.zeros(F, dtype=bool)
-    seen = {int(nodes[0])}
-    adj = {}
-    for q in range(F):
-        a, b = int(graph.quads[q, lo]), int(graph.quads[q, hi])
-        adj.setdefault(a, []).append((b, q))
-        adj.setdefault(b, []).append((a, q))
-    frontier = [int(nodes[0])]
-    while frontier:
-        v = frontier.pop()
-        for u, q in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                in_tree[q] = True
-                frontier.append(u)
-    if len(seen) != len(nodes):
-        raise HomologyError("diagonal graph disconnected")
-    # dual tree over opposite-color vertices through non-tree quads
-    faces = np.where(graph.color != color)[0]
-    face_quads = {}
-    for q in range(F):
-        for side, sign in ((flo, +1), (fhi, -1)):
-            v = int(graph.quads[q, side])
-            face_quads.setdefault(v, []).append((q, sign))
-    root = int(faces[0])
-    face_parent_quad = {root: None}
-    order = [root]
-    in_cotree = np.zeros(F, dtype=bool)
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for q, _ in face_quads[v]:
-            if in_tree[q] or in_cotree[q]:
-                continue
-            a, b = int(graph.quads[q, flo]), int(graph.quads[q, fhi])
-            u = b if v == a else a
-            if u not in face_parent_quad:
-                face_parent_quad[u] = q
-                in_cotree[q] = True
-                order.append(u)
-    if len(order) != len(faces):
-        raise HomologyError("diagonal dual graph disconnected")
-    leftover = np.where(~in_tree & ~in_cotree)[0]
-    return {
-        "in_tree": in_tree,
-        "in_cotree": in_cotree,
-        "leftover": leftover,
-        "face_order": order,
-        "face_parent_quad": face_parent_quad,
-        "face_quads": face_quads,
-    }
-
-
-def _propagate_cocycle(graph, color, dtc, leftover_values):
-    """Closed integer cochain on the diagonals of one color: zero on the
-    tree, prescribed on leftover diagonals, and determined on the dual
-    tree by solving the closedness constraint at each opposite-color
-    vertex from the leaves inward."""
-    F = graph.n_quads
-    sigma = np.zeros(F, dtype=np.int64)
-    for q, x in leftover_values.items():
-        sigma[q] = x
-    for v in reversed(dtc["face_order"]):
-        pq = dtc["face_parent_quad"][v]
-        if pq is None:
-            continue
-        acc = 0
-        psign = 0
-        for q, sign in dtc["face_quads"][v]:
-            if q == pq:
-                psign = sign
-            else:
-                acc += sign * sigma[q]
-        sigma[pq] = -acc // psign
-        if psign * sigma[pq] + acc != 0:
-            raise HomologyError("cocycle propagation failed")
-    return sigma
-
-
 def cocycle_period(sigma, dcycles):
     """Period of an integer diagonal cochain along projected cycles."""
-    total = 0
-    for coeff, dc in dcycles:
-        for q, s in dc.steps:
-            total += coeff * s * int(sigma[q])
-    return total
+    qs, ws = compile_steps(dcycles)
+    return int(ws @ sigma[qs])
 
 
 def build_cocycles(graph, projections, color):
@@ -521,55 +386,77 @@ def build_cocycles(graph, projections, color):
     projections: list of 2g compiled projections (lists of (coeff,
     DiagonalCycle)) of the canonical basis cycles in the same color.
     """
-    dtc = _diagonal_tree_cotree(graph, color)
-    leftover = [int(q) for q in dtc["leftover"]]
+    V, F = graph.n_vertices, graph.n_quads
+    ends = graph.diagonal_ends(color)
+    faces = graph.diagonal_ends(1 - color)
+    tree = spanning_tree(V, *ends, root=int(np.argmax(graph.color == color)))
+    if np.any(tree.depth[graph.color == color] < 0):
+        raise HomologyError("diagonal graph disconnected")
+    in_tree = np.isin(np.arange(F), tree.parent_edge)
+    dual = spanning_tree(V, *faces, mask=~in_tree,
+                         root=int(np.argmax(graph.color != color)))
+    if np.any(dual.depth[graph.color != color] < 0):
+        raise HomologyError("diagonal dual graph disconnected")
+    in_cotree = np.isin(np.arange(F), dual.parent_edge)
+    leftover = np.flatnonzero(~in_tree & ~in_cotree)
     n = len(leftover)
     if n != len(projections):
         raise HomologyError(
             f"{n} leftover diagonals for {len(projections)} basis cycles")
-    basis_sigmas = []
-    for q in leftover:
-        basis_sigmas.append(_propagate_cocycle(graph, color, dtc, {q: 1}))
-    P = np.zeros((n, n), dtype=object)
-    for j, proj in enumerate(projections):
-        for l, sig in enumerate(basis_sigmas):
-            P[j, l] = cocycle_period(sig, proj)
-    coeff = _solve_integer(P, np.eye(n, dtype=object))
-    sigmas = np.zeros((n, graph.n_quads), dtype=np.int64)
-    for k in range(n):
-        acc = np.zeros(graph.n_quads, dtype=np.int64)
-        for l in range(n):
-            if coeff[l, k]:
-                acc += int(coeff[l, k]) * basis_sigmas[l]
-        sigmas[k] = acc
-    return sigmas
+    # column l: 1 on leftover diagonal l, 0 on the tree, and on each dual
+    # tree diagonal the value that closes the subtree of faces below it
+    basis_sigma = np.zeros((F, n), dtype=np.int64)
+    basis_sigma[leftover, np.arange(n)] = 1
+    flux = dual.subtree_sums(_face_sums(faces, basis_sigma, V))
+    child = np.flatnonzero(dual.parent_edge >= 0)
+    pq = dual.parent_edge[child]
+    basis_sigma[pq] = np.where(faces[0][pq] == child, -1, 1)[:, None] * flux[child]
+    if np.any(_face_sums(faces, basis_sigma, V)):
+        raise HomologyError("cocycle is not closed at every face")
+    P = np.array([ws @ basis_sigma[qs]
+                  for qs, ws in map(compile_steps, projections)]).reshape(n, n)
+    # exact solve P X = I: X must be integral (P unimodular) or the
+    # periods were inconsistent
+    rows, pivots = _rref(np.hstack([P, np.eye(n, dtype=np.int64)]))
+    if pivots[:n] != list(range(n)):
+        raise HomologyError("singular period system for cocycles")
+    if any(x.denominator != 1 for row in rows for x in row[n:]):
+        raise HomologyError("non-integer cocycle coefficients")
+    X = np.array([[int(x) for x in row[n:]] for row in rows], dtype=np.int64)
+    return np.ascontiguousarray((basis_sigma @ X.reshape(n, n)).T)
 
 
-def _solve_integer(A, B):
-    """Exact solve A X = B over the rationals; entries must come out
-    integral (A unimodular) or the periods were inconsistent."""
-    n = len(A)
-    M = [[Fraction(int(A[i, j])) for j in range(n)] +
-         [Fraction(int(B[i, j])) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+def _face_sums(faces, sigma, n):
+    """Sums of diagonal cochains (columns of sigma) around the faces of a
+    diagonal graph, indexed by vertex id (n of them): a diagonal counts +
+    at its start face and - at its end face.  Zero exactly when closed."""
+    out = np.zeros((n,) + sigma.shape[1:], dtype=np.int64)
+    np.add.at(out, faces[0], sigma)
+    np.add.at(out, faces[1], -sigma)
+    return out
+
+
+def _rref(M):
+    """Reduced row echelon form of an integer matrix over the rationals:
+    (rows as lists of Fractions, pivot columns)."""
+    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
-            raise HomologyError("singular period system for cocycles")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    X = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            x = M[i][n + j]
-            if x.denominator != 1:
-                raise HomologyError("non-integer cocycle coefficients")
-            X[i, j] = int(x)
-    return X
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +506,7 @@ def _select_spanning_cycles(graph, candidates, rank):
     r_now = 0
     for i in range(len(candidates)):
         trial = chosen + [i]
-        r_new = _row_rank(M[trial, :])
+        r_new = len(_rref(M[trial, :])[1])
         if r_new > r_now:
             chosen = trial
             r_now = r_new
@@ -628,32 +515,6 @@ def _select_spanning_cycles(graph, candidates, rank):
     if len(chosen) != rank:
         raise HomologyError(f"cycles span rank {r_now}, need {rank}")
     return [candidates[i] for i in chosen], M[np.ix_(chosen, chosen)]
-
-
-def _row_rank(M):
-    if M.size == 0:
-        return 0
-    m, n = M.shape
-    rows = [[Fraction(int(M[i, j])) for j in range(n)] for i in range(m)]
-    rank = 0
-    col = 0
-    r = 0
-    while r < m and col < n:
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
 
 
 def homology_basis(graph, clockwise=False):
@@ -668,7 +529,7 @@ def homology_basis(graph, clockwise=False):
         candidates = [cycle_from_vertices(graph, w) for w in loops["a"]]
         candidates += [cycle_from_vertices(graph, w) for w in loops["b"]]
         if len(candidates) != rank or \
-                _row_rank(intersection_matrix(graph, candidates)) != rank:
+                len(_rref(intersection_matrix(graph, candidates))[1]) != rank:
             candidates += basis_cycles(graph)
         try:
             cycles, _ = _select_spanning_cycles(graph, candidates, rank)

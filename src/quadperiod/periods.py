@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import BLACK, WHITE
+from .surface import BLACK, WHITE, spanning_tree
 from . import dec
 from .dec import Differential
 from .harmonic import assemble, solve, solve_elementary
@@ -71,16 +71,11 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e12:
         raise PeriodsError(f"a-period system is numerically singular (cond {cond:.3g})")
-    eye = np.eye(g)
-    zero = np.zeros((g, g))
-    targets = []
-    for k in range(g):   # black normalized
-        targets.append(np.concatenate([eye[k], np.zeros(3 * g)]))
-    for k in range(g):   # white normalized
-        targets.append(np.concatenate([np.zeros(2 * g), eye[k], np.zeros(g)]))
-    for k in range(g):   # equal black and white a-periods
-        targets.append(np.concatenate([eye[k], np.zeros(g), eye[k], np.zeros(g)]))
-    T = np.column_stack(targets)
+    # columns: black normalized, white normalized, equal black and white
+    # a-periods; rows as in _a_period_rows (all imaginary parts zero)
+    eye, zero = np.eye(g), np.zeros((g, g))
+    T = np.block([[eye, zero, eye], [zero, zero, zero],
+                  [zero, eye, eye], [zero, zero, zero]])
     C = np.linalg.solve(M, T)
 
     def combine(coeffs):
@@ -88,17 +83,10 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
         ww = sum(c * w.ww for c, w in zip(coeffs, holos))
         return Differential(wb, ww)
 
-    blacks = [combine(C[:, k]) for k in range(g)]
-    whites = [combine(C[:, g + k]) for k in range(g)]
-    equals = [combine(C[:, 2 * g + k]) for k in range(g)]
-    err = 0.0
-    for k in range(g):
-        got = _a_period_rows(graph, basis, blacks[k])
-        err = max(err, float(np.max(np.abs(got - T[:, k]))))
-        got = _a_period_rows(graph, basis, whites[k])
-        err = max(err, float(np.max(np.abs(got - T[:, g + k]))))
-        got = _a_period_rows(graph, basis, equals[k])
-        err = max(err, float(np.max(np.abs(got - T[:, 2 * g + k]))))
+    forms = [combine(C[:, j]) for j in range(3 * g)]
+    blacks, whites, equals = forms[:g], forms[g:2 * g], forms[2 * g:]
+    err = max(float(np.max(np.abs(_a_period_rows(graph, basis, w) - T[:, j])))
+              for j, w in enumerate(forms))
     return CanonicalBasis(black_normalized=blacks, white_normalized=whites,
                           equal_split=equals, condition=cond, aperiod_error=err)
 
@@ -260,14 +248,21 @@ def convergence_diagnostics(pm, reference=None):
 # Abelian integrals
 # ---------------------------------------------------------------------------
 
-def _diagonal_adjacency(graph, color):
-    lo, hi = (0, 2) if color == BLACK else (1, 3)
-    adj = {}
-    for q in range(graph.n_quads):
-        a, b = int(graph.quads[q, lo]), int(graph.quads[q, hi])
-        adj.setdefault(a, []).append((b, q, +1))
-        adj.setdefault(b, []).append((a, q, -1))
-    return adj
+def _diagonal_primitive(graph, omega, color, root, mask=None):
+    """Sums of 2*s*omega along the breadth-first tree of one color's
+    diagonal graph (restricted to the quads where mask is true), s = +1
+    for a step along a diagonal's stored direction; 0 at root, nan off
+    the tree."""
+    field = omega.wb if color == BLACK else omega.ww
+    start, end = graph.diagonal_ends(color)
+    tree = spanning_tree(graph.n_vertices, start, end, mask, root)
+    child = np.flatnonzero(tree.parent_edge >= 0)
+    q = tree.parent_edge[child]
+    step = np.zeros(graph.n_vertices, dtype=complex)
+    step[child] = np.where(end[q] == child, 2.0, -2.0) * field[q]
+    vals = tree.prefix_sums(step)
+    vals[tree.depth < 0] = np.nan
+    return vals
 
 
 def base_edge(graph):
@@ -279,32 +274,22 @@ def base_edge(graph):
     return b, a
 
 
-def abelian_integral(graph, omega, base=None, restrict=None):
+def abelian_integral(graph, omega, base=None):
     """Primitive of a closed differential along diagonal spanning trees.
 
-    Values at black vertices accumulate black diagonal steps from the
-    base edge's black endpoint; white values dually; both endpoints of
-    the base edge get value 0, so only periods remain as the multi-valued
-    ambiguity.  With restrict (a set of vertices), trees stay inside it.
+    Values at black vertices accumulate black diagonal steps along the
+    breadth-first tree of the black diagonal graph rooted at the base
+    edge's black endpoint; white values dually from its white endpoint.
+    Both endpoints of the base edge get value 0.  The result is the
+    branch of the multi-valued primitive reached through these two
+    trees; any other branch differs from it by periods.
     """
     if base is None:
         base = base_edge(graph)
     vb, vw = base
-    vals = np.full(graph.n_vertices, np.nan + 0j, dtype=complex)
-    for color, root in ((BLACK, vb), (WHITE, vw)):
-        field = omega.wb if color == BLACK else omega.ww
-        adj = _diagonal_adjacency(graph, color)
-        vals[root] = 0.0
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u, q, s in adj.get(v, ()):
-                if restrict is not None and u not in restrict:
-                    continue
-                if np.isnan(vals[u].real):
-                    vals[u] = vals[v] + 2.0 * s * field[q]
-                    frontier.append(u)
-    return vals
+    return np.where(graph.color == BLACK,
+                    _diagonal_primitive(graph, omega, BLACK, vb),
+                    _diagonal_primitive(graph, omega, WHITE, vw))
 
 
 def abelian_integral_per_polygon(graph, omega):
@@ -426,28 +411,15 @@ def abelian_integral_per_polygon(graph, omega):
 def _region_tree_values(graph, omega, quads):
     """Primitive on the vertices of a set of quads, one tree per color,
     roots at the smallest vertex of each color (value 0)."""
+    inside = np.isin(np.arange(graph.n_quads), quads)
     vals = {}
     for color in (BLACK, WHITE):
-        lo, hi = (0, 2) if color == BLACK else (1, 3)
-        field = omega.wb if color == BLACK else omega.ww
-        adj = {}
-        for q in quads:
-            a, b = int(graph.quads[q, lo]), int(graph.quads[q, hi])
-            adj.setdefault(a, []).append((b, q, +1))
-            adj.setdefault(b, []).append((a, q, -1))
-        if not adj:
+        nodes = np.unique(np.concatenate(
+            [ends[quads] for ends in graph.diagonal_ends(color)]))
+        if len(nodes) == 0:
             continue
-        root = min(adj)
-        seen = {root}
-        vals[root] = 0.0 + 0.0j
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u, q, s in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    vals[u] = vals[v] + 2.0 * s * field[q]
-                    frontier.append(u)
-        if len(seen) < len(adj):
+        prim = _diagonal_primitive(graph, omega, color, nodes[0], inside)[nodes]
+        if np.any(np.isnan(prim)):
             raise PeriodsError("diagonal graph disconnected inside a region")
+        vals.update(zip(nodes.tolist(), prim.tolist()))
     return vals

@@ -29,6 +29,7 @@ from .surface import (
     grid_edge_key,
     grid_point_key,
     mesh_stats,
+    spanning_tree,
     validate_h_adapted,
 )
 
@@ -467,26 +468,14 @@ def _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
 
 
 def _bipartite_colors(surface, reg, quads):
-    n = len(reg.keys)
-    colors = np.full(n, -1, dtype=np.int8)
-    adj = [[] for _ in range(n)]
-    for q in quads:
-        for s in range(4):
-            a, b = q[s], q[(s + 1) % 4]
-            adj[a].append(b)
-            adj[b].append(a)
-    colors[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if colors[u] < 0:
-                colors[u] = 1 - colors[v]
-                stack.append(u)
-            elif colors[u] == colors[v]:
-                raise RefineError(
-                    "vertex graph is not bipartite (odd cycle through "
-                    f"vertices {v} and {u})")
+    q = np.asarray(quads, dtype=np.int64)
+    a, b = q.ravel(), np.roll(q, -1, axis=1).ravel()
+    colors = (spanning_tree(len(reg.keys), a, b).depth % 2).astype(np.int8)
+    odd = np.flatnonzero(colors[a] == colors[b])
+    if len(odd):
+        raise RefineError(
+            "vertex graph is not bipartite (odd cycle through "
+            f"vertices {a[odd[0]]} and {b[odd[0]]})")
     # normalize the global two-coloring: polygon corners sit at even grid
     # parity (the cell count is even), so they are black on uniform meshes
     flip = False

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix, csgraph
 
 TWO_PI = 2.0 * math.pi
 
@@ -401,22 +402,9 @@ class QuadGraph:
         self.edge_key_ids = edge_ids if self.dart_keys is not None else None
 
     def _check_connected(self):
-        adj = [[] for _ in range(self.n_vertices)]
-        for (a, b) in self.edge_list:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        if not seen.all():
+        a, b = np.asarray(self.edge_list, dtype=np.int64).reshape(-1, 2).T
+        if np.any(spanning_tree(self.n_vertices, a, b).depth < 0):
             raise SurfaceError("quad-graph is disconnected")
-        self.vertex_adj = adj
 
     def n_edges(self):
         return len(self.edge_list)
@@ -479,6 +467,12 @@ class QuadGraph:
         self._cache["rotation"] = (rot, rot_pos, quad_after)
         return self._cache["rotation"]
 
+    def diagonal_ends(self, color):
+        """Start and end vertex arrays of every quad's diagonal of the given
+        color: (b-, b+) for black, (w-, w+) for white."""
+        lo, hi = (0, 2) if color == BLACK else (1, 3)
+        return self.quads[:, lo], self.quads[:, hi]
+
     def edge_endpoints(self, eid):
         return self.edge_list[eid]
 
@@ -488,6 +482,72 @@ class QuadGraph:
 
     def singular_vertices(self):
         return [c.vertex for c in self.cones if c.is_singular]
+
+
+@dataclass(frozen=True)
+class SpanningTree:
+    """Breadth-first spanning tree of the component of its root.
+
+    order lists the reached nodes root first, level by level; parent and
+    parent_edge are -1 at the root and off the tree; depth is -1 off the
+    tree.
+    """
+
+    order: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    depth: np.ndarray
+
+    def _levels(self):
+        """Reached nodes grouped by depth, root level excluded."""
+        cuts = np.flatnonzero(np.diff(self.depth[self.order])) + 1
+        return np.split(self.order, cuts)[1:]
+
+    def prefix_sums(self, step):
+        """Root-outward sums: out[u] = out[parent[u]] + step[u], zero at
+        the root and off the tree."""
+        out = np.zeros_like(step)
+        for nodes in self._levels():
+            out[nodes] = out[self.parent[nodes]] + step[nodes]
+        return out
+
+    def subtree_sums(self, values):
+        """Leaves-inward sums: out[u] is the sum of values (along the
+        first axis) over the subtree of u."""
+        out = np.array(values, copy=True)
+        for nodes in reversed(self._levels()):
+            np.add.at(out, self.parent[nodes], out[nodes])
+        return out
+
+
+def spanning_tree(n, heads, tails, mask=None, root=0, directed=False):
+    """Breadth-first spanning tree on n nodes over the edges
+    heads[e] -- tails[e] where mask is true.
+
+    Each node's neighbours are visited in edge-id order, and parent_edge
+    is the smallest edge id joining a node to its parent, so parallel
+    edges resolve deterministically.  With directed=True edge e is the
+    arc heads[e] -> tails[e] only; callers list both arcs of an edge
+    where the order around each node must follow its own numbering.
+    """
+    eids = np.arange(len(heads)) if mask is None else np.flatnonzero(mask)
+    a, b = np.asarray(heads)[eids], np.asarray(tails)[eids]
+    if not directed:
+        a, b, eids = np.r_[a, b], np.r_[b, a], np.r_[eids, eids]
+    perm = np.lexsort((eids, a))
+    a, b, eids = a[perm], b[perm], eids[perm]
+    adj = csr_matrix((np.ones(len(a)), b, np.searchsorted(a, np.arange(n + 1))),
+                     shape=(n, n))
+    order, parent = csgraph.breadth_first_order(
+        adj, root, directed=True, return_predecessors=True)
+    parent = np.where(parent < 0, -1, parent)
+    on = parent[b] == a
+    parent_edge = np.full(n, len(heads))
+    np.minimum.at(parent_edge, b[on], eids[on])
+    parent_edge[parent_edge == len(heads)] = -1
+    depth = csgraph.shortest_path(adj, directed=True, unweighted=True, indices=root)
+    depth = np.nan_to_num(depth, posinf=-1).astype(np.int64)
+    return SpanningTree(order, parent, parent_edge, depth)
 
 
 def _vpair(a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadperiod.surface import BLACK, WHITE, generate_torus
+from quadperiod.surface import BLACK, WHITE, SpanningTree, generate_torus
 from quadperiod import dec
 from quadperiod.homology import (
     HomologyError,
@@ -216,3 +216,10 @@ def test_homology_basis_torus_reference(torus_skew_4):
     assert basis.genus == 1
     M = basis.intersection_before
     assert abs(M[0, 1]) == 1
+
+
+def test_cocycle_closedness_check_fires(lshape_mesh_2, monkeypatch):
+    """Wrong values on the dual tree diagonals are caught face by face."""
+    monkeypatch.setattr(SpanningTree, "subtree_sums", lambda self, v: 0 * v)
+    with pytest.raises(HomologyError, match="not closed"):
+        homology_basis(lshape_mesh_2)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from quadperiod.surface import (
 )
 from quadperiod.refine import (
     RefineError,
+    _bipartite_colors,
     generate_adapted,
     subdivide,
     sweep,
@@ -181,3 +183,11 @@ def test_adapted_roundtrip(lshape, tmp_path):
     assert np.isclose(st1.h, st2.h, rtol=0, atol=0)
     assert np.isclose(st1.phi_min, st2.phi_min, rtol=0, atol=0)
     assert validate_h_adapted(g2, 1 / 8)["passed"]
+
+
+def test_bipartite_colors_rejects_odd_cycle():
+    """Quads (0,1,2,3) and (0,2,4,5) close the triangle 0-1-2."""
+    reg = SimpleNamespace(keys=[None] * 6)
+    assert list(_bipartite_colors(None, reg, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]
+    with pytest.raises(RefineError, match="not bipartite"):
+        _bipartite_colors(None, reg, [(0, 1, 2, 3), (0, 2, 4, 5)])

@@ -14,6 +14,7 @@ from quadperiod.surface import (
     mesh_stats,
     validate_h_adapted,
     QuadGraph,
+    spanning_tree,
 )
 
 
@@ -194,3 +195,50 @@ def test_diagonal_ratio_chart_invariance(rng):
     g1 = QuadGraph([0, 1, 0, 1], [[0, 1, 2, 3]], [base], closed=False)
     g2 = QuadGraph([0, 1, 0, 1], [[0, 1, 2, 3]], [moved], closed=False)
     assert np.isclose(g1.diagonal_ratio[0], g2.diagonal_ratio[0])
+
+
+def _reference_bfs(n, heads, tails, mask, root, directed):
+    """Queue-based BFS visiting each node's edges in edge-id order."""
+    adj = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(zip(heads, tails)):
+        if mask is None or mask[e]:
+            adj[a].append((b, e))
+            if not directed:
+                adj[b].append((a, e))
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [-1] * n
+    depth[root] = 0
+    order = [root]
+    for v in order:
+        for u, e in adj[v]:
+            if depth[u] < 0:
+                depth[u], parent[u], parent_edge[u] = depth[v] + 1, v, e
+                order.append(u)
+    return order, parent, parent_edge, depth
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_spanning_tree_matches_reference_bfs(directed):
+    """Random multigraphs with self-loops, parallel edges, masks and
+    unreached nodes: tree, depths and both tree sums agree with loops."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        heads, tails = rng.integers(0, n, size=(2, int(rng.integers(0, 30))))
+        mask = rng.random(len(heads)) < 0.8 if rng.random() < 0.5 else None
+        root = int(rng.integers(0, n))
+        tree = spanning_tree(n, heads, tails, mask, root, directed)
+        order, parent, parent_edge, depth = _reference_bfs(
+            n, heads, tails, mask, root, directed)
+        assert tree.order.tolist() == order
+        assert tree.parent.tolist() == parent
+        assert tree.parent_edge.tolist() == parent_edge
+        assert tree.depth.tolist() == depth
+        step = rng.integers(-5, 5, size=n)
+        want = np.zeros(n, dtype=np.int64)
+        for u in order[1:]:
+            want[u] = want[parent[u]] + step[u]
+        assert np.array_equal(tree.prefix_sums(step), want)
+        want = step.copy()
+        for u in reversed(order[1:]):
+            want[parent[u]] += want[u]
+        assert np.array_equal(tree.subtree_sums(step), want)

@@ -2,8 +2,9 @@
 period reports, convergence studies, Abelian integrals.
 
 Subcommands: mesh, check, homology, harmonic, periods, converge,
-integrate.  Reports are machine readable (CSV or JSON documents); the
-exit code is zero exactly when every executed check passed.
+integrate.  Reports are machine readable (CSV or JSON documents).  The exit
+code is 0 when every executed check passed, 1 when a check failed, and
+2 on invalid input, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import numpy as np
 
 from . import dec, formats
 from .dec import PeriodData
-from .harmonic import assemble, solve, verify_minimality
-from .homology import homology_basis
+from .harmonic import HarmonicError, assemble, solve, verify_minimality
+from .homology import HomologyError, homology_basis
 from .periods import (
+    PeriodsError,
     abelian_integral,
     bilinear_identity_residual,
     canonical_differentials,
@@ -30,7 +32,7 @@ from .periods import (
     period_matrices,
 )
 from .refine import sweep
-from .surface import QuadGraph, build_quad_graph, mesh_stats
+from .surface import QuadGraph, SurfaceError, build_quad_graph, mesh_stats
 
 
 def _graph_from_input(obj, cell):
@@ -283,7 +285,7 @@ def run_integrate(graph, a_periods, tol=1e-10):
     g = basis.genus
     a = np.asarray(a_periods, dtype=complex)
     if len(a) != g:
-        raise ValueError(f"need {g} a-periods, got {len(a)}")
+        raise PeriodsError(f"need {g} a-periods, got {len(a)}")
     cb = canonical_differentials(graph, basis, assemble(graph, basis), tol)
     wb = sum(a[k] * cb.equal_split[k].wb for k in range(g))
     ww = sum(a[k] * cb.equal_split[k].ww for k in range(g))
@@ -358,6 +360,14 @@ def _load(path, cell):
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (SurfaceError, HomologyError, PeriodsError, HarmonicError) as exc:
+        print(f"quadperiod: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args):
     os.makedirs(args.out, exist_ok=True)
     rc = 0
     if args.command == "mesh":

@@ -55,8 +55,11 @@ def graph_to_doc(graph):
 def graph_from_doc(doc):
     if doc.get("format") != 1:
         raise SurfaceError("missing or unsupported 'format' header (want 1)")
-    colors = np.zeros(len(doc["vertices"]), dtype=np.int8)
+    V = len(doc["vertices"])
+    colors = np.zeros(V, dtype=np.int8)
     for i, name in doc["vertices"]:
+        if not 0 <= i < V:
+            raise SurfaceError(f"vertex id {i} out of range [0, {V})")
         colors[i] = 0 if name == "black" else 1
     quads = []
     corners = []

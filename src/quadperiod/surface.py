@@ -311,6 +311,8 @@ class QuadGraph:
         q = self.quads
         if q.shape != (F, 4) or self.corners.shape != (F, 4):
             raise SurfaceError("quads/corners shape mismatch")
+        if np.any((q < 0) | (q >= V)):
+            raise SurfaceError(f"quad vertex id out of range [0, {V})")
         if np.any(self.color[q[:, 0]] != BLACK) or np.any(self.color[q[:, 2]] != BLACK) \
                 or np.any(self.color[q[:, 1]] != WHITE) or np.any(self.color[q[:, 3]] != WHITE):
             raise SurfaceError("vertex coloring does not alternate around a quad")

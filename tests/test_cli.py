@@ -202,3 +202,17 @@ def test_converge_few_levels_no_fit(lshape_doc, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "fewer than 3 finite error rows" in out
+
+
+@pytest.mark.parametrize("before, command, after", [
+    ([], "check", ["--cell", "0.3"]),                   # SurfaceError
+    (["--tol", "1e-300"], "periods", ["--cell", "0.25"]),  # HarmonicError
+    ([], "integrate", ["--cell", "0.25", "--a-periods", "1,0;1,0"]),  # PeriodsError
+])
+def test_invalid_input_exits_2_with_one_line(torus_doc, tmp_path, capsys,
+                                             before, command, after):
+    rc = main(["--out", str(tmp_path)] + before + [command, torus_doc] + after)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

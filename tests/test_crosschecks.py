@@ -14,7 +14,8 @@ from quadperiod.homology import (
     symplectic_basis,
 )
 from quadperiod.periods import period_matrices
-from quadperiod.surface import BLACK, WHITE, PolyhedralSurface, build_quad_graph
+from quadperiod.surface import (
+    BLACK, WHITE, PolyhedralSurface, SurfaceError, build_quad_graph)
 from quadperiod.formats import graph_to_doc, graph_from_doc
 
 
@@ -147,6 +148,16 @@ def test_raw_without_edge_table_rejected(torus_i_2):
     doc = graph_to_doc(torus_i_2)
     del doc["edges"]
     with pytest.raises(Exception, match="parallel|ambiguous"):
+        graph_from_doc(doc)
+
+
+@pytest.mark.parametrize("table", ["quads", "vertices"])
+@pytest.mark.parametrize("bad", ["too_large", "negative"])
+def test_raw_vertex_id_out_of_range(torus_i_4, table, bad):
+    """A too-large id used to raise IndexError; a negative one wrapped."""
+    doc = graph_to_doc(torus_i_4)
+    doc[table][0][0] = len(doc["vertices"]) if bad == "too_large" else -1
+    with pytest.raises(SurfaceError, match="out of range"):
         graph_from_doc(doc)
 
 

@@ -1,0 +1,94 @@
+"""Mesh-equivalence gate: the combinatorics of every mesh in the
+period-matrix corpus (plus L-shape 1/64, a 16x16 skew torus and a
+subdivided 2x2 torus) against fingerprints stored in golden_meshes.json.
+
+Integer data must match exactly: sha256 digests of the vertex colors, the
+quad table, the dart-to-edge table, the edge endpoints, the rotation
+system (vertex degrees, then the edges and the quads around every vertex)
+and repr(vertex_keys).  Chart corners are stored in full and compared to
+within 1e-15.
+
+Regenerate the stored values only at a commit whose meshes are trusted:
+
+    PYTHONPATH=src python tests/test_mesh_golden.py
+"""
+
+import base64
+import hashlib
+import json
+import os
+import zlib
+
+import numpy as np
+import pytest
+
+from quadperiod import build_quad_graph, generate_torus, l_shape_surface, subdivide
+from test_golden import CORPUS as PERIOD_CORPUS
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_meshes.json")
+CORNER_TOL = 1e-15
+
+CORPUS = dict(PERIOD_CORPUS)
+CORPUS["lshape-64"] = lambda: build_quad_graph(l_shape_surface(), 1 / 64)
+CORPUS["torus-skew-16"] = lambda: generate_torus(0.5 + 0.8j, 16)
+CORPUS["torus-i-2-subdivided"] = lambda: subdivide(generate_torus(1j, 2))
+
+
+def _digest(values):
+    a = np.ascontiguousarray(values, dtype=np.int64)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def _fingerprint(graph):
+    rot, _, quad_after = graph.rotation()
+    V = graph.n_vertices
+    deg = [len(rot[v]) for v in range(V)]
+    return {
+        "color": _digest(graph.color),
+        "quads": _digest(graph.quads),
+        "dart_edge": _digest(graph.dart_edge),
+        "edge_list": _digest(np.reshape(graph.edge_list, (-1, 2))),
+        "rot": _digest(np.concatenate([deg] + [rot[v] for v in range(V)])),
+        "quad_after": _digest(np.concatenate([deg] + [quad_after[v] for v in range(V)])),
+        "vertex_keys": hashlib.sha256(repr(graph.vertex_keys).encode()).hexdigest(),
+    }
+
+
+def _pack(corners):
+    raw = np.ascontiguousarray(corners, dtype=complex).tobytes()
+    return base64.b64encode(zlib.compress(raw, 9)).decode()
+
+
+def _unpack(text, shape):
+    raw = zlib.decompress(base64.b64decode(text))
+    return np.frombuffer(raw, dtype=complex).reshape(shape)
+
+
+def _load_golden():
+    with open(GOLDEN_PATH) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_mesh_matches_golden(name):
+    want = _load_golden()[name]
+    graph = CORPUS[name]()
+    got = _fingerprint(graph)
+    for key, digest in got.items():
+        assert digest == want[key], key
+    corners = _unpack(want["corners"], graph.corners.shape)
+    assert float(np.max(np.abs(graph.corners - corners))) <= CORNER_TOL
+
+
+def main():
+    doc = {}
+    for name in sorted(CORPUS):
+        graph = CORPUS[name]()
+        doc[name] = _fingerprint(graph) | {"corners": _pack(graph.corners)}
+        print(name)
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(doc, f, indent=1)
+
+
+if __name__ == "__main__":
+    main()

@@ -242,3 +242,75 @@ def test_spanning_tree_matches_reference_bfs(directed):
         for u in reversed(order[1:]):
             want[parent[u]] += want[u]
         assert np.array_equal(tree.subtree_sums(step), want)
+
+
+# -- closed-manifold checks on hand-made raw documents ------------------------
+
+def _raw_doc(colors, quads, corners, edges=None):
+    """Raw quad-graph document; corners are complex, edges optional."""
+    doc = {
+        "format": 1,
+        "vertices": [[i, "black" if c == 0 else "white"] for i, c in enumerate(colors)],
+        "quads": [list(q) + [x for z in c for x in (z.real, z.imag)]
+                  for q, c in zip(quads, corners)],
+    }
+    if edges is not None:
+        doc["edges"] = edges
+    return doc
+
+
+SQUARE = [0, 1, 1 + 1j, 1j]
+
+
+def _torus_2x2_doc(copies=1, glue=None):
+    """`copies` disjoint 2x2 square tori; glue maps a vertex id of the
+    disjoint union to the id it is identified with."""
+    glue = glue or {}
+    g = generate_torus(1j, 2)
+    colors, quads, corners, edges = [], [], [], []
+    for c in range(copies):
+        colors += g.color.tolist()
+        quads += (g.quads + 4 * c).tolist()
+        corners += g.corners.tolist()
+        edges += (g.dart_edge + 8 * c).tolist()
+    ids = sorted(set(range(4 * copies)) - set(glue))
+    new = {v: i for i, v in enumerate(ids)}
+    new.update({v: new[u] for v, u in glue.items()})
+    quads = [[new[v] for v in q] for q in quads]
+    colors = [colors[v] for v in ids]
+    return _raw_doc(colors, quads, corners, edges)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_raw_doc([0, 1, 0, 1], [[0, 1, 2, 3]], [SQUARE]),
+     "edge 0 lies in 1 quads (not a closed surface)"),
+    # the last dart of quad 3 moves from edge 4 onto edge 1
+    (_torus_2x2_doc() | {"edges": [[0, 1, 2, 3], [4, 0, 5, 2], [3, 6, 1, 7],
+                                   [6, 5, 7, 1]]},
+     "edge 1 lies in 3 quads (not a closed surface)"),
+    (_raw_doc([0, 1, 0, 1], [[0, 1, 2, 3], [0, 1, 2, 3]], [SQUARE, SQUARE]),
+     "edge 0 not traversed in opposite directions by its two quads"),
+    (_raw_doc([0, 1, 0, 1], [[0, 1, 2, 3], [0, 3, 2, 1]],
+              [SQUARE, [0, 2, 2 + 1j, 1j]]),
+     "edge 1 has mismatched chart lengths 1.0 vs 2.0"),
+    ({k: v for k, v in _torus_2x2_doc().items() if k != "edges"},
+     "parallel edges between the same vertices; the quad table is "
+     "ambiguous without explicit edge keys"),
+    (_torus_2x2_doc(copies=2), "quad-graph is disconnected"),
+])
+def test_closed_manifold_errors(doc, message):
+    from quadperiod.formats import graph_from_doc
+    with pytest.raises(SurfaceError) as err:
+        graph_from_doc(doc)
+    assert str(err.value) == message
+
+
+def test_pinched_vertex_link_rejected():
+    # two 2x2 tori sharing one black and one white vertex: every edge is
+    # fine, but the link of each shared vertex is two circles
+    from quadperiod.formats import graph_from_doc
+    g = graph_from_doc(_torus_2x2_doc(copies=2, glue={4: 0, 5: 1}))
+    assert g.genus() == 2
+    with pytest.raises(SurfaceError) as err:
+        g.rotation()
+    assert str(err.value) == "vertex 0 has a disconnected link"

@@ -534,34 +534,21 @@ def _run(args):
             re_s, im_s = part.split(",")
             a.append(complex(float(re_s), float(im_s)))
         omega, vals = run_integrate(graph, a, args.tol)
+        # each vertex at its first corner in the quad table
+        _, first = np.unique(graph.quads, return_index=True)
+        position = graph.corners.ravel()[first]
         rows = []
         for v in range(graph.n_vertices):
             key = graph.vertex_keys[v] if graph.vertex_keys else None
             if args.sample and key is None:
                 continue
-            pos = _vertex_position(graph, v)
+            pos = position[v]
             rows.append([v, formats.fmt(pos.real), formats.fmt(pos.imag),
                          formats.fmt(vals[v].real), formats.fmt(vals[v].imag)])
         path = os.path.join(args.out, "integral.csv")
         formats.write_csv(path, ["vertex", "x", "y", "re", "im"], rows)
         print(f"wrote {path} ({len(rows)} rows)")
     return rc
-
-
-def _vertex_position(graph, v):
-    q, s = _first_corner(graph, v)
-    return complex(graph.corners[q, s])
-
-
-def _first_corner(graph, v):
-    cached = graph._cache.get("first_corner")
-    if cached is None:
-        cached = {}
-        for q in range(graph.n_quads):
-            for s in range(4):
-                cached.setdefault(int(graph.quads[q, s]), (q, s))
-        graph._cache["first_corner"] = cached
-    return cached[v]
 
 
 if __name__ == "__main__":

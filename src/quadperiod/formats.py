@@ -44,8 +44,7 @@ def graph_to_doc(graph):
         "vertices": [[i, "black" if c == 0 else "white"]
                      for i, c in enumerate(graph.color)],
         "quads": quads,
-        "edges": [[int(graph.dart_edge[q, s]) for s in range(4)]
-                  for q in range(graph.n_quads)],
+        "edges": graph.dart_edge.tolist(),
         "cones": [[int(c.vertex), float(c.angle), float(c.radius)]
                   for c in graph.cones],
     }

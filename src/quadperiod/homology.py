@@ -75,12 +75,12 @@ def cycle_from_vertices(graph, walk, edge_keys=None):
     n = len(walk)
     eids = []
     if edge_keys is not None:
-        if graph.edge_key_ids is None:
+        if graph.dart_keys is None:
             raise HomologyError("graph has no edge keys to resolve the walk")
-        eids = [graph.edge_key_ids[k] for k in edge_keys]
+        eids = graph.edge_ids(edge_keys).tolist()
     else:
         by_pair = {}
-        for e, (a, b) in enumerate(graph.edge_list):
+        for e, (a, b) in enumerate(graph.edge_list.tolist()):
             by_pair.setdefault((a, b), []).append(e)
         for i in range(n):
             a, b = walk[i], walk[(i + 1) % n]
@@ -90,10 +90,11 @@ def cycle_from_vertices(graph, walk, edge_keys=None):
                 raise HomologyError(f"walk step {a}->{b} matches {len(cand)} edges")
             eids.append(cand[0])
     cyc = Cycle(list(walk), eids)
-    for i in range(n):
-        a, b = graph.edge_list[cyc.eids[i]]
-        if {walk[i], walk[(i + 1) % n]} != {a, b}:
-            raise HomologyError(f"edge {cyc.eids[i]} does not join walk step {i}")
+    steps = np.sort(np.stack([walk, np.roll(walk, -1)], axis=1), axis=1)
+    wrong = np.flatnonzero(np.any(steps != graph.edge_list[eids].reshape(-1, 2), axis=1))
+    if len(wrong):
+        i = int(wrong[0])
+        raise HomologyError(f"edge {cyc.eids[i]} does not join walk step {i}")
     return cyc
 
 
@@ -105,7 +106,7 @@ def tree_cotree(graph):
     """Breadth-first spanning tree of the vertex graph, spanning tree of
     the dual quad graph on the remaining edges, and the 2g leftover edges."""
     V, F, E = graph.n_vertices, graph.n_quads, graph.n_edges()
-    a, b = np.asarray(graph.edge_list, dtype=np.int64).T
+    a, b = graph.edge_list.T
     tree = spanning_tree(V, a, b)
     if np.any(tree.depth < 0):
         raise HomologyError("disconnected graph")
@@ -153,10 +154,9 @@ def basis_cycles(graph, tc=None):
     """One cycle per leftover edge: the edge plus its tree path."""
     tc = tc or tree_cotree(graph)
     out = []
-    for e in tc["leftover"]:
-        a, b = graph.edge_list[int(e)]
+    for e, (a, b) in zip(tc["leftover"].tolist(), graph.edge_list[tc["leftover"]].tolist()):
         verts, eids = _tree_path(tc, b, a)  # b ... a through the tree
-        out.append(Cycle([a] + verts[:-1], [int(e)] + eids))
+        out.append(Cycle([a] + verts[:-1], [e] + eids))
     return out
 
 
@@ -330,7 +330,8 @@ def project_cycle(graph, cycle, color, clockwise=False):
         if graph.color[v] != opposite:
             continue
         pos = rot_pos[v]
-        deg = len(rot[v])
+        fan = quad_after[v]
+        deg = len(fan)
         i_in, i_out = pos[e_in], pos[e_out]
         if i_in == i_out:
             continue  # backtracking corner: empty fan
@@ -338,12 +339,12 @@ def project_cycle(graph, cycle, color, clockwise=False):
         t = i_in
         if not clockwise:
             while t != i_out:
-                quads.append(quad_after[v][t])
+                quads.append(fan[t])
                 t = (t + 1) % deg
         else:
             while t != i_out:
                 t = (t - 1) % deg
-                quads.append(quad_after[v][t])
+                quads.append(fan[t])
         prev_vertex = graph.other_endpoint(e_in, v)
         for q in quads:
             vb0 = int(graph.quads[q, lo])

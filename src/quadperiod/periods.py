@@ -267,8 +267,8 @@ def _diagonal_primitive(graph, omega, color, root, mask=None):
 
 def base_edge(graph):
     """Deterministic base: the lexicographically smallest edge."""
-    eid = min(range(graph.n_edges()), key=lambda e: graph.edge_list[e])
-    a, b = graph.edge_list[eid]
+    ends = graph.edge_list
+    a, b = ends[np.lexsort((ends[:, 1], ends[:, 0]))[0]].tolist()
     if graph.color[a] == BLACK:
         return a, b
     return b, a

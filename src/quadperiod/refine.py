@@ -22,9 +22,9 @@ from .surface import (
     BLACK,
     QuadGraph,
     SurfaceError,
-    _VertexRegistry,
     _attach_cones,
     _reference_loops,
+    _rotate_to_black,
     _square_tiled_data,
     grid_edge_key,
     grid_point_key,
@@ -53,63 +53,54 @@ class RefineError(SurfaceError):
 def subdivide(graph):
     """Split each quad in four.  Original vertices keep their ids and land
     in the black class together with the new face centers; edge midpoints
-    form the white class."""
+    form the white class.
+
+    Child 4q + s sits at corner s of quad q.  Edge keys: 2e + h for the
+    half of edge e at its endpoint h (0 for the smaller vertex id), 2E +
+    4q + s for the spoke from the midpoint of side s of quad q to its
+    center."""
+    from .homology import cycle_from_vertices
+
     V, E, F = graph.n_vertices, graph.n_edges(), graph.n_quads
     colors = np.concatenate([
         np.zeros(V, dtype=np.int8),
         np.ones(E, dtype=np.int8),
         np.zeros(F, dtype=np.int8),
     ])
-    quads = np.empty((4 * F, 4), dtype=np.int64)
-    corners = np.empty((4 * F, 4), dtype=complex)
-    dart_keys = []
+    side = np.arange(4)
+    prev = (side - 1) % 4
+    vids = graph.quads
+    e_out = graph.dart_edge
+    e_in = e_out[:, prev]
+    center = np.broadcast_to((V + E + np.arange(F))[:, None], (F, 4))
+    quads = np.stack([vids, V + e_out, center, V + e_in], axis=2).reshape(-1, 4)
     z = graph.corners
-    zc = np.mean(z, axis=1)
-    for q in range(F):
-        vids = graph.quads[q]
-        mids = [V + int(graph.dart_edge[q, s]) for s in range(4)]
-        for s in range(4):
-            child = 4 * q + s
-            quads[child] = [vids[s], mids[s], V + E + q, mids[(s - 1) % 4]]
-            corners[child] = [z[q, s], (z[q, s] + z[q, (s + 1) % 4]) / 2.0,
-                              zc[q], (z[q, (s - 1) % 4] + z[q, s]) / 2.0]
-            e_out = int(graph.dart_edge[q, s])
-            e_in = int(graph.dart_edge[q, (s - 1) % 4])
-            a_out, _ = graph.edge_list[e_out]
-            a_in, _ = graph.edge_list[e_in]
-            dart_keys.append([
-                ("h", e_out, 0 if int(vids[s]) == a_out else 1),
-                ("s", q, s),
-                ("s", q, (s - 1) % 4),
-                ("h", e_in, 0 if int(vids[s]) == a_in else 1),
-            ])
-    loops = graph.meta.get("loops")
-    new_loops = None
-    if loops:
-        new_loops = {}
-        for kind, walks in loops.items():
-            new_loops[kind] = []
-            for w in walks:
-                verts, keys = [], []
-                from .homology import cycle_from_vertices
-                cyc = cycle_from_vertices(graph, w)
-                n = len(cyc)
-                for i in range(n):
-                    u = cyc.verts[i]
-                    e = cyc.eids[i]
-                    a, _ = graph.edge_list[e]
-                    verts.extend([u, V + e])
-                    keys.extend([("h", e, 0 if u == a else 1),
-                                 ("h", e, 0 if cyc.verts[(i + 1) % n] == a else 1)])
-                new_loops[kind].append({"verts": verts, "edge_keys": keys})
-    keys = None
-    if graph.vertex_keys is not None:
-        keys = list(graph.vertex_keys) + [None] * (E + F)
+    zc = np.broadcast_to(np.mean(z, axis=1)[:, None], (F, 4))
+    corners = np.stack([z, (z + z[:, (side + 1) % 4]) / 2.0, zc, (z[:, prev] + z) / 2.0],
+                       axis=2).reshape(-1, 4)
+    spoke = 2 * E + 4 * np.arange(F)[:, None]
+    ends = graph.edge_list[:, 0]
+    dart_keys = np.stack([2 * e_out + (vids != ends[e_out]), spoke + side, spoke + prev,
+                          2 * e_in + (vids != ends[e_in])], axis=2).reshape(-1, 4)
+    new_loops = {}
+    for kind, walks in (graph.meta.get("loops") or {}).items():
+        new_loops[kind] = []
+        for w in walks:
+            cyc = cycle_from_vertices(graph, w)
+            u, e = np.array(cyc.verts), np.array(cyc.eids)
+            halves = [2 * e + (u != ends[e]), 2 * e + (np.roll(u, -1) != ends[e])]
+            new_loops[kind].append({
+                "verts": np.stack([u, V + e], axis=1).ravel().tolist(),
+                "edge_keys": np.stack(halves, axis=1).ravel().tolist()})
     meta = dict(graph.meta)
     if new_loops:
         meta["loops"] = new_loops
     meta.pop("poly_of_quad", None)
     meta.pop("k", None)
+
+    def keys():
+        return None if graph.vertex_keys is None else graph.vertex_keys + [None] * (E + F)
+
     return QuadGraph(colors, quads, corners, cones=graph.cones,
                      vertex_keys=keys, meta=meta, dart_keys=dart_keys)
 
@@ -117,6 +108,26 @@ def subdivide(graph):
 # ---------------------------------------------------------------------------
 # Adapted meshes
 # ---------------------------------------------------------------------------
+
+class _VertexRegistry:
+    """Vertex interning by exact key, in order of first appearance."""
+
+    def __init__(self):
+        self.keys = []
+        self.colors = []
+        self.index = {}
+
+    def get(self, canonical_key, color):
+        i = self.index.get(canonical_key)
+        if i is None:
+            i = len(self.keys)
+            self.index[canonical_key] = i
+            self.keys.append(canonical_key)
+            self.colors.append(color)
+        elif color is not None and self.colors[i] is None:
+            self.colors[i] = color
+        return i
+
 
 PATCH_HALF_WIDTH = Fraction(1, 4)   # sector coordinate extent of a cone patch
 IMG_SAFETY = 0.9                    # target fraction of h for chart images
@@ -225,22 +236,17 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         for (p, i) in surface.vertex_links[cid]:
             singular_corners.add((p, i))
 
-    corner_frac = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                   (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
-
     for cid in surface.cone_classes:
         gamma = 2.0 * math.pi / surface.vertex_angles[cid]
         if gamma > 0.5 + 1e-12:
             raise RefineError("cone with index above 1/2 on a square-tiled surface")
         link = surface.vertex_links[cid]
-        K = len(link)
         rings, kinds = _with_parity(gamma, h, jc)
         _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
                     cid, link, rings, kinds, jc, k)
 
     # -- ambient cells -------------------------------------------------------
     removed = _removed_cells(surface, singular_corners, k, jc)
-    half_keys = {}
     for p in range(len(surface.polygons)):
         z0 = complex(*surface.polygons[p][0])
         s = 1.0 / k
@@ -263,13 +269,28 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
                 poly_of_quad.append(p)
 
     colors = _bipartite_colors(surface, reg, quads)
-    quads, corners, dart_keys = _start_black(colors, quads, corners, dart_keys)
-    cones = _attach_cones(surface, reg, k)
-    loops = _reference_loops(surface, reg, k)
+    # edge keys interned to integers in order of first appearance
+    edge_code = {}
+    codes = [[edge_code.setdefault(key, len(edge_code)) for key in row] for row in dart_keys]
+    quads, corners, codes = _rotate_to_black(
+        colors[[q[0] for q in quads]], np.array(quads), np.array(corners), np.array(codes))
+
+    def lattice_keys(points):
+        return [grid_point_key(surface, p, Fraction(x, 2 * k), Fraction(y, 2 * k))
+                for p, x, y in points.tolist()]
+
+    def vertex_ids(points):
+        return [reg.index[key] for key in lattice_keys(points)]
+
+    def edge_keys(points):
+        return [edge_code[("e",) + key[1:]] for key in lattice_keys(points)]
+
+    cones = _attach_cones(surface, k, vertex_ids)
+    loops = _reference_loops(surface, k, vertex_ids, edge_keys)
     meta = {"kind": "square_tiled", "k": k, "adapted": True, "loops": loops,
             "poly_of_quad": np.array(poly_of_quad), "surface": surface}
     g = QuadGraph(colors, quads, corners, cones=cones,
-                  vertex_keys=list(reg.keys), meta=meta, dart_keys=dart_keys)
+                  vertex_keys=reg.keys, meta=meta, dart_keys=codes)
     st = mesh_stats(g)
     if st.phi_min < phi_floor - 1e-12:
         raise RefineError(f"angle floor violated: phi_min {st.phi_min:.4f}")
@@ -488,20 +509,6 @@ def _bipartite_colors(surface, reg, quads):
     if flip:
         colors = 1 - colors
     return colors
-
-
-def _start_black(colors, quads, corners, dart_keys):
-    out_q, out_c, out_k = [], [], []
-    for q, c, ks in zip(quads, corners, dart_keys):
-        if colors[q[0]] == BLACK:
-            out_q.append(q)
-            out_c.append(c)
-            out_k.append(ks)
-        else:
-            out_q.append(q[1:] + q[:1])
-            out_c.append(list(c[1:]) + list(c[:1]))
-            out_k.append(ks[1:] + ks[:1])
-    return out_q, out_c, out_k
 
 
 # ---------------------------------------------------------------------------

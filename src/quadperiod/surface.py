@@ -5,11 +5,21 @@ points the metric is flat.  The discretization is a cell decomposition
 into quadrilaterals whose vertex graph is bipartite (black/white).  Each
 quad stores its own isometric chart; no global coordinates exist, and all
 downstream quantities are per-quad or combinatorial.
+
+Meshes are built on integer arrays.  A square-tiled mesh with k cells
+per side keys each grid vertex and edge midpoint by the integer code of
+a point (p, x, y) of the 2k lattice of unit square p; a point on a glued
+side takes its smallest image (a side point at parameter t maps to 2k - t
+on the partner side, a corner to the smallest corner of its vertex
+class).  Vertices and edges are numbered in order of first appearance in
+the quad table.  The exact keys ("v", p, x, y), Fraction coordinates, are
+built when `vertex_keys` is first read.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -244,7 +254,7 @@ class QuadGraph:
         self.quads = np.asarray(quads, dtype=np.int64)
         self.corners = np.asarray(corners, dtype=complex)
         self.cones = list(cones)
-        self.vertex_keys = vertex_keys
+        self._vertex_keys = vertex_keys
         self.dart_keys = dart_keys
         self.closed = closed
         self.meta = meta or {}
@@ -296,6 +306,15 @@ class QuadGraph:
             a = 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
             self._cache["area"] = a
         return a
+
+    @property
+    def vertex_keys(self):
+        """Exact key of every vertex (None where a vertex has none), or
+        None; generators pass a function that builds the list on first
+        read."""
+        if callable(self._vertex_keys):
+            self._vertex_keys = self._vertex_keys()
+        return self._vertex_keys
 
     def key_index(self, key):
         idx = self._cache.get("key_index")
@@ -350,61 +369,67 @@ class QuadGraph:
                 raise SurfaceError("cone angles inconsistent with Euler genus")
 
     def _build_edges(self):
-        """Index undirected edges; check the complex is a closed oriented
-        manifold (each edge in exactly two quads, opposite directions).
+        """Index undirected edges in order of first appearance in the quad
+        table; check the complex is a closed oriented manifold (each edge
+        in exactly two quads, opposite directions, equal chart lengths).
 
-        Generators pass dart_keys, an (F, 4) table of hashable edge keys,
+        Generators pass dart_keys, an (F, 4) table of integer edge keys,
         so that parallel edges (same endpoints, distinct edges, as on the
-        2x2 torus) are distinguished.  Without keys the endpoint pair must
-        determine the edge; ambiguous inputs are rejected.
+        2x2 torus) are distinguished.  Without keys the endpoint
+        pair must determine the edge; ambiguous inputs are rejected.
         """
-        F = self.n_quads
-        q = self.quads
-        key_at = None
-        if self.dart_keys is not None:
-            key_at = lambda i, s: self.dart_keys[i][s]
-        else:
-            key_at = lambda i, s: _vpair(int(q[i, s]), int(q[i, (s + 1) % 4]))
-        edge_ids = {}
-        dart_edge = np.empty((F, 4), dtype=np.int64)
-        edge_occ = []
-        for i in range(F):
-            for s in range(4):
-                key = key_at(i, s)
-                e = edge_ids.get(key)
-                if e is None:
-                    e = edge_ids[key] = len(edge_occ)
-                    edge_occ.append([])
-                edge_occ[e].append((i, s))
-                dart_edge[i, s] = e
-        endpoints = []
-        for e, occ in enumerate(edge_occ):
-            if len(occ) != 2:
-                if self.dart_keys is None and len(occ) > 2:
+        F, V = self.n_quads, self.n_vertices
+        tail = self.quads.ravel()
+        head = np.roll(self.quads, -1, axis=1).ravel()
+        codes = _dart_codes(self.dart_keys, tail, head, V, F)
+        uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(uniq))
+        dart_edge = rank[inv]
+        count = np.bincount(dart_edge)
+        # darts grouped by edge, each group in quad-table order
+        darts = np.argsort(dart_edge, kind="stable")
+        lo = np.cumsum(count) - count
+        d1, d2 = darts[lo], darts[np.minimum(lo + 1, 4 * F - 1)]
+        z = self.corners.ravel()
+        length = np.abs(np.roll(self.corners, -1, axis=1).ravel() - z)
+        l1, l2 = length[d1], length[d2]
+        paired = count == 2
+        same_way = paired & ((tail[d1] != head[d2]) | (head[d1] != tail[d2]))
+        stretched = paired & ~same_way & (np.abs(l1 - l2) > GEOM_TOL * np.maximum(1.0, l1))
+        bad = np.flatnonzero(~paired | same_way | stretched)
+        if len(bad):
+            e = int(bad[0])
+            if not paired[e]:
+                if self.dart_keys is None and count[e] > 2:
                     raise SurfaceError(
                         "parallel edges between the same vertices; the quad "
                         "table is ambiguous without explicit edge keys")
                 raise SurfaceError(
-                    f"edge {e} lies in {len(occ)} quads (not a closed surface)")
-            (q1, s1), (q2, s2) = occ
-            a1, b1 = int(q[q1, s1]), int(q[q1, (s1 + 1) % 4])
-            a2, b2 = int(q[q2, s2]), int(q[q2, (s2 + 1) % 4])
-            if (a1, b1) != (b2, a2):
+                    f"edge {e} lies in {count[e]} quads (not a closed surface)")
+            if same_way[e]:
                 raise SurfaceError(
                     f"edge {e} not traversed in opposite directions by its two quads")
-            l1 = abs(self.corners[q1, (s1 + 1) % 4] - self.corners[q1, s1])
-            l2 = abs(self.corners[q2, (s2 + 1) % 4] - self.corners[q2, s2])
-            if abs(l1 - l2) > GEOM_TOL * max(1.0, l1):
-                raise SurfaceError(
-                    f"edge {e} has mismatched chart lengths {l1} vs {l2}")
-            endpoints.append(_vpair(a1, b1))
-        self.edge_list = endpoints
-        self.dart_edge = dart_edge
-        self.edge_occ = edge_occ
-        self.edge_key_ids = edge_ids if self.dart_keys is not None else None
+            raise SurfaceError(
+                f"edge {e} has mismatched chart lengths {float(l1[e])} vs {float(l2[e])}")
+        self.edge_list = np.stack([np.minimum(tail[d1], head[d1]),
+                                   np.maximum(tail[d1], head[d1])], axis=1)
+        self.dart_edge = dart_edge.reshape(F, 4)
+        self.edge_occ = np.stack([d1, d2], axis=1)   # darts 4 * quad + side
+        self._edge_codes = (uniq, rank)
+
+    def edge_ids(self, keys):
+        """Edge ids of a sequence of edge keys, as given in dart_keys."""
+        codes = np.asarray(keys, dtype=np.int64)
+        uniq, rank = self._edge_codes
+        at = np.minimum(np.searchsorted(uniq, codes), len(uniq) - 1)
+        missing = np.flatnonzero(uniq[at] != codes)
+        if len(missing):
+            raise KeyError(f"no edge with key {codes[missing[0]]}")
+        return rank[at]
 
     def _check_connected(self):
-        a, b = np.asarray(self.edge_list, dtype=np.int64).reshape(-1, 2).T
+        a, b = self.edge_list.T
         if np.any(spanning_tree(self.n_vertices, a, b).depth < 0):
             raise SurfaceError("quad-graph is disconnected")
 
@@ -423,50 +448,39 @@ class QuadGraph:
         """Counterclockwise cyclic edge order around every vertex.
 
         Returns (rot, rot_pos, quad_after): rot[v] is the cyclic list of
-        edge ids leaving v, rot_pos[v][eid] its position, quad_after[v][t]
-        the quad between darts t and t+1.
+        edge ids leaving v, starting at v's first corner in the quad
+        table, rot_pos[v][eid] its position, quad_after[v][t] the quad
+        between darts t and t+1.
         """
         cached = self._cache.get("rotation")
         if cached is not None:
             return cached
-        V = self.n_vertices
-        # map: (v, edge id) -> quad having the outgoing dart v->u on that edge
-        by_dart = {}
-        for i in range(self.n_quads):
-            for s in range(4):
-                v = int(self.quads[i, s])
-                e = int(self.dart_edge[i, s])
-                by_dart[(v, e)] = (i, s)
-        rot = [None] * V
-        quad_after = [None] * V
-        incident = [[] for _ in range(V)]
-        for i in range(self.n_quads):
-            for s in range(4):
-                incident[int(self.quads[i, s])].append((i, s))
-        for v in range(V):
-            i0, s0 = incident[v][0]
-            edges = []
-            quads = []
-            i, s = i0, s0
-            while True:
-                e_next = int(self.dart_edge[i, s])          # dart v -> next(v)
-                e_prev = int(self.dart_edge[i, (s - 1) % 4])  # edge prev(v) -> v
-                edges.append(e_next)
-                quads.append(i)
-                nxt = by_dart.get((v, e_prev))
-                if nxt is None:
-                    raise SurfaceError(f"broken rotation at vertex {v}")
-                i, s = nxt
-                if (i, s) == (i0, s0):
-                    break
-            if len(quads) != len(incident[v]):
-                raise SurfaceError(f"vertex {v} has a disconnected link")
-            rot[v] = edges
-            quad_after[v] = quads
-        rot_pos = [
-            {e: t for t, e in enumerate(edges)} for edges in rot
-        ]
-        self._cache["rotation"] = (rot, rot_pos, quad_after)
+        V, D = self.n_vertices, 4 * self.n_quads
+        tail = self.quads.ravel()
+        twin = np.empty(D, dtype=np.int64)
+        twin[self.edge_occ] = self.edge_occ[:, ::-1]
+        d = np.arange(D)
+        # the next dart counterclockwise around tail[d] leaves along the
+        # edge that enters tail[d] in the same quad
+        nxt = twin[d - d % 4 + (d + 3) % 4]
+        broken = tail[nxt] != tail
+        if np.any(broken):
+            raise SurfaceError(f"broken rotation at vertex {tail[broken].min()}")
+        deg = np.bincount(tail, minlength=V)
+        offsets = np.concatenate([[0], np.cumsum(deg)])
+        # walk around all vertices at once, from each one's first corner
+        _, first = np.unique(tail, return_index=True)
+        walk = np.empty(D, dtype=np.int64)
+        verts, cur = np.arange(V), first
+        for t in range(int(deg.max(initial=0))):
+            walk[offsets[verts] + t] = cur
+            more = deg[verts] > t + 1
+            verts, cur = verts[more], nxt[cur[more]]
+        missed = np.bincount(walk, minlength=D) == 0
+        if np.any(missed):
+            raise SurfaceError(f"vertex {tail[missed].min()} has a disconnected link")
+        rot = Ragged(self.dart_edge.ravel()[walk], offsets)
+        self._cache["rotation"] = (rot, _RotationPositions(rot), Ragged(walk // 4, offsets))
         return self._cache["rotation"]
 
     def diagonal_ends(self, color):
@@ -475,15 +489,44 @@ class QuadGraph:
         lo, hi = (0, 2) if color == BLACK else (1, 3)
         return self.quads[:, lo], self.quads[:, hi]
 
-    def edge_endpoints(self, eid):
-        return self.edge_list[eid]
-
     def other_endpoint(self, eid, v):
-        a, b = self.edge_list[eid]
+        a, b = self.edge_list[eid].tolist()
         return b if v == a else a
 
-    def singular_vertices(self):
-        return [c.vertex for c in self.cones if c.is_singular]
+
+class Ragged:
+    """Rows of a flat array cut at offsets: self[v] is row v as a list."""
+
+    def __init__(self, flat, offsets):
+        self.flat = flat
+        self.offsets = offsets
+
+    def __getitem__(self, v):
+        return self.flat[self.offsets[v]:self.offsets[v + 1]].tolist()
+
+
+class _RotationPositions:
+    """rot_pos[v][eid]: position of edge eid in the rotation at v."""
+
+    def __init__(self, rot):
+        self.rot = rot
+
+    def __getitem__(self, v):
+        return {e: t for t, e in enumerate(self.rot[v])}
+
+
+def _dart_codes(dart_keys, tail, head, V, F):
+    """One integer edge key per dart: the given key, or the sorted
+    endpoint pair when there are none."""
+    if dart_keys is None:
+        return np.minimum(tail, head) * V + np.maximum(tail, head)
+    try:
+        codes = np.asarray(dart_keys)
+    except ValueError:
+        codes = None
+    if codes is None or codes.shape != (F, 4) or codes.dtype.kind not in "iu":
+        raise SurfaceError("edge table must list 4 integer edge keys per quad")
+    return codes.ravel().astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -552,10 +595,6 @@ def spanning_tree(n, heads, tails, mask=None, root=0, directed=False):
     return SpanningTree(order, parent, parent_edge, depth)
 
 
-def _vpair(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def _tri_area(a, b, c):
     return 0.5 * np.imag(np.conj(b - a) * (c - a))
 
@@ -599,7 +638,9 @@ def generate_torus(tau, n):
     """n x n parallelogram mesh of the flat torus with modulus tau.
 
     n must be even: the checkerboard coloring of an odd grid does not
-    close up around the torus.
+    close up around the torus.  Vertex (i, j) has id i * n + j; edge keys
+    are i * n + j for the horizontal edge leaving vertex (i, j) and
+    n * n + i * n + j for the vertical one.
     """
     tau = complex(tau)
     if tau.imag <= 0:
@@ -608,70 +649,40 @@ def generate_torus(tau, n):
         raise SurfaceError(f"grid size {n} is odd; bipartite coloring needs even n")
     u = 1.0 / n
     v = tau / n
-    vid = lambda i, j: (i % n) * n + (j % n)
-    colors = np.empty(n * n, dtype=np.int8)
-    keys = [None] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            colors[vid(i, j)] = (i + j) % 2
-            keys[vid(i, j)] = ("t", Fraction(i, n), Fraction(j, n))
-    quads = []
-    corners = []
-    dart_keys = []
-    for i in range(n):
-        for j in range(n):
-            z00 = i * u + j * v
-            cell = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            pos = [z00, z00 + u, z00 + u + v, z00 + v]
-            ek = [("h", i % n, j % n), ("v", (i + 1) % n, j % n),
-                  ("h", i % n, (j + 1) % n), ("v", i % n, j % n)]
-            if colors[cell[0]] != BLACK:
-                cell = cell[1:] + cell[:1]
-                pos = pos[1:] + pos[:1]
-                ek = ek[1:] + ek[:1]
-            quads.append(cell)
-            corners.append(pos)
-            dart_keys.append(ek)
+    i, j = np.indices((n, n)).reshape(2, -1)
+    vid = lambda a, b: (a % n) * n + b % n
+    colors = ((i + j) % 2).astype(np.int8)
+    cells = np.stack([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=1)
+    z00 = i * u + j * v
+    pos = np.stack([z00, z00 + u, z00 + u + v, z00 + v], axis=1)
+    ek = np.stack([vid(i, j), n * n + vid(i + 1, j), vid(i, j + 1), n * n + vid(i, j)],
+                  axis=1)
+    cells, pos, ek = _rotate_to_black(colors[cells[:, 0]], cells, pos, ek)
+    steps = np.arange(n)
     loops = {
-        "a": [{"verts": [vid(i, 0) for i in range(n)],
-               "edge_keys": [("h", i, 0) for i in range(n)]}],
-        "b": [{"verts": [vid(0, j) for j in range(n)],
-               "edge_keys": [("v", 0, j) for j in range(n)]}],
+        "a": [{"verts": (steps * n).tolist(), "edge_keys": (steps * n).tolist()}],
+        "b": [{"verts": steps.tolist(), "edge_keys": (n * n + steps).tolist()}],
     }
     meta = {"kind": "torus", "tau": tau, "n": n, "loops": loops}
-    return QuadGraph(colors, quads, corners, cones=(), vertex_keys=keys,
-                     meta=meta, dart_keys=dart_keys)
+    return QuadGraph(colors, cells, pos, cones=(),
+                     vertex_keys=functools.partial(_torus_keys, n),
+                     meta=meta, dart_keys=ek)
 
 
-class _VertexRegistry:
-    """Canonical-key vertex interning for glued square-tiled meshes."""
+def _torus_keys(n):
+    return [("t", Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
 
-    def __init__(self):
-        self.keys = []
-        self.colors = []
-        self.index = {}
 
-    def get(self, canonical_key, color):
-        i = self.index.get(canonical_key)
-        if i is None:
-            i = len(self.keys)
-            self.index[canonical_key] = i
-            self.keys.append(canonical_key)
-            self.colors.append(color)
-        elif color is not None and self.colors[i] is None:
-            self.colors[i] = color
-        return i
-
-    def fresh(self, color=None):
-        i = len(self.keys)
-        self.keys.append(None)
-        self.colors.append(color)
-        return i
+def _rotate_to_black(first_color, *tables):
+    """Rotate the (F, 4) tables one step left on the rows whose first
+    vertex is white, so every quad starts at a black vertex."""
+    cols = (np.arange(4) + (first_color != BLACK)[:, None]) % 4
+    return [np.take_along_axis(t, cols, axis=1) for t in tables]
 
 
 def _square_tiled_data(surface):
     """Check that every polygon is an axis-aligned unit square glued by
-    translations; return the unit-translation gluing maps."""
+    translations."""
     for p, poly in enumerate(surface.polygons):
         if len(poly) != 4:
             raise SurfaceError(f"polygon {p} is not a quadrilateral")
@@ -683,57 +694,9 @@ def _square_tiled_data(surface):
             raise SurfaceError(
                 f"polygon {p} is not an axis-aligned unit square with ccw "
                 "vertices from the bottom-left corner")
-    partner = surface._edge_partner_map()
     for (p, e), (q, f) in surface.gluings:
         if (e - f) % 4 != 2:
             raise SurfaceError(f"gluing ({p},{e})~({q},{f}) is not a translation")
-    return partner
-
-
-_SIDE_OF = {0: "bottom", 1: "right", 2: "top", 3: "left"}
-
-
-def _canonical_corner_key(surface, p, fx, fy):
-    """Canonical key of grid point (fx, fy) in polygon p (Fractions in
-    [0,1]); points on glued edges take the lexicographically smallest
-    image."""
-    cache = getattr(surface, "_corner_key_cache", None)
-    if cache is None:
-        cache = surface._corner_key_cache = {}
-    hit = cache.get((p, fx, fy))
-    if hit is not None:
-        return hit
-    partner = surface._edge_partner_map()
-    images = {(p, fx, fy)}
-    frontier = [(p, fx, fy)]
-    while frontier:
-        pp, x, y = frontier.pop()
-        on = []
-        if y == 0:
-            on.append(0)
-        if x == 1:
-            on.append(1)
-        if y == 1:
-            on.append(2)
-        if x == 0:
-            on.append(3)
-        for e in on:
-            q, f = partner[(pp, e)]
-            t = {0: x, 1: y, 2: Fraction(1) - x, 3: Fraction(1) - y}[e]
-            # parameter along edge e from its start; partner traversed backwards
-            s = Fraction(1) - t
-            nx, ny = {
-                0: (s, Fraction(0)), 1: (Fraction(1), s),
-                2: (Fraction(1) - s, Fraction(1)), 3: (Fraction(0), Fraction(1) - s),
-            }[f]
-            img = (q, nx, ny)
-            if img not in images:
-                images.add(img)
-                frontier.append(img)
-    key = ("v",) + min(images)
-    for (q, nx, ny) in images:
-        cache[(q, nx, ny)] = key
-    return key
 
 
 def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
@@ -757,7 +720,7 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
         # restore true scale so lengths and areas are those of the input
         scale = complex(*u)
         g = QuadGraph(g.color, g.quads, g.corners * scale, cones=(),
-                      vertex_keys=g.vertex_keys, meta=g.meta)
+                      vertex_keys=g._vertex_keys, meta=g.meta)
         g.meta["tau"] = tau
         return g
     _square_tiled_data(surface)
@@ -772,11 +735,60 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     return _uniform_square_tiled(surface, k)
 
 
+def _lattice_table(surface):
+    """Gluing table of a square-tiled surface, cached on it: partner
+    (polygon, side) of every side, and for every corner the (polygon,
+    corner) of the smallest image in its vertex class."""
+    table = getattr(surface, "_lattice", None)
+    if table is None:
+        partner = surface._edge_partner_map()
+        P = len(surface.polygons)
+        sides = np.array([[partner[(p, e)] for e in range(4)] for p in range(P)])
+        rank = (0, 2, 3, 1)   # corners by position: (0,0) < (0,1) < (1,0) < (1,1)
+        best = [min((p, rank[c], c) for p, c in link) for link in surface.vertex_links]
+        corners = np.array([[best[surface.vertex_class[(p, c)]][::2] for c in range(4)]
+                            for p in range(P)])
+        table = surface._lattice = (sides, corners)
+    return table
+
+
+_CORNER_X = np.array([0, 1, 1, 0])
+_CORNER_Y = np.array([0, 0, 1, 1])
+
+
+def _lattice_codes(surface, p, x, y, L):
+    """Integer key of lattice points (p, x, y), 0 <= x, y <= L in units of
+    1/L of unit square p: the code (p * (L + 1) + x) * (L + 1) + y of the
+    smallest image under the gluings."""
+    sides, corners = _lattice_table(surface)
+    on = np.stack(np.broadcast_arrays(y == 0, x == L, y == L, x == 0))
+    n_on = on.sum(axis=0)
+    # a side point at parameter t maps to parameter L - t on the partner side
+    e = np.argmax(on, axis=0)
+    q, f = sides[p, e, 0], sides[p, e, 1]
+    t = L - np.choose(e, [x, y, L - x, L - y])
+    partner = _code(q, np.choose(f, [t, L, L - t, 0]), np.choose(f, [0, t, L, L - t]), L)
+    c = np.where(x == L, np.where(y == L, 2, 1), np.where(y == L, 3, 0))
+    cq, cc = corners[p, c, 0], corners[p, c, 1]
+    own = _code(p, x, y, L)
+    return np.where(n_on == 2, _code(cq, _CORNER_X[cc] * L, _CORNER_Y[cc] * L, L),
+                    np.where(n_on == 1, np.minimum(own, partner), own))
+
+
+def _code(p, x, y, L):
+    return (p * (L + 1) + x) * (L + 1) + y
+
+
 def grid_point_key(surface, p, fx, fy):
-    """Canonical vertex key of a rational point of polygon p."""
-    if fx in (0, 1) or fy in (0, 1):
-        return _canonical_corner_key(surface, p, fx, fy)
-    return ("v", p, fx, fy)
+    """Canonical vertex key ("v", q, x, y) of a rational point of polygon
+    p: its smallest image, coordinates as Fractions in [0, 1]."""
+    if not (fx in (0, 1) or fy in (0, 1)):
+        return ("v", p, fx, fy)
+    L = math.lcm(fx.denominator, fy.denominator)
+    code = int(_lattice_codes(surface, p, int(fx * L), int(fy * L), L))
+    q, r = divmod(code, (L + 1) ** 2)
+    x, y = divmod(r, L + 1)
+    return ("v", q, Fraction(x, L), Fraction(y, L))
 
 
 def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
@@ -786,106 +798,99 @@ def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
 
 
 def _uniform_square_tiled(surface, k):
-    reg = _VertexRegistry()
-    quads = []
-    corners = []
-    dart_keys = []
-    poly_of_quad = []
+    P, L = len(surface.polygons), 2 * k
+    p, i, j = np.indices((P, k, k)).reshape(3, -1, 1)
+    # corners ccw from the lower left, then the midpoints of the sides
+    # leaving them, all on the 2k lattice
+    corner_codes = _lattice_codes(surface, p, 2 * (i + _CORNER_X), 2 * (j + _CORNER_Y), L)
+    mid_codes = _lattice_codes(surface, p, 2 * i + [1, 2, 1, 0], 2 * j + [0, 1, 2, 1], L)
+    vertex_codes, first, inv = np.unique(corner_codes, return_index=True,
+                                         return_inverse=True)
+    vid = np.empty(len(first), dtype=np.int64)
+    vid[np.argsort(first)] = np.arange(len(first))
+    colors = np.empty(len(first), dtype=np.int8)
+    colors[vid] = ((i + _CORNER_X + j + _CORNER_Y) % 2).ravel()[first]
+    quads = vid[inv].reshape(-1, 4)
+    s = 1.0 / k
+    origin = np.array([poly[0] for poly in surface.polygons])[p]
+    z = (origin[..., 0] + i * s) + 1j * (origin[..., 1] + j * s)
+    pos = np.concatenate([z, z + s, z + s + 1j * s, z + 1j * s], axis=1)
+    quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
 
-    def corner_id(p, i, j):
-        key = grid_point_key(surface, p, Fraction(i, k), Fraction(j, k))
-        return reg.get(key, (i + j) % 2)
+    def vertex_ids(points):
+        codes = _lattice_codes(surface, *points.T, L)
+        return vid[np.searchsorted(vertex_codes, codes)].tolist()
 
-    for p in range(len(surface.polygons)):
-        z0 = complex(*surface.polygons[p][0])
-        s = 1.0 / k
-        for i in range(k):
-            for j in range(k):
-                cell = [corner_id(p, i, j), corner_id(p, i + 1, j),
-                        corner_id(p, i + 1, j + 1), corner_id(p, i, j + 1)]
-                z = z0 + complex(i * s, j * s)
-                pos = [z, z + s, z + s + 1j * s, z + 1j * s]
-                fr = [(Fraction(i, k), Fraction(j, k)),
-                      (Fraction(i + 1, k), Fraction(j, k)),
-                      (Fraction(i + 1, k), Fraction(j + 1, k)),
-                      (Fraction(i, k), Fraction(j + 1, k))]
-                ek = [grid_edge_key(surface, p, *fr[t], *fr[(t + 1) % 4])
-                      for t in range(4)]
-                if reg.colors[cell[0]] != BLACK:
-                    cell = cell[1:] + cell[:1]
-                    pos = pos[1:] + pos[:1]
-                    ek = ek[1:] + ek[:1]
-                quads.append(cell)
-                corners.append(pos)
-                dart_keys.append(ek)
-                poly_of_quad.append(p)
-    colors = np.array(reg.colors, dtype=np.int8)
-    cones = _attach_cones(surface, reg, k)
-    loops = _reference_loops(surface, reg, k)
+    def edge_keys(points):
+        return _lattice_codes(surface, *points.T, L).tolist()
+
+    cones = _attach_cones(surface, k, vertex_ids)
+    loops = _reference_loops(surface, k, vertex_ids, edge_keys)
     meta = {"kind": "square_tiled", "k": k, "loops": loops,
-            "poly_of_quad": np.array(poly_of_quad), "surface": surface}
-    return QuadGraph(colors, quads, corners, cones=cones,
-                     vertex_keys=list(reg.keys), meta=meta, dart_keys=dart_keys)
+            "poly_of_quad": p.ravel(), "surface": surface}
+    keys = functools.partial(_lattice_keys, vertex_codes[np.argsort(first)], L)
+    return QuadGraph(colors, quads, pos, cones=cones, vertex_keys=keys,
+                     meta=meta, dart_keys=dart_keys)
 
 
-def _attach_cones(surface, reg, k):
+def _lattice_keys(codes, L):
+    """("v", p, x, y) keys, Fraction coordinates, of lattice codes."""
+    p, r = np.divmod(codes, (L + 1) ** 2)
+    x, y = np.divmod(r, L + 1)
+    return [("v", q, Fraction(a, L), Fraction(b, L))
+            for q, a, b in zip(p.tolist(), x.tolist(), y.tolist())]
+
+
+def _attach_cones(surface, k, vertex_ids):
+    """Cone points of the mesh; vertex_ids maps an (n, 3) array of points
+    (p, x, y) on the 2k lattice to vertex ids."""
     cones = []
     for cid in surface.cone_classes:
-        p, i = surface.vertex_links[cid][0]
-        fx, fy = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                  (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))][i]
-        key = _canonical_corner_key(surface, p, fx, fy)
-        v = reg.index.get(key)
-        if v is None:
-            raise SurfaceError("cone vertex missing from mesh")
-        cones.append(ConePoint(vertex=v, angle=surface.vertex_angles[cid],
+        p, c = surface.vertex_links[cid][0]
+        corner = np.array([[p, 2 * k * _CORNER_X[c], 2 * k * _CORNER_Y[c]]])
+        cones.append(ConePoint(vertex=vertex_ids(corner)[0],
+                               angle=surface.vertex_angles[cid],
                                radius=surface.cone_radius(cid)))
     return cones
 
 
-def _reference_loops(surface, reg, k):
+def _reference_loops(surface, k, vertex_ids, edge_keys):
     """Horizontal and vertical cylinder core loops through square centers.
 
     These depend only on the surface, not on the mesh level, so period
     matrices computed on different refinements share one homology basis.
+    vertex_ids and edge_keys map (n, 3) arrays of points (p, x, y) on the
+    2k lattice to vertex ids and to the edge keys of edge midpoints.
     """
     partner = surface._edge_partner_map()
-    half = Fraction(1, 2)
-
-    def vertex(p, fx, fy):
-        return reg.index[grid_point_key(surface, p, fx, fy)]
-
+    along = 2 * np.arange(k)
     loops = {"a": [], "b": []}
-    for direction in ("a", "b"):
+    for direction, cross, want in (("a", 1, 3), ("b", 2, 0)):
         seen = set()
         for p0 in range(len(surface.polygons)):
             if p0 in seen:
                 continue
-            walk = []
-            keys = []
+            chain = []
             p = p0
             while True:
                 seen.add(p)
-                if direction == "a":
-                    walk.extend(vertex(p, Fraction(i, k), half) for i in range(k))
-                    keys.extend(grid_edge_key(surface, p, Fraction(i, k), half,
-                                              Fraction(i + 1, k), half)
-                                for i in range(k))
-                    q, f = partner[(p, 1)]     # cross the right edge
-                    if f != 3:
-                        raise SurfaceError("horizontal gluing is not left-right")
-                else:
-                    walk.extend(vertex(p, half, Fraction(j, k)) for j in range(k))
-                    keys.extend(grid_edge_key(surface, p, half, Fraction(j, k),
-                                              half, Fraction(j + 1, k))
-                                for j in range(k))
-                    q, f = partner[(p, 2)]     # cross the top edge
-                    if f != 0:
-                        raise SurfaceError("vertical gluing is not bottom-top")
+                chain.append(p)
+                q, f = partner[(p, cross)]     # cross the right / top edge
+                if f != want:
+                    raise SurfaceError("horizontal gluing is not left-right"
+                                       if direction == "a" else
+                                       "vertical gluing is not bottom-top")
                 p = q
                 if p == p0:
                     break
-            loops[direction].append({"verts": walk, "edge_keys": keys})
+            polys = np.repeat(chain, k)
+            walk = np.tile(along, len(chain))
+            mid = np.full_like(walk, k)
+            xy = (walk, mid) if direction == "a" else (mid, walk)
+            points = np.stack([polys, *xy], axis=1)
+            points_mid = points + ([0, 1, 0] if direction == "a" else [0, 0, 1])
+            loops[direction].append({"verts": vertex_ids(points),
+                                     "edge_keys": edge_keys(points_mid)})
     return loops
 
 
@@ -974,6 +979,8 @@ def develop_cone_disk(graph, cone):
     if abs(total - cone.angle) > 1e-7:
         raise SurfaceError("cone fan does not close up to the stored angle")
     # breadth-first development outward while quads stay inside the disk
+    dart_edge = graph.dart_edge.tolist()
+    edge_occ = graph.edge_occ.tolist()
     frontier = list(fan)
     seen = set(fan)
     while frontier:
@@ -982,9 +989,8 @@ def develop_cone_disk(graph, cone):
         if np.nanmin(np.abs(zq)) > R:
             continue
         for s in range(4):
-            e = int(graph.dart_edge[q, s])
-            (qa, sa), (qb, sb) = graph.edge_occ[e]
-            q2, s2 = ((qb, sb) if (qa, sa) == (q, s) else (qa, sa))
+            d1, d2 = edge_occ[dart_edge[q][s]]
+            q2, s2 = divmod(d2 if d1 == 4 * q + s else d1, 4)
             if q2 in seen:
                 continue
             # align the shared edge: in q it runs corner s -> s+1, in q2
@@ -1036,20 +1042,12 @@ def validate_h_adapted(graph, h):
             continue
         gamma = cone.index
         dev, psi = develop_cone_disk(graph, cone)
-        worst = 0.0
-        for q, z in dev.items():
-            r = np.abs(z)
-            a = psi[q]
-            for s in range(4):
-                t = (s + 1) % 4
-                if max(r[s], r[t]) > cone.radius:
-                    continue
-                if r[s] < GEOM_TOL or r[t] < GEOM_TOL:
-                    img = max(r[s], r[t]) ** gamma  # edge at the cone point
-                else:
-                    img = abs(cone_image(r[s], a[s], gamma)
-                              - cone_image(r[t], a[t], gamma))
-                worst = max(worst, img)
+        r, a = np.abs(np.array(list(dev.values()))), np.array(list(psi.values()))
+        r2, a2 = np.roll(r, -1, axis=1), np.roll(a, -1, axis=1)
+        with np.errstate(invalid="ignore"):   # psi is nan at the cone point
+            img = np.where((r < GEOM_TOL) | (r2 < GEOM_TOL), np.maximum(r, r2) ** gamma,
+                           np.abs(cone_image(r, a, gamma) - cone_image(r2, a2, gamma)))
+        worst = float(np.max(img, where=np.maximum(r, r2) <= cone.radius, initial=0.0))
         report[f"cone_{cone.vertex}_worst_image"] = worst
         if worst > h * tol:
             report["passed"] = False

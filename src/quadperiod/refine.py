@@ -23,6 +23,10 @@ from .surface import (
     QuadGraph,
     SurfaceError,
     _attach_cones,
+    _first_appearance,
+    _grid_cells,
+    _lattice_codes,
+    _lattice_keys,
     _reference_loops,
     _rotate_to_black,
     _square_tiled_data,
@@ -227,9 +231,6 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     dart_keys = []
     poly_of_quad = []
 
-    def grid_vertex(p, fx, fy):
-        return reg.get(grid_point_key(surface, p, fx, fy), None)
-
     # -- cone patches ------------------------------------------------------
     singular_corners = set()
     for cid in surface.cone_classes:
@@ -245,39 +246,29 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
                     cid, link, rings, kinds, jc, k)
 
-    # -- ambient cells -------------------------------------------------------
-    removed = _removed_cells(surface, singular_corners, k, jc)
-    for p in range(len(surface.polygons)):
-        z0 = complex(*surface.polygons[p][0])
-        s = 1.0 / k
-        for i in range(k):
-            for j2 in range(k):
-                if (p, i, j2) in removed:
-                    continue
-                fr = [(Fraction(i, k), Fraction(j2, k)),
-                      (Fraction(i + 1, k), Fraction(j2, k)),
-                      (Fraction(i + 1, k), Fraction(j2 + 1, k)),
-                      (Fraction(i, k), Fraction(j2 + 1, k))]
-                cell = [grid_vertex(p, *f) for f in fr]
-                z = z0 + complex(i * s, j2 * s)
-                pos = [z, z + s, z + s + 1j * s, z + 1j * s]
-                ek = [grid_edge_key(surface, p, *fr[t], *fr[(t + 1) % 4])
-                      for t in range(4)]
-                quads.append(cell)
-                corners.append(pos)
-                dart_keys.append(ek)
-                poly_of_quad.append(p)
-
-    colors = _bipartite_colors(surface, reg, quads)
-    # edge keys interned to integers in order of first appearance
-    edge_code = {}
-    codes = [[edge_code.setdefault(key, len(edge_code)) for key in row] for row in dart_keys]
-    quads, corners, codes = _rotate_to_black(
-        colors[[q[0] for q in quads]], np.array(quads), np.array(corners), np.array(codes))
+    # -- ambient cells: the uniform grid outside the patches ---------------
+    cells, corner_codes, mid_codes, pos = _grid_cells(
+        surface, k, _kept_cells(surface, singular_corners, k, jc))
+    L = 2 * k
 
     def lattice_keys(points):
-        return [grid_point_key(surface, p, Fraction(x, 2 * k), Fraction(y, 2 * k))
-                for p, x, y in points.tolist()]
+        return _lattice_keys(_lattice_codes(surface, *points.T, L), L)
+
+    # exact keys, interned after the patch keys in order of first appearance
+    vertex_codes, ambient = _first_appearance(corner_codes)
+    vids = [reg.get(key, None) for key in _lattice_keys(vertex_codes, L)]
+    edge_code = {}
+    patch_edges = [[edge_code.setdefault(key, len(edge_code)) for key in row]
+                   for row in dart_keys]
+    mids, ambient_edges = np.unique(mid_codes, return_inverse=True)
+    eids = [edge_code.setdefault(("e",) + key[1:], len(edge_code))
+            for key in _lattice_keys(mids, L)]
+    quads = np.concatenate([np.reshape(quads, (-1, 4)), np.array(vids)[ambient]])
+    colors = _bipartite_colors(surface, reg, quads)
+    quads, corners, codes = _rotate_to_black(
+        colors[quads[:, 0]], quads, np.concatenate([np.reshape(corners, (-1, 4)), pos]),
+        np.concatenate([patch_edges, np.array(eids)[ambient_edges.reshape(-1, 4)]]))
+    poly_of_quad = np.concatenate([poly_of_quad, cells[0].ravel()]).astype(np.int64)
 
     def vertex_ids(points):
         return [reg.index[key] for key in lattice_keys(points)]
@@ -288,7 +279,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     cones = _attach_cones(surface, k, vertex_ids)
     loops = _reference_loops(surface, k, vertex_ids, edge_keys)
     meta = {"kind": "square_tiled", "k": k, "adapted": True, "loops": loops,
-            "poly_of_quad": np.array(poly_of_quad), "surface": surface}
+            "poly_of_quad": poly_of_quad, "surface": surface}
     g = QuadGraph(colors, quads, corners, cones=cones,
                   vertex_keys=reg.keys, meta=meta, dart_keys=codes)
     st = mesh_stats(g)
@@ -300,19 +291,14 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     return g
 
 
-def _removed_cells(surface, singular_corners, k, jc):
-    removed = set()
-    for (p, ci) in singular_corners:
-        for a in range(jc):
-            for b in range(jc):
-                i, j = {
-                    0: (a, b),
-                    1: (k - 1 - b, a),
-                    2: (k - 1 - a, k - 1 - b),
-                    3: (b, k - 1 - a),
-                }[ci]
-                removed.add((p, i, j))
-    return removed
+def _kept_cells(surface, singular_corners, k, jc):
+    """(P, k, k) mask of the grid cells outside the cone patches: each
+    patch covers the jc x jc cells at its singular corners."""
+    keep = np.ones((len(surface.polygons), k, k), dtype=bool)
+    lo, hi = slice(0, jc), slice(k - jc, k)
+    for p, ci in singular_corners:
+        keep[p, (lo, hi, hi, lo)[ci], (lo, lo, hi, hi)[ci]] = False
+    return keep
 
 
 def _sector_frames(surface, link):

@@ -797,29 +797,45 @@ def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
     return ("e",) + grid_point_key(surface, p, mx, my)[1:]
 
 
-def _uniform_square_tiled(surface, k):
-    P, L = len(surface.polygons), 2 * k
-    p, i, j = np.indices((P, k, k)).reshape(3, -1, 1)
-    # corners ccw from the lower left, then the midpoints of the sides
-    # leaving them, all on the 2k lattice
+def _grid_cells(surface, k, keep=None):
+    """Cells (p, i, j) of the k x k grids, in row-major order, where the
+    (P, k, k) mask keep is true: their indices as (n, 1) columns, the
+    lattice codes (2k lattice) of their corners, ccw from the lower left,
+    and of the midpoints of the sides leaving them, and their charts."""
+    p, i, j = np.indices((len(surface.polygons), k, k))
+    p, i, j = (a[keep if keep is not None else ...].reshape(-1, 1) for a in (p, i, j))
+    L, s = 2 * k, 1.0 / k
     corner_codes = _lattice_codes(surface, p, 2 * (i + _CORNER_X), 2 * (j + _CORNER_Y), L)
     mid_codes = _lattice_codes(surface, p, 2 * i + [1, 2, 1, 0], 2 * j + [0, 1, 2, 1], L)
-    vertex_codes, first, inv = np.unique(corner_codes, return_index=True,
-                                         return_inverse=True)
-    vid = np.empty(len(first), dtype=np.int64)
-    vid[np.argsort(first)] = np.arange(len(first))
-    colors = np.empty(len(first), dtype=np.int8)
-    colors[vid] = ((i + _CORNER_X + j + _CORNER_Y) % 2).ravel()[first]
-    quads = vid[inv].reshape(-1, 4)
-    s = 1.0 / k
     origin = np.array([poly[0] for poly in surface.polygons])[p]
     z = (origin[..., 0] + i * s) + 1j * (origin[..., 1] + j * s)
     pos = np.concatenate([z, z + s, z + s + 1j * s, z + 1j * s], axis=1)
+    return (p, i, j), corner_codes, mid_codes, pos
+
+
+def _first_appearance(codes):
+    """Distinct codes in order of first appearance, and the index of each
+    entry's code in that order."""
+    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    return uniq[order], rank[inv].reshape(np.shape(codes))
+
+
+def _uniform_square_tiled(surface, k):
+    L = 2 * k
+    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(surface, k)
+    vertex_codes, quads = _first_appearance(corner_codes)
+    colors = np.zeros(len(vertex_codes), dtype=np.int8)
+    colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
     quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
+
+    by_code = np.argsort(vertex_codes)
 
     def vertex_ids(points):
         codes = _lattice_codes(surface, *points.T, L)
-        return vid[np.searchsorted(vertex_codes, codes)].tolist()
+        return by_code[np.searchsorted(vertex_codes, codes, sorter=by_code)].tolist()
 
     def edge_keys(points):
         return _lattice_codes(surface, *points.T, L).tolist()
@@ -828,7 +844,7 @@ def _uniform_square_tiled(surface, k):
     loops = _reference_loops(surface, k, vertex_ids, edge_keys)
     meta = {"kind": "square_tiled", "k": k, "loops": loops,
             "poly_of_quad": p.ravel(), "surface": surface}
-    keys = functools.partial(_lattice_keys, vertex_codes[np.argsort(first)], L)
+    keys = functools.partial(_lattice_keys, vertex_codes, L)
     return QuadGraph(colors, quads, pos, cones=cones, vertex_keys=keys,
                      meta=meta, dart_keys=dart_keys)
 

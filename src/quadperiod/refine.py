@@ -118,18 +118,13 @@ class _VertexRegistry:
 
     def __init__(self):
         self.keys = []
-        self.colors = []
         self.index = {}
 
-    def get(self, canonical_key, color):
-        i = self.index.get(canonical_key)
+    def get(self, key):
+        i = self.index.get(key)
         if i is None:
-            i = len(self.keys)
-            self.index[canonical_key] = i
-            self.keys.append(canonical_key)
-            self.colors.append(color)
-        elif color is not None and self.colors[i] is None:
-            self.colors[i] = color
+            i = self.index[key] = len(self.keys)
+            self.keys.append(key)
         return i
 
 
@@ -247,7 +242,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
                     cid, link, rings, kinds, jc, k)
 
     # -- ambient cells: the uniform grid outside the patches ---------------
-    cells, corner_codes, mid_codes, pos = _grid_cells(
+    (cell_poly, _, _), corner_codes, mid_codes, pos = _grid_cells(
         surface, k, _kept_cells(surface, singular_corners, k, jc))
     L = 2 * k
 
@@ -256,7 +251,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
 
     # exact keys, interned after the patch keys in order of first appearance
     vertex_codes, ambient = _first_appearance(corner_codes)
-    vids = [reg.get(key, None) for key in _lattice_keys(vertex_codes, L)]
+    vids = [reg.get(key) for key in _lattice_keys(vertex_codes, L)]
     edge_code = {}
     patch_edges = [[edge_code.setdefault(key, len(edge_code)) for key in row]
                    for row in dart_keys]
@@ -268,7 +263,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     quads, corners, codes = _rotate_to_black(
         colors[quads[:, 0]], quads, np.concatenate([np.reshape(corners, (-1, 4)), pos]),
         np.concatenate([patch_edges, np.array(eids)[ambient_edges.reshape(-1, 4)]]))
-    poly_of_quad = np.concatenate([poly_of_quad, cells[0].ravel()]).astype(np.int64)
+    poly_of_quad = np.concatenate([poly_of_quad, cell_poly.ravel()]).astype(np.int64)
 
     def vertex_ids(points):
         return [reg.index[key] for key in lattice_keys(points)]
@@ -360,10 +355,10 @@ def _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
                 fx, fy = c, Fraction(u, p) * c
             else:
                 fx, fy = Fraction(2 * p - u, p) * c, c
-            return reg.get(grid_key_of(i, fx, fy), None)
-        return reg.get(("ring", cid, r, slot), None)
+            return reg.get(grid_key_of(i, fx, fy))
+        return reg.get(("ring", cid, r, slot))
 
-    cone_vertex = reg.get(grid_key_of(0, Fraction(0), Fraction(0)), None)
+    cone_vertex = reg.get(grid_key_of(0, Fraction(0), Fraction(0)))
 
     def to_poly_frac(i, fx, fy):
         f = frames[i]
@@ -434,7 +429,7 @@ def _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
                     Q = [ring_vertex(r + 1, w0 + d) for d in range(3)]
                     Qp = [to_chart(sec, local_point(t_in, p_in, 2 * gs + d))
                           for d in range(3)]
-                    m = reg.get(("mid", cid, r, gid), None)
+                    m = reg.get(("mid", cid, r, gid))
                     mp = to_chart(sec, local_point(t_mid, p_out, u0 + 2))
                     emit([Q[0], P[0], P[1], m],
                          [Qp[0], Pp[0], Pp[1], mp],

@@ -375,17 +375,14 @@ class QuadGraph:
 
         Generators pass dart_keys, an (F, 4) table of integer edge keys,
         so that parallel edges (same endpoints, distinct edges, as on the
-        2x2 torus) are distinguished.  Without keys the endpoint
-        pair must determine the edge; ambiguous inputs are rejected.
+        2x2 torus) are distinguished.  Without keys the endpoint pair must
+        determine the edge; ambiguous inputs are rejected.
         """
         F, V = self.n_quads, self.n_vertices
         tail = self.quads.ravel()
         head = np.roll(self.quads, -1, axis=1).ravel()
-        codes = _dart_codes(self.dart_keys, tail, head, V, F)
-        uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(uniq))
-        dart_edge = rank[inv]
+        self._edge_codes, dart_edge = _first_appearance(
+            _dart_codes(self.dart_keys, tail, head, V, F))
         count = np.bincount(dart_edge)
         # darts grouped by edge, each group in quad-table order
         darts = np.argsort(dart_edge, kind="stable")
@@ -412,21 +409,13 @@ class QuadGraph:
                     f"edge {e} not traversed in opposite directions by its two quads")
             raise SurfaceError(
                 f"edge {e} has mismatched chart lengths {float(l1[e])} vs {float(l2[e])}")
-        self.edge_list = np.stack([np.minimum(tail[d1], head[d1]),
-                                   np.maximum(tail[d1], head[d1])], axis=1)
+        self.edge_list = np.sort(np.stack([tail[d1], head[d1]], axis=1), axis=1)
         self.dart_edge = dart_edge.reshape(F, 4)
         self.edge_occ = np.stack([d1, d2], axis=1)   # darts 4 * quad + side
-        self._edge_codes = (uniq, rank)
 
     def edge_ids(self, keys):
         """Edge ids of a sequence of edge keys, as given in dart_keys."""
-        codes = np.asarray(keys, dtype=np.int64)
-        uniq, rank = self._edge_codes
-        at = np.minimum(np.searchsorted(uniq, codes), len(uniq) - 1)
-        missing = np.flatnonzero(uniq[at] != codes)
-        if len(missing):
-            raise KeyError(f"no edge with key {codes[missing[0]]}")
-        return rank[at]
+        return _positions(self._edge_codes, keys)
 
     def _check_connected(self):
         a, b = self.edge_list.T
@@ -785,10 +774,7 @@ def grid_point_key(surface, p, fx, fy):
     if not (fx in (0, 1) or fy in (0, 1)):
         return ("v", p, fx, fy)
     L = math.lcm(fx.denominator, fy.denominator)
-    code = int(_lattice_codes(surface, p, int(fx * L), int(fy * L), L))
-    q, r = divmod(code, (L + 1) ** 2)
-    x, y = divmod(r, L + 1)
-    return ("v", q, Fraction(x, L), Fraction(y, L))
+    return _lattice_keys(_lattice_codes(surface, p, int(fx * L), int(fy * L), L), L)[0]
 
 
 def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
@@ -823,6 +809,19 @@ def _first_appearance(codes):
     return uniq[order], rank[inv].reshape(np.shape(codes))
 
 
+def _positions(distinct, codes):
+    """Index of each code in the array of distinct codes; KeyError for a
+    code that is not there."""
+    codes = np.asarray(codes, dtype=np.int64)
+    by_code = np.argsort(distinct)
+    at = np.searchsorted(distinct, codes, sorter=by_code)
+    at = by_code[np.minimum(at, len(distinct) - 1)]
+    missing = np.flatnonzero(distinct[at] != codes)
+    if len(missing):
+        raise KeyError(f"no such key: {codes[missing[0]]}")
+    return at
+
+
 def _uniform_square_tiled(surface, k):
     L = 2 * k
     (p, i, j), corner_codes, mid_codes, pos = _grid_cells(surface, k)
@@ -831,11 +830,8 @@ def _uniform_square_tiled(surface, k):
     colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
     quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
 
-    by_code = np.argsort(vertex_codes)
-
     def vertex_ids(points):
-        codes = _lattice_codes(surface, *points.T, L)
-        return by_code[np.searchsorted(vertex_codes, codes, sorter=by_code)].tolist()
+        return _positions(vertex_codes, _lattice_codes(surface, *points.T, L)).tolist()
 
     def edge_keys(points):
         return _lattice_codes(surface, *points.T, L).tolist()
@@ -851,7 +847,7 @@ def _uniform_square_tiled(surface, k):
 
 def _lattice_keys(codes, L):
     """("v", p, x, y) keys, Fraction coordinates, of lattice codes."""
-    p, r = np.divmod(codes, (L + 1) ** 2)
+    p, r = np.divmod(np.ravel(codes), (L + 1) ** 2)
     x, y = np.divmod(r, L + 1)
     return [("v", q, Fraction(a, L), Fraction(b, L))
             for q, a, b in zip(p.tolist(), x.tolist(), y.tolist())]

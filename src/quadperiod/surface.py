@@ -709,7 +709,7 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
         # restore true scale so lengths and areas are those of the input
         scale = complex(*u)
         g = QuadGraph(g.color, g.quads, g.corners * scale, cones=(),
-                      vertex_keys=g._vertex_keys, meta=g.meta)
+                      vertex_keys=g._vertex_keys, meta=g.meta, dart_keys=g.dart_keys)
         g.meta["tau"] = tau
         return g
     _square_tiled_data(surface)
@@ -783,13 +783,12 @@ def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
     return ("e",) + grid_point_key(surface, p, mx, my)[1:]
 
 
-def _grid_cells(surface, k, keep=None):
+def _grid_cells(surface, k, keep):
     """Cells (p, i, j) of the k x k grids, in row-major order, where the
     (P, k, k) mask keep is true: their indices as (n, 1) columns, the
     lattice codes (2k lattice) of their corners, ccw from the lower left,
     and of the midpoints of the sides leaving them, and their charts."""
-    p, i, j = np.indices((len(surface.polygons), k, k))
-    p, i, j = (a[keep if keep is not None else ...].reshape(-1, 1) for a in (p, i, j))
+    p, i, j = np.argwhere(keep).T[..., None]
     L, s = 2 * k, 1.0 / k
     corner_codes = _lattice_codes(surface, p, 2 * (i + _CORNER_X), 2 * (j + _CORNER_Y), L)
     mid_codes = _lattice_codes(surface, p, 2 * i + [1, 2, 1, 0], 2 * j + [0, 1, 2, 1], L)
@@ -824,7 +823,8 @@ def _positions(distinct, codes):
 
 def _uniform_square_tiled(surface, k):
     L = 2 * k
-    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(surface, k)
+    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(
+        surface, k, np.ones((len(surface.polygons), k, k), dtype=bool))
     vertex_codes, quads = _first_appearance(corner_codes)
     colors = np.zeros(len(vertex_codes), dtype=np.int8)
     colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2

@@ -92,6 +92,20 @@ def test_period_matrix_torus_skew(torus_skew_4):
     assert np.allclose(pm.pi, [[tau]], atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_period_matrix_explicit_parallelogram(n):
+    # a one-polygon surface document (no generator) meshes through the
+    # torus generator and keeps its edge keys for the reference loops
+    from quadperiod.surface import PolyhedralSurface, build_quad_graph
+    u, v = 2 + 0.5j, 1 + 1.6j
+    poly = [[0, 0], [u.real, u.imag], [(u + v).real, (u + v).imag], [v.real, v.imag]]
+    g = build_quad_graph(PolyhedralSurface(polygons=[poly],
+                                           gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3))]),
+                         1 / n)
+    pm = period_matrices(g, homology_basis(g))
+    assert np.allclose(pm.pi, [[v / u]], atol=1e-9)
+
+
 def test_period_matrix_structure(lshape_pack):
     pm = lshape_pack[4]
     d = pm.diagnostics

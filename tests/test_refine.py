@@ -94,6 +94,32 @@ def test_adapted_innermost_scale(lshape):
     assert h ** 3 / 500 < rmin < 5 * h ** 3
 
 
+@pytest.mark.parametrize("adapted", [True, False])
+def test_worst_cone_image_matches_loop_reference(lshape, adapted):
+    """validate_h_adapted measures all disk edges at once; the per-edge
+    loop it replaced is the reference (vectorized powers may differ in
+    the last bits)."""
+    from quadperiod.surface import GEOM_TOL, cone_image
+    h = 1 / 16
+    g = generate_adapted(lshape, h) if adapted else build_quad_graph(lshape, h)
+    cone = g.cones[0]
+    dev, psi = develop_cone_disk(g, cone)
+    want = 0.0
+    for q, z in dev.items():
+        r, a = np.abs(z), psi[q]
+        for s in range(4):
+            t = (s + 1) % 4
+            if max(r[s], r[t]) > cone.radius:
+                continue
+            if r[s] < GEOM_TOL or r[t] < GEOM_TOL:
+                img = max(r[s], r[t]) ** cone.index
+            else:
+                img = abs(cone_image(r[s], a[s], cone.index) - cone_image(r[t], a[t], cone.index))
+            want = max(want, img)
+    got = validate_h_adapted(g, h)[f"cone_{cone.vertex}_worst_image"]
+    assert abs(got - want) <= 8 * np.finfo(float).eps * want
+
+
 def test_adapted_edge_length_bound(lshape):
     """Edges in the cone disk obey the adapted-mesh length bound
     |xy| <= (1 + pi/(2*gamma)) * h * r^(1-gamma) with r the farther

@@ -102,8 +102,9 @@ def subdivide(graph):
     meta.pop("poly_of_quad", None)
     meta.pop("k", None)
 
-    def keys():
-        return None if graph.vertex_keys is None else graph.vertex_keys + [None] * (E + F)
+    def keys(source=graph._vertex_keys):   # not the graph: keep no parent alive
+        source = source() if callable(source) else source
+        return None if source is None else source + [None] * (E + F)
 
     return QuadGraph(colors, quads, corners, cones=graph.cones,
                      vertex_keys=keys, meta=meta, dart_keys=dart_keys)

@@ -1,6 +1,7 @@
 """Mesh-equivalence gate: the combinatorics of every mesh in the
-period-matrix corpus (plus L-shape 1/64, a 16x16 skew torus and a
-subdivided 2x2 torus) against fingerprints stored in golden_meshes.json.
+period-matrix corpus (plus L-shape 1/64, a 16x16 skew torus, a
+subdivided 2x2 torus, the adapted L-shape at 1/16 and an adapted
+two-cone origami) against fingerprints stored in golden_meshes.json.
 
 Integer data must match exactly: sha256 digests of the vertex colors, the
 quad table, the dart-to-edge table, the edge endpoints, the rotation
@@ -22,16 +23,38 @@ import zlib
 import numpy as np
 import pytest
 
-from quadperiod import build_quad_graph, generate_torus, l_shape_surface, subdivide
+from quadperiod import (
+    PolyhedralSurface,
+    build_quad_graph,
+    generate_adapted,
+    generate_torus,
+    l_shape_surface,
+    subdivide,
+)
 from test_golden import CORPUS as PERIOD_CORPUS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_meshes.json")
 CORNER_TOL = 1e-15
 
+
+def _two_cone_origami():
+    """Four unit squares in a row, rights glued to lefts by (0 1 3 2) and
+    tops to bottoms by (2 3 0 1): genus 2, two cones of angle 4*pi."""
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    right, top = (0, 1, 3, 2), (2, 3, 0, 1)
+    gluings = [pair for i in range(4)
+               for pair in (((i, 1), (right[i], 3)), ((i, 2), (top[i], 0)))]
+    return PolyhedralSurface(polygons=[sq + [i, 0] for i in range(4)], gluings=gluings)
+
+
 CORPUS = dict(PERIOD_CORPUS)
 CORPUS["lshape-64"] = lambda: build_quad_graph(l_shape_surface(), 1 / 64)
 CORPUS["torus-skew-16"] = lambda: generate_torus(0.5 + 0.8j, 16)
 CORPUS["torus-i-2-subdivided"] = lambda: subdivide(generate_torus(1j, 2))
+# two coarsening rings
+CORPUS["lshape-adapted-16"] = lambda: generate_adapted(l_shape_surface(), 1 / 16)
+# two cone patches: pins the order in which they are interned
+CORPUS["origami-two-cones-adapted-8"] = lambda: generate_adapted(_two_cone_origami(), 1 / 8)
 
 
 def _digest(values):

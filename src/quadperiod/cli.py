@@ -298,6 +298,31 @@ def run_integrate(graph, a_periods, tol=1e-10):
 # argument parsing and entry points
 # ---------------------------------------------------------------------------
 
+def _reals(text):
+    """Comma separated reals, as an array."""
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma separated list of reals: {text!r}") from None
+
+
+def _band(text):
+    """Slope band 'below,above'."""
+    band = _reals(text)
+    if len(band) != 2:
+        raise argparse.ArgumentTypeError(f"need two reals 'below,above', got {text!r}")
+    return tuple(band.tolist())
+
+
+def _complexes(text):
+    """Semicolon separated complex numbers 're,im;...'."""
+    parts = [_reals(part) for part in text.split(";")]
+    if any(len(z) != 2 for z in parts):
+        raise argparse.ArgumentTypeError(f"need 're,im' pairs separated by ';', got {text!r}")
+    return [complex(*z) for z in parts]
+
+
 def _add_common(sub):
     sub.add_argument("surface", help="surface or quad-graph document (JSON)")
     sub.add_argument("--cell", type=float, default=0.5,
@@ -328,7 +353,7 @@ def make_parser():
 
     ha = sp.add_parser("harmonic", help="solve for prescribed periods")
     _add_common(ha)
-    ha.add_argument("--periods", required=True,
+    ha.add_argument("--periods", required=True, type=_reals,
                     help="comma separated 4g reals: a black, b black, a white, b white")
     ha.add_argument("--dump", help="write the differential to this CSV file")
 
@@ -341,12 +366,12 @@ def make_parser():
     cv.add_argument("--levels", type=int, default=4)
     cv.add_argument("--adapted", action="store_true")
     cv.add_argument("--reference", choices=("self", "analytic"), default="self")
-    cv.add_argument("--band", default=None,
+    cv.add_argument("--band", type=_band, default=DEFAULT_BAND,
                     help="slope acceptance band as 'below,above' offsets")
 
     it = sp.add_parser("integrate", help="Abelian integral of a canonical form")
     _add_common(it)
-    it.add_argument("--a-periods", required=True,
+    it.add_argument("--a-periods", required=True, type=_complexes,
                     help="semicolon separated complex a-periods 're,im;...'")
     it.add_argument("--sample", action="store_true",
                     help="restrict output to original grid vertices")
@@ -411,7 +436,7 @@ def _run(args):
     elif args.command == "harmonic":
         graph, _ = _load(args.surface, args.cell)
         basis = homology_basis(graph)
-        vals = np.asarray([float(x) for x in args.periods.split(",")])
+        vals = args.periods
         g = basis.genus
         system = assemble(graph, basis)
         if len(vals) == 4 * g:
@@ -428,8 +453,7 @@ def _run(args):
                 (sr.residual, sr.closedness, sr.coclosedness, sr.period_error),
                 (si.residual, si.closedness, si.coclosedness, si.period_error)))
         else:
-            print(f"need {4 * g} or {8 * g} floats, got {len(vals)}", file=sys.stderr)
-            return 2
+            raise HarmonicError(f"need {4 * g} or {8 * g} floats, got {len(vals)}")
         print(f"residual={worst[0]:.3e} closedness={worst[1]:.3e} "
               f"coclosedness={worst[2]:.3e} period_error={worst[3]:.3e}")
         print(f"energy={dec.energy(graph, eta):.17g}")
@@ -486,10 +510,6 @@ def _run(args):
         rc = 0 if ok else 1
     elif args.command == "converge":
         obj = formats.read_surface(args.surface)
-        band = DEFAULT_BAND
-        if args.band:
-            below, above = (float(x) for x in args.band.split(","))
-            band = (below, above)
         reference = None
         if args.reference == "analytic":
             gen = getattr(obj, "generator", None) or {}
@@ -500,7 +520,7 @@ def _run(args):
                 return 2
         report, pms, fam = run_converge(
             obj, levels=args.levels, adapted=args.adapted,
-            base_cell=args.cell, reference=reference, tol=args.tol, band=band)
+            base_cell=args.cell, reference=reference, tol=args.tol, band=args.band)
         header = ["level", "h", "phi_min", "n_quads", "pi_error",
                   "off_diagonal_gap", "diagonal_gap", "energy_error", "psd_gap"]
         if args.format == "json-like":
@@ -529,11 +549,7 @@ def _run(args):
         rc = 0 if ok else 1
     elif args.command == "integrate":
         graph, _ = _load(args.surface, args.cell)
-        a = []
-        for part in args.a_periods.split(";"):
-            re_s, im_s = part.split(",")
-            a.append(complex(float(re_s), float(im_s)))
-        omega, vals = run_integrate(graph, a, args.tol)
+        omega, vals = run_integrate(graph, args.a_periods, args.tol)
         # each vertex at its first corner in the quad table
         _, first = np.unique(graph.quads, return_index=True)
         position = graph.corners.ravel()[first]

@@ -12,14 +12,28 @@ import numpy as np
 from .surface import ConePoint, QuadGraph, SurfaceError, load_surface
 
 
+COLOR_NAMES = ("black", "white")   # indexed by BLACK, WHITE
+
+
 def fmt(x):
     return f"{x:.17g}"
 
 
+def _read_json(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise SurfaceError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:   # also undecodable bytes
+        raise SurfaceError(f"{path} is not a JSON document: {exc}") from None
+
+
 def read_surface(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if "quads" in doc:
+    """Surface or raw quad-graph from a JSON document; SurfaceError if the
+    file cannot be read or does not hold one."""
+    doc = _read_json(path)
+    if isinstance(doc, dict) and "quads" in doc:
         return graph_from_doc(doc)
     return load_surface(doc)
 
@@ -41,8 +55,7 @@ def graph_to_doc(graph):
         quads.append(row)
     doc = {
         "format": 1,
-        "vertices": [[i, "black" if c == 0 else "white"]
-                     for i, c in enumerate(graph.color)],
+        "vertices": [[i, COLOR_NAMES[c]] for i, c in enumerate(graph.color)],
         "quads": quads,
         "edges": graph.dart_edge.tolist(),
         "cones": [[int(c.vertex), float(c.angle), float(c.radius)]
@@ -52,20 +65,27 @@ def graph_to_doc(graph):
 
 
 def graph_from_doc(doc):
-    if doc.get("format") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != 1:
         raise SurfaceError("missing or unsupported 'format' header (want 1)")
+    if not isinstance(doc.get("vertices"), list) or not isinstance(doc.get("quads"), list):
+        raise SurfaceError("raw quad-graph document needs 'vertices' and 'quads' tables")
     V = len(doc["vertices"])
     colors = np.zeros(V, dtype=np.int8)
-    for i, name in doc["vertices"]:
-        if not 0 <= i < V:
+    for row in doc["vertices"]:
+        if not isinstance(row, list) or len(row) != 2 or row[1] not in COLOR_NAMES:
+            raise SurfaceError(f"vertex row {row!r} is not [id, 'black' | 'white']")
+        i, name = row
+        if not isinstance(i, int) or not 0 <= i < V:
             raise SurfaceError(f"vertex id {i} out of range [0, {V})")
-        colors[i] = 0 if name == "black" else 1
-    quads = []
-    corners = []
-    for row in doc["quads"]:
-        quads.append(row[:4])
-        z = row[4:]
-        corners.append([complex(z[2 * t], z[2 * t + 1]) for t in range(4)])
+        colors[i] = COLOR_NAMES.index(name)
+    try:
+        table = np.array(doc["quads"], dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.shape[1:] != (12,) or np.any(table[:, :4] % 1 != 0):
+        raise SurfaceError("each quad row must hold 4 integer vertex ids and 8 chart floats")
+    quads = table[:, :4].astype(np.int64)
+    corners = np.ascontiguousarray(table[:, 4:]).view(complex)
     cones = [ConePoint(vertex=v, angle=a, radius=r)
              for v, a, r in doc.get("cones", [])]
     dart_keys = doc.get("edges")
@@ -77,8 +97,7 @@ def write_graph(path, graph):
 
 
 def read_graph(path):
-    with open(path) as f:
-        return graph_from_doc(json.load(f))
+    return graph_from_doc(_read_json(path))
 
 
 def write_differential(path, omega):

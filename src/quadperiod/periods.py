@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import BLACK, WHITE, spanning_tree
+from .surface import BLACK, WHITE, _lattice_codes, _positions, spanning_tree
 from . import dec
 from .dec import Differential
 from .harmonic import assemble, solve, solve_elementary
@@ -308,9 +308,6 @@ def abelian_integral_per_polygon(graph, omega):
 
     Returns a dict: (polygon, qx, qy) -> {vertex id: value}.
     """
-    from fractions import Fraction
-    from .surface import grid_point_key
-
     poly = graph.meta.get("poly_of_quad")
     surface = graph.meta.get("surface")
     k = graph.meta.get("k")
@@ -339,26 +336,23 @@ def abelian_integral_per_polygon(graph, omega):
     raw = {r: _region_tree_values(graph, omega, quads)
            for r, quads in regions.items()}
 
-    def vid(p, fx, fy):
-        return graph.key_index(grid_point_key(surface, p, fx, fy))
+    L = 2 * k
 
-    h = Fraction(1, k)
-    half = Fraction(1, 2)
-    one = Fraction(1)
+    def vid(p, x, y):
+        """Vertex at the point (x, y) / L of polygon p."""
+        return int(_positions(graph.meta["vertex_codes"], _lattice_codes(surface, p, x, y, L)))
 
     links = []          # (region_a, region_b, black vertex, white vertex)
     for p in range(npoly):
-        c = vid(p, half, half)
-        wl = vid(p, half - h, half)    # white, on the left half of the seam
-        wr = vid(p, half + h, half)
-        wd = vid(p, half, half - h)
+        c = vid(p, k, k)
+        wl = vid(p, k - 2, k)    # white, on the left half of the seam
+        wr = vid(p, k + 2, k)
+        wd = vid(p, k, k - 2)
         links.append(((p, 0, 0), (p, 0, 1), c, wl))
         links.append(((p, 1, 0), (p, 1, 1), c, wr))
         links.append(((p, 0, 0), (p, 1, 0), c, wd))
-    mids = {0: (half, Fraction(0)), 1: (one, half),
-            2: (half, one), 3: (Fraction(0), half)}
-    nearw = {0: (half + h, Fraction(0)), 1: (one, half + h),
-             2: (half + h, one), 3: (Fraction(0), half + h)}
+    mids = {0: (k, 0), 1: (L, k), 2: (k, L), 3: (0, k)}
+    nearw = {0: (k + 2, 0), 1: (L, k + 2), 2: (k + 2, L), 3: (0, k + 2)}
     touching = {0: ((1, 0), (0, 0)), 1: ((1, 0), (1, 1)),
                 2: ((1, 1), (0, 1)), 3: ((0, 0), (0, 1))}
     for (p, e), (q, f) in surface.gluings:
@@ -372,9 +366,9 @@ def abelian_integral_per_polygon(graph, omega):
 
     # resolve (black, white) offsets over the region graph
     start = (0, 0, 0)
-    anchor_b = vid(0, Fraction(0), Fraction(0))
-    center_b = vid(0, half, half)
-    anchor_w = vid(0, half - h, half)
+    anchor_b = vid(0, 0, 0)
+    center_b = vid(0, k, k)
+    anchor_w = vid(0, k - 2, k)
     offb = -raw[start][anchor_b]
     offw = (raw[start][center_b] + offb) - raw[start][anchor_w]
     # resolve both color offsets along one spanning tree of links that

@@ -8,18 +8,26 @@ each cone a graded stack of concentric square rings (in the max-norm of
 the cone's sector coordinates) replaces the uniform grid, with 2:1
 angular coarsening rings on the way in and a fan of quarter-square quads
 closing the center.
+
+Patches are keyed like the uniform grid (surface.py): the patch boundary
+lies on the 2k lattice and takes its codes, so it meets the ambient
+cells by equal codes.  Every other patch vertex and edge gets an integer
+code above the lattice range, in one block of codes per (cone, ring);
+the ("ring" | "mid", cone class, ring, slot) vertex keys are decoded
+from these codes on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .surface import (
-    BLACK,
+    _CORNER_X,
+    _CORNER_Y,
     QuadGraph,
     SurfaceError,
     _attach_cones,
@@ -27,11 +35,11 @@ from .surface import (
     _grid_cells,
     _lattice_codes,
     _lattice_keys,
+    _positions,
     _reference_loops,
     _rotate_to_black,
     _square_tiled_data,
-    grid_edge_key,
-    grid_point_key,
+    build_quad_graph,
     mesh_stats,
     spanning_tree,
     validate_h_adapted,
@@ -99,8 +107,8 @@ def subdivide(graph):
     meta = dict(graph.meta)
     if new_loops:
         meta["loops"] = new_loops
-    meta.pop("poly_of_quad", None)
-    meta.pop("k", None)
+    for key in ("poly_of_quad", "k", "vertex_codes"):   # the 2k lattice is gone
+        meta.pop(key, None)
 
     def keys(source=graph._vertex_keys):   # not the graph: keep no parent alive
         source = source() if callable(source) else source
@@ -114,22 +122,7 @@ def subdivide(graph):
 # Adapted meshes
 # ---------------------------------------------------------------------------
 
-class _VertexRegistry:
-    """Vertex interning by exact key, in order of first appearance."""
-
-    def __init__(self):
-        self.keys = []
-        self.index = {}
-
-    def get(self, key):
-        i = self.index.get(key)
-        if i is None:
-            i = self.index[key] = len(self.keys)
-            self.keys.append(key)
-        return i
-
-
-PATCH_HALF_WIDTH = Fraction(1, 4)   # sector coordinate extent of a cone patch
+PATCH_HALF_WIDTH = 0.25             # sector coordinate extent of a cone patch
 IMG_SAFETY = 0.9                    # target fraction of h for chart images
 EDGE_SAFETY = 0.95                  # absolute edge-length fraction of h
 
@@ -139,7 +132,7 @@ def _ring_schedule(gamma, h, j):
     the patch boundary inward.  Returns a list of (t, p) with p halving at
     angular coarsening steps, ending at p = 1, plus the parity of rings
     needed so the checkerboard coloring matches the ambient grid."""
-    c = float(PATCH_HALF_WIDTH)
+    c = PATCH_HALF_WIDTH
     root2g = 2.0 ** (gamma / 2.0)
     delta = IMG_SAFETY * h / root2g       # allowed image-radius decrement
 
@@ -206,9 +199,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     away from the cones, graded ring patches of half-width 1/4 around
     every cone.  The result is validated (bipartite by construction,
     image bounds, angle floor) before it is returned."""
-    if surface.generator and surface.generator.get("kind") == "torus" \
-            or (len(surface.polygons) == 1 and not surface.cone_classes):
-        from .surface import build_quad_graph
+    if len(surface.polygons) == 1 and not surface.cone_classes:
         return build_quad_graph(surface, h)
     _square_tiled_data(surface)
     k_f = 1.0 / h
@@ -217,67 +208,35 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         raise RefineError(
             f"adapted meshes need a power-of-two cell count >= 4, got 1/{h}")
     if not surface.cone_classes:
-        from .surface import build_quad_graph
         return build_quad_graph(surface, h)
-    jc = k // 4   # cells spanned by a patch
-
-    reg = _VertexRegistry()
-    quads = []
-    corners = []
-    dart_keys = []
-    poly_of_quad = []
-
-    # -- cone patches ------------------------------------------------------
-    singular_corners = set()
-    for cid in surface.cone_classes:
-        for (p, i) in surface.vertex_links[cid]:
-            singular_corners.add((p, i))
-
+    L = 2 * k
+    patches, blocks = [], []
+    start = len(surface.polygons) * (L + 1) ** 2   # first code above the lattice
     for cid in surface.cone_classes:
         gamma = 2.0 * math.pi / surface.vertex_angles[cid]
         if gamma > 0.5 + 1e-12:
             raise RefineError("cone with index above 1/2 on a square-tiled surface")
-        link = surface.vertex_links[cid]
-        rings, kinds = _with_parity(gamma, h, jc)
-        _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
-                    cid, link, rings, kinds, jc, k)
+        rings, kinds = _with_parity(gamma, h, k // 4)
+        patch, start = _cone_patch(surface, cid, rings, kinds, k, start, blocks)
+        patches.append(patch)
+    order, quads, corners, darts, poly = (list(part) for part in zip(*patches))
 
-    # -- ambient cells: the uniform grid outside the patches ---------------
+    # the uniform grid outside the patches, numbered after them
     (cell_poly, _, _), corner_codes, mid_codes, pos = _grid_cells(
-        surface, k, _kept_cells(surface, singular_corners, k, jc))
-    L = 2 * k
-
-    def lattice_keys(points):
-        return _lattice_keys(_lattice_codes(surface, *points.T, L), L)
-
-    # exact keys, interned after the patch keys in order of first appearance
-    vertex_codes, ambient = _first_appearance(corner_codes)
-    vids = [reg.get(key) for key in _lattice_keys(vertex_codes, L)]
-    edge_code = {}
-    patch_edges = [[edge_code.setdefault(key, len(edge_code)) for key in row]
-                   for row in dart_keys]
-    mids, ambient_edges = np.unique(mid_codes, return_inverse=True)
-    eids = [edge_code.setdefault(("e",) + key[1:], len(edge_code))
-            for key in _lattice_keys(mids, L)]
-    quads = np.concatenate([np.reshape(quads, (-1, 4)), np.array(vids)[ambient]])
-    colors = _bipartite_colors(surface, reg, quads)
+        surface, k, _kept_cells(surface, k))
+    vertex_codes, _ = _first_appearance(np.concatenate(order + [corner_codes.ravel()]))
+    quads = _positions(vertex_codes, np.concatenate(quads + [corner_codes]))
+    colors = _bipartite_colors(len(vertex_codes), quads)
     quads, corners, codes = _rotate_to_black(
-        colors[quads[:, 0]], quads, np.concatenate([np.reshape(corners, (-1, 4)), pos]),
-        np.concatenate([patch_edges, np.array(eids)[ambient_edges.reshape(-1, 4)]]))
-    poly_of_quad = np.concatenate([poly_of_quad, cell_poly.ravel()]).astype(np.int64)
-
-    def vertex_ids(points):
-        return [reg.index[key] for key in lattice_keys(points)]
-
-    def edge_keys(points):
-        return [edge_code[("e",) + key[1:]] for key in lattice_keys(points)]
-
-    cones = _attach_cones(surface, k, vertex_ids)
-    loops = _reference_loops(surface, k, vertex_ids, edge_keys)
-    meta = {"kind": "square_tiled", "k": k, "adapted": True, "loops": loops,
-            "poly_of_quad": poly_of_quad, "surface": surface}
-    g = QuadGraph(colors, quads, corners, cones=cones,
-                  vertex_keys=reg.keys, meta=meta, dart_keys=codes)
+        colors[quads[:, 0]], quads, np.concatenate(corners + [pos]),
+        np.concatenate(darts + [mid_codes]))
+    meta = {"kind": "square_tiled", "k": k, "adapted": True,
+            "loops": _reference_loops(surface, k, vertex_codes),
+            "poly_of_quad": np.concatenate(poly + [cell_poly.ravel()]),
+            "vertex_codes": vertex_codes, "surface": surface}
+    keys = functools.partial(_patch_keys, vertex_codes, L, np.array(blocks))
+    g = QuadGraph(colors, quads, corners, cones=_attach_cones(surface, k, vertex_codes),
+                  vertex_keys=keys, meta=meta, dart_keys=codes)
     st = mesh_stats(g)
     if st.phi_min < phi_floor - 1e-12:
         raise RefineError(f"angle floor violated: phi_min {st.phi_min:.4f}")
@@ -287,209 +246,169 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     return g
 
 
-def _kept_cells(surface, singular_corners, k, jc):
+def _kept_cells(surface, k):
     """(P, k, k) mask of the grid cells outside the cone patches: each
-    patch covers the jc x jc cells at its singular corners."""
+    patch covers the k/4 x k/4 cells at every corner of its cone."""
     keep = np.ones((len(surface.polygons), k, k), dtype=bool)
-    lo, hi = slice(0, jc), slice(k - jc, k)
-    for p, ci in singular_corners:
-        keep[p, (lo, hi, hi, lo)[ci], (lo, lo, hi, hi)[ci]] = False
+    lo, hi = slice(0, k // 4), slice(k - k // 4, k)
+    for cid in surface.cone_classes:
+        for p, ci in surface.vertex_links[cid]:
+            keep[p, (lo, hi, hi, lo)[ci], (lo, lo, hi, hi)[ci]] = False
     return keep
 
 
-def _sector_frames(surface, link):
-    """Per sector: polygon id, corner origin, unit axes (complex), and the
-    fractional frame for exact grid keys."""
-    frames = []
-    corner_frac = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                   (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
-    fex = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-           (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
-    for (p, ci) in link:
-        poly = surface.polygons[p]
-        origin = complex(*poly[ci])
-        ex = complex(*(poly[(ci + 1) % 4] - poly[ci]))
-        ey = 1j * ex
-        ofx, ofy = corner_frac[ci]
-        exf = fex[ci]
-        eyf = fex[(ci + 1) % 4]  # rot90 of the axis directions
-        frames.append({
-            "p": p, "origin": origin, "ex": ex, "ey": ey,
-            "ofrac": (ofx, ofy), "exfrac": exf, "eyfrac": eyf,
-        })
-    return frames
+# Each ring of a patch is cut into groups of quads that share one vertex
+# table and one edge table; these give every quad's rows in the tables.
+# A plain ring has one group per outer slot s: vertices (inner s, outer s,
+# outer s + 1, inner s + 1), edges (radial s, outer arc s, radial s + 1,
+# inner arc s).  The fan has one group per sector i: vertices (cone,
+# innermost slots 2i, 2i + 1, 2i + 2), edges (radial 2i, arcs 2i and
+# 2i + 1, radial 2i + 2).  A coarsening ring has one group per four outer
+# slots from s0 = 4g: vertices (outer s0 .. s0 + 4, inner 2g .. 2g + 2,
+# mid), edges (radial s0, outer arcs s0 .. s0 + 3, radial s0 + 4, inner
+# arcs 2g and 2g + 1, spokes 0 .. 3).  Vertices are numbered in table order.
+_ONE_QUAD = np.array([[0, 1, 2, 3]])
+_COARSEN_VERTICES = np.array([[5, 0, 1, 8], [8, 1, 2, 3], [8, 3, 4, 7], [8, 7, 6, 5]])
+_COARSEN_EDGES = np.array([[0, 1, 8, 10], [8, 2, 3, 9], [9, 4, 5, 11], [11, 7, 6, 10]])
+
+# unit steps along the sides leaving polygon corners 0..3
+_SIDE_X, _SIDE_Y = np.roll(_CORNER_X, -1) - _CORNER_X, np.roll(_CORNER_Y, -1) - _CORNER_Y
 
 
-def _emit_patch(surface, reg, quads, corners, dart_keys, poly_of_quad,
-                cid, link, rings, kinds, jc, k):
-    K = len(link)
-    frames = _sector_frames(surface, link)
+def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
+    """Graded ring patch around cone class cid, on integer codes.
 
-    def local_point(t, p, rel):
-        """Coordinates of the ring vertex `rel` steps into a sector, in
-        that sector's own frame; rel runs 0..2p along the two segments."""
-        if rel <= p:
-            return (t, rel * t / p)
-        return ((2 * p - rel) * t / p, t)
+    Ring 0, the patch boundary, lies on the 2k lattice: in units of
+    1/(2k) it sits at distance 2 jc from the cone, and its slot u at 2u
+    along the side, so its vertices and arcs take their lattice codes.
+    Ring r >= 1 gets the block of 3 T codes from its start, T = 2 p K its
+    slot count: vertex and arc codes of its slots, then those of its mid
+    vertices and radial edges, then its spokes.  Appends (start, cid, r,
+    T) of every ring to blocks.  Returns (vertex codes in numbering order,
+    quad vertex codes, chart corners, dart edge codes, polygon of each
+    quad) and the first code after the patch."""
+    link = surface.vertex_links[cid]
+    K, L, jc = len(link), 2 * k, k // 4
+    poly, corner = np.array(link).T
+    # charts of patch quads are centered on the cone: absolute polygon
+    # offsets would drown the deepest rings in float cancellation
+    ex = np.array([complex(*surface.edge_vector(p, c)) for p, c in link])
+    ey = 1j * ex
+    T = np.array([2 * p * K for _, p in rings])
+    ring_start = start + np.cumsum(3 * T) - 3 * T
+    blocks.extend(zip(ring_start, [cid] * len(rings), range(len(rings)), T))
 
-    def to_chart(i, xy):
-        # charts of patch quads are centered on the cone: absolute polygon
-        # offsets would drown the deepest rings in float cancellation
-        f = frames[i]
-        return xy[0] * f["ex"] + xy[1] * f["ey"]
+    def lattice(sec, a, b):
+        """Codes of the points (a, b) of sectors sec, in units of 1/L
+        along the sector axes."""
+        c = corner[sec]
+        x = L * _CORNER_X[c] + a * _SIDE_X[c] + b * _SIDE_X[(c + 1) % 4]
+        y = L * _CORNER_Y[c] + a * _SIDE_Y[c] + b * _SIDE_Y[(c + 1) % 4]
+        return _lattice_codes(surface, poly[sec], x, y, L)
 
-    def grid_key_of(i, fx, fy):
-        f = frames[i]
-        ox, oy = f["ofrac"]
-        ax, ay = f["exfrac"]
-        bx, by = f["eyfrac"]
-        return grid_point_key(surface, f["p"],
-                              ox + fx * ax + fy * bx, oy + fx * ay + fy * by)
-
-    def ring_vertex(r, slot):
-        t, p = rings[r]
-        slot = slot % (2 * p * K)
-        if r == 0:
-            i, u = divmod(slot, 2 * p)
-            c = PATCH_HALF_WIDTH
-            if u <= p:
-                fx, fy = c, Fraction(u, p) * c
-            else:
-                fx, fy = Fraction(2 * p - u, p) * c, c
-            return reg.get(grid_key_of(i, fx, fy))
-        return reg.get(("ring", cid, r, slot))
-
-    cone_vertex = reg.get(grid_key_of(0, Fraction(0), Fraction(0)))
-
-    def to_poly_frac(i, fx, fy):
-        f = frames[i]
-        ox, oy = f["ofrac"]
-        ax, ay = f["exfrac"]
-        bx, by = f["eyfrac"]
-        return (ox + fx * ax + fy * bx, oy + fx * ay + fy * by)
-
-    def arc_key(r, slot):
-        """Arc edge between ring slots s and s+1; on the patch boundary it
-        must match the ambient grid edge key."""
-        t, p = rings[r]
-        slot = slot % (2 * p * K)
+    def ring(r, s2):
+        """Codes of ring r at half slots s2: vertices at even s2, the arcs
+        between them at odd s2."""
         if r > 0:
-            return ("arc", cid, r, slot)
-        i, u = divmod(slot, 2 * p)
-        c = PATCH_HALF_WIDTH
-        sf = []
-        for uu in (u, u + 1):
-            if uu <= p:
-                sf.append((c, Fraction(uu, p) * c))
-            else:
-                sf.append((Fraction(2 * p - uu, p) * c, c))
-        (x1, y1), (x2, y2) = (to_poly_frac(i, *sf[0]), to_poly_frac(i, *sf[1]))
-        return grid_edge_key(surface, frames[i]["p"], x1, y1, x2, y2)
+            return ring_start[r] + s2 // 2 % T[r]
+        sec, w = np.divmod(s2 % (2 * T[0]), 4 * jc)
+        return lattice(sec, np.where(w <= 2 * jc, 2 * jc, 4 * jc - w), np.minimum(w, 2 * jc))
 
-    def emit(quad, pos, keys, sector):
-        quads.append(quad)
-        corners.append(pos)
-        dart_keys.append(keys)
-        poly_of_quad.append(frames[sector]["p"])
+    def radial(r, s):
+        """Codes in the middle third of ring r's block: the radial edges
+        inward from its slots s, and its mid vertices."""
+        return ring_start[r] + T[r] + s % T[r]
 
-    n_rings = len(rings)
-    for r in range(n_rings - 1):
-        t_out, p_out = rings[r]
-        t_in, p_in = rings[r + 1]
-        total = 2 * p_out * K
-        if kinds[r] == "plain":
-            for sec in range(K):
-                for u in range(2 * p_out):
-                    s = 2 * p_out * sec + u
-                    q = [ring_vertex(r + 1, s), ring_vertex(r, s),
-                         ring_vertex(r, s + 1), ring_vertex(r + 1, s + 1)]
-                    pos = [to_chart(sec, local_point(t_in, p_in, u)),
-                           to_chart(sec, local_point(t_out, p_out, u)),
-                           to_chart(sec, local_point(t_out, p_out, u + 1)),
-                           to_chart(sec, local_point(t_in, p_in, u + 1))]
-                    keys = [("rad", cid, r, s), arc_key(r, s),
-                            ("rad", cid, r, (s + 1) % total),
-                            arc_key(r + 1, s)]
-                    emit(q, pos, keys, sec)
+    def chart(sec, t, p, rel):
+        """Chart position of the vertex rel steps into sectors sec, on the
+        ring at max-norm radius t with p segments per side."""
+        x = np.where(rel <= p, t, (2 * p - rel) * t / p)
+        y = np.where(rel <= p, rel * t / p, t)
+        return x * ex[sec] + y * ey[sec]
+
+    cone = lattice(np.zeros(1, dtype=np.int64), 0, 0)
+    order, quads, corners, darts, polys = [cone], [], [], [], []
+    for r, kind in enumerate(kinds):
+        (t_out, p_out), (t_in, p_in) = rings[r], rings[r + 1]
+        if kind == "plain":
+            s = np.arange(T[r])
+            sec, u = np.divmod(s, 2 * p_out)
+            vt = np.stack([ring(r + 1, 2 * s), ring(r, 2 * s), ring(r, 2 * s + 2),
+                           ring(r + 1, 2 * s + 2)], axis=1)
+            zt = np.stack([chart(sec, t_in, p_in, u), chart(sec, t_out, p_out, u),
+                           chart(sec, t_out, p_out, u + 1), chart(sec, t_in, p_in, u + 1)],
+                          axis=1)
+            et = np.stack([radial(r, s), ring(r, 2 * s + 1), radial(r, s + 1),
+                           ring(r + 1, 2 * s + 1)], axis=1)
+            vpat = epat = _ONE_QUAD
         else:
             # the mid vertex sits 2/3 of the way down: that balances the
             # sharpest corners of the outer caps (one cell wide) against
             # the inner caps (two cells wide)
             t_mid = t_in + (t_out - t_in) * (2.0 / 3.0)
-            n_g = total // 4
-            groups_per_sec = n_g // K
-            for sec in range(K):
-                for gs in range(groups_per_sec):
-                    gid = groups_per_sec * sec + gs
-                    u0 = 4 * gs                      # sector-relative
-                    s0 = 2 * p_out * sec + u0        # global outer slot
-                    w0 = p_in * 2 * sec + 2 * gs     # global inner slot
-                    P = [ring_vertex(r, s0 + d) for d in range(5)]
-                    Pp = [to_chart(sec, local_point(t_out, p_out, u0 + d))
-                          for d in range(5)]
-                    Q = [ring_vertex(r + 1, w0 + d) for d in range(3)]
-                    Qp = [to_chart(sec, local_point(t_in, p_in, 2 * gs + d))
-                          for d in range(3)]
-                    m = reg.get(("mid", cid, r, gid))
-                    mp = to_chart(sec, local_point(t_mid, p_out, u0 + 2))
-                    emit([Q[0], P[0], P[1], m],
-                         [Qp[0], Pp[0], Pp[1], mp],
-                         [("rad", cid, r, s0), arc_key(r, s0),
-                          ("sp", cid, r, gid, 0), ("sp", cid, r, gid, 2)],
-                         sec)
-                    emit([m, P[1], P[2], P[3]],
-                         [mp, Pp[1], Pp[2], Pp[3]],
-                         [("sp", cid, r, gid, 0), arc_key(r, s0 + 1),
-                          arc_key(r, s0 + 2), ("sp", cid, r, gid, 1)],
-                         sec)
-                    emit([m, P[3], P[4], Q[2]],
-                         [mp, Pp[3], Pp[4], Qp[2]],
-                         [("sp", cid, r, gid, 1), arc_key(r, s0 + 3),
-                          ("rad", cid, r, (s0 + 4) % total),
-                          ("sp", cid, r, gid, 3)],
-                         sec)
-                    emit([m, Q[2], Q[1], Q[0]],
-                         [mp, Qp[2], Qp[1], Qp[0]],
-                         [("sp", cid, r, gid, 3), arc_key(r + 1, w0 + 1),
-                          arc_key(r + 1, w0), ("sp", cid, r, gid, 2)],
-                         sec)
+            g = np.arange(T[r] // 4)[:, None]
+            sec, gs = np.divmod(g, p_out // 2)   # group gs of its sector
+            d = np.arange(5)
+            vt = np.concatenate([ring(r, 8 * g + 2 * d), ring(r + 1, 4 * g + 2 * d[:3]),
+                                 radial(r, g)], axis=1)
+            zt = np.concatenate([chart(sec, t_out, p_out, 4 * gs + d),
+                                 chart(sec, t_in, p_in, 2 * gs + d[:3]),
+                                 chart(sec, t_mid, p_out, 4 * gs + 2)], axis=1)
+            et = np.concatenate([radial(r, 4 * g), ring(r, 8 * g + 2 * d[:4] + 1),
+                                 radial(r, 4 * g + 4), ring(r + 1, 4 * g + 2 * d[:2] + 1),
+                                 ring_start[r] + 2 * T[r] + 4 * g + d[:4]], axis=1)
+            vpat, epat = _COARSEN_VERTICES, _COARSEN_EDGES
+            sec = sec.ravel()
+        order.append(vt.ravel())
+        quads.append(vt[:, vpat].reshape(-1, 4))
+        corners.append(zt[:, vpat].reshape(-1, 4))
+        darts.append(et[:, epat].reshape(-1, 4))
+        polys.append(np.repeat(poly[sec], len(vpat)))
     # closure fan: one quarter-square quad per sector
-    rM = n_rings - 1
+    rM = len(rings) - 1
     t_M, p_M = rings[rM]
     if p_M != 1:
         raise RefineError("innermost ring must have one edge per segment")
-    for i in range(K):
-        a0 = ring_vertex(rM, 2 * i)
-        d0 = ring_vertex(rM, 2 * i + 1)
-        a1 = ring_vertex(rM, 2 * i + 2)
-        pos = [to_chart(i, (0.0, 0.0)), to_chart(i, (t_M, 0.0)),
-               to_chart(i, (t_M, t_M)), to_chart(i, (0.0, t_M))]
-        emit([cone_vertex, a0, d0, a1], pos,
-             [("fan", cid, i), arc_key(rM, 2 * i),
-              arc_key(rM, 2 * i + 1), ("fan", cid, (i + 1) % K)],
-             i)
+    i = np.arange(K)
+    vt = np.stack([np.repeat(cone, K), ring(rM, 4 * i), ring(rM, 4 * i + 2),
+                   ring(rM, 4 * i + 4)], axis=1)
+    order.append(vt.ravel())
+    quads.append(vt)
+    corners.append(np.stack([chart(i, 0.0, 1, 0), chart(i, t_M, 1, 0), chart(i, t_M, 1, 1),
+                             chart(i, t_M, 1, 2)], axis=1))
+    darts.append(np.stack([radial(rM, 2 * i), ring(rM, 4 * i + 1), ring(rM, 4 * i + 3),
+                           radial(rM, 2 * i + 2)], axis=1))
+    polys.append(poly)
+    patch = [np.concatenate(part) for part in (order, quads, corners, darts, polys)]
+    return patch, int(ring_start[-1] + 3 * T[-1])
 
 
-def _bipartite_colors(surface, reg, quads):
+def _patch_keys(codes, L, blocks):
+    """Exact vertex keys of an adapted mesh, from its vertex codes: the
+    lattice keys ("v", p, x, y), and ("ring", cid, r, slot) or ("mid",
+    cid, r, group) above the lattice, blocks holding (start, cid, r, T)
+    of every ring."""
+    b = np.searchsorted(blocks[:, 0], codes, side="right") - 1
+    lattice = iter(_lattice_keys(codes[b < 0], L))
+    off = (codes - blocks[b, 0]).tolist()
+    cid, ring, T = blocks[:, 1:].T.tolist()
+    return [next(lattice) if i < 0 else
+            ("ring" if o < T[i] else "mid", cid[i], ring[i], o % T[i])
+            for i, o in zip(b.tolist(), off)]
+
+
+def _bipartite_colors(n, quads):
+    """Two-coloring by breadth-first depth parity from vertex 0, the
+    first cone: a polygon corner, black as on uniform meshes (the cell
+    count is even)."""
     q = np.asarray(quads, dtype=np.int64)
     a, b = q.ravel(), np.roll(q, -1, axis=1).ravel()
-    colors = (spanning_tree(len(reg.keys), a, b).depth % 2).astype(np.int8)
+    colors = (spanning_tree(n, a, b).depth % 2).astype(np.int8)
     odd = np.flatnonzero(colors[a] == colors[b])
     if len(odd):
         raise RefineError(
             "vertex graph is not bipartite (odd cycle through "
             f"vertices {a[odd[0]]} and {b[odd[0]]})")
-    # normalize the global two-coloring: polygon corners sit at even grid
-    # parity (the cell count is even), so they are black on uniform meshes
-    flip = False
-    for idx, key in enumerate(reg.keys):
-        if key is not None and key[0] == "v":
-            par = key[2] + key[3]
-            if par.denominator == 1:
-                flip = colors[idx] != BLACK
-                break
-    if flip:
-        colors = 1 - colors
     return colors
 
 
@@ -505,7 +424,6 @@ def sweep(surface, levels, adapted=False, base_cell=0.5, phi_floor=math.pi / 12)
     existing quad-graph (refined by repeated subdivision)."""
     if levels < 2:
         raise RefineError("a sweep needs at least 2 levels")
-    from .surface import build_quad_graph
     if isinstance(surface, QuadGraph):
         if adapted:
             raise RefineError("adapted sweeps need the glued surface, "

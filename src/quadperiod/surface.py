@@ -6,14 +6,18 @@ into quadrilaterals whose vertex graph is bipartite (black/white).  Each
 quad stores its own isometric chart; no global coordinates exist, and all
 downstream quantities are per-quad or combinatorial.
 
-Meshes are built on integer arrays.  A square-tiled mesh with k cells
-per side keys each grid vertex and edge midpoint by the integer code of
-a point (p, x, y) of the 2k lattice of unit square p; a point on a glued
-side takes its smallest image (a side point at parameter t maps to 2k - t
-on the partner side, a corner to the smallest corner of its vertex
-class).  Vertices and edges are numbered in order of first appearance in
-the quad table.  The exact keys ("v", p, x, y), Fraction coordinates, are
-built when `vertex_keys` is first read.
+Meshes are built on integer arrays, with one key scheme for every
+square-tiled mesh.  A mesh with k cells per side keys each grid vertex
+and edge midpoint by the integer code of a point (p, x, y) of the 2k
+lattice of unit square p; a point on a glued side takes its smallest
+image (a side point at parameter t maps to 2k - t on the partner side, a
+corner to the smallest corner of its vertex class).  The cone patches of
+adapted meshes (refine.py) put their boundary on the same lattice and
+key the rest of their vertices and edges by integers above its range.
+Vertices and edges are numbered in order of first appearance; the mesh
+keeps the code of every vertex in meta["vertex_codes"].  The exact keys
+("v", p, x, y), Fraction coordinates, are built when `vertex_keys` is
+first read.
 """
 
 from __future__ import annotations
@@ -114,6 +118,11 @@ class PolyhedralSurface:
             if abs(le - lf) > 1e-12 * max(le, lf):
                 raise SurfaceError(
                     f"glued edges differ in length: ({p},{e})={le} ({q},{f})={lf}")
+        pairs = np.array([(p, q) for (p, _), (q, _) in self.gluings])
+        apart = np.flatnonzero(spanning_tree(len(self.polygons), *pairs.T).depth < 0)
+        if len(apart):
+            raise SurfaceError(f"surface is disconnected: no chain of gluings joins "
+                               f"polygon {apart[0]} to polygon 0")
         self._build_vertex_links(partner)
 
     def _build_vertex_links(self, partner):
@@ -768,21 +777,6 @@ def _code(p, x, y, L):
     return (p * (L + 1) + x) * (L + 1) + y
 
 
-def grid_point_key(surface, p, fx, fy):
-    """Canonical vertex key ("v", q, x, y) of a rational point of polygon
-    p: its smallest image, coordinates as Fractions in [0, 1]."""
-    if not (fx in (0, 1) or fy in (0, 1)):
-        return ("v", p, fx, fy)
-    L = math.lcm(fx.denominator, fy.denominator)
-    return _lattice_keys(_lattice_codes(surface, p, int(fx * L), int(fy * L), L), L)[0]
-
-
-def grid_edge_key(surface, p, fx1, fy1, fx2, fy2):
-    """Undirected edge key via the canonical key of its midpoint."""
-    mx, my = (fx1 + fx2) / 2, (fy1 + fy2) / 2
-    return ("e",) + grid_point_key(surface, p, mx, my)[1:]
-
-
 def _grid_cells(surface, k, keep):
     """Cells (p, i, j) of the k x k grids, in row-major order, where the
     (P, k, k) mask keep is true: their indices as (n, 1) columns, the
@@ -830,19 +824,12 @@ def _uniform_square_tiled(surface, k):
     colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
     quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
 
-    def vertex_ids(points):
-        return _positions(vertex_codes, _lattice_codes(surface, *points.T, L)).tolist()
-
-    def edge_keys(points):
-        return _lattice_codes(surface, *points.T, L).tolist()
-
-    cones = _attach_cones(surface, k, vertex_ids)
-    loops = _reference_loops(surface, k, vertex_ids, edge_keys)
-    meta = {"kind": "square_tiled", "k": k, "loops": loops,
-            "poly_of_quad": p.ravel(), "surface": surface}
+    meta = {"kind": "square_tiled", "k": k,
+            "loops": _reference_loops(surface, k, vertex_codes),
+            "poly_of_quad": p.ravel(), "vertex_codes": vertex_codes, "surface": surface}
     keys = functools.partial(_lattice_keys, vertex_codes, L)
-    return QuadGraph(colors, quads, pos, cones=cones, vertex_keys=keys,
-                     meta=meta, dart_keys=dart_keys)
+    return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
+                     vertex_keys=keys, meta=meta, dart_keys=dart_keys)
 
 
 def _lattice_keys(codes, L):
@@ -853,27 +840,32 @@ def _lattice_keys(codes, L):
             for q, a, b in zip(p.tolist(), x.tolist(), y.tolist())]
 
 
-def _attach_cones(surface, k, vertex_ids):
-    """Cone points of the mesh; vertex_ids maps an (n, 3) array of points
-    (p, x, y) on the 2k lattice to vertex ids."""
+def _attach_cones(surface, k, vertex_codes):
+    """Cone points of a square-tiled mesh whose vertex v has the code
+    vertex_codes[v] (its 2k-lattice code where it has one)."""
+    L = 2 * k
     cones = []
     for cid in surface.cone_classes:
         p, c = surface.vertex_links[cid][0]
-        corner = np.array([[p, 2 * k * _CORNER_X[c], 2 * k * _CORNER_Y[c]]])
-        cones.append(ConePoint(vertex=vertex_ids(corner)[0],
+        corner = _lattice_codes(surface, p, L * _CORNER_X[c], L * _CORNER_Y[c], L)
+        cones.append(ConePoint(vertex=int(_positions(vertex_codes, corner)),
                                angle=surface.vertex_angles[cid],
                                radius=surface.cone_radius(cid)))
     return cones
 
 
-def _reference_loops(surface, k, vertex_ids, edge_keys):
+def _reference_loops(surface, k, vertex_codes):
     """Horizontal and vertical cylinder core loops through square centers.
 
     These depend only on the surface, not on the mesh level, so period
     matrices computed on different refinements share one homology basis.
-    vertex_ids and edge_keys map (n, 3) arrays of points (p, x, y) on the
-    2k lattice to vertex ids and to the edge keys of edge midpoints.
+    Vertex v has the code vertex_codes[v] (its 2k-lattice code where it
+    has one); the edge keys of the loops are the lattice codes of the
+    edge midpoints.
     """
+    def codes(points):
+        return _lattice_codes(surface, *points.T, 2 * k)
+
     partner = surface._edge_partner_map()
     along = 2 * np.arange(k)
     loops = {"a": [], "b": []}
@@ -901,8 +893,9 @@ def _reference_loops(surface, k, vertex_ids, edge_keys):
             xy = (walk, mid) if direction == "a" else (mid, walk)
             points = np.stack([polys, *xy], axis=1)
             points_mid = points + ([0, 1, 0] if direction == "a" else [0, 0, 1])
-            loops[direction].append({"verts": vertex_ids(points),
-                                     "edge_keys": edge_keys(points_mid)})
+            loops[direction].append({
+                "verts": _positions(vertex_codes, codes(points)).tolist(),
+                "edge_keys": codes(points_mid).tolist()})
     return loops
 
 

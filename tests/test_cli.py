@@ -208,6 +208,7 @@ def test_converge_few_levels_no_fit(lshape_doc, tmp_path, capsys):
     ([], "check", ["--cell", "0.3"]),                   # SurfaceError
     (["--tol", "1e-300"], "periods", ["--cell", "0.25"]),  # HarmonicError
     ([], "integrate", ["--cell", "0.25", "--a-periods", "1,0;1,0"]),  # PeriodsError
+    ([], "harmonic", ["--periods", "1,0,0"]),            # HarmonicError: 3 of 4 or 8
 ])
 def test_invalid_input_exits_2_with_one_line(torus_doc, tmp_path, capsys,
                                              before, command, after):
@@ -216,3 +217,43 @@ def test_invalid_input_exits_2_with_one_line(torus_doc, tmp_path, capsys,
     assert rc == 2
     assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("harmonic", "--periods", "1,x"),
+    ("integrate", "--a-periods", "1"),
+    ("converge", "--band", "0.2"),
+])
+def test_malformed_option_exits_2_with_one_line(torus_doc, tmp_path, capsys,
+                                               command, option, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--out", str(tmp_path), command, torus_doc, option, value])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert "Traceback" not in err
+
+
+def _raw_torus_doc(**changes):
+    doc = formats.graph_to_doc(generate_torus(1j, 4))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("{\"format\": 1,", "not a JSON document"),
+    (_raw_torus_doc(vertices=None), "needs 'vertices' and 'quads'"),
+    (_raw_torus_doc(quads=[[0, 1, 5, 4, 0.0, 0.0, 0.25, 0.0]]), "4 integer vertex ids"),
+    (_raw_torus_doc(vertices=[[i, "red"] for i in range(16)]), "'black' | 'white'"),
+], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color"])
+def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "surface.json"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["--out", str(tmp_path), "check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
+    assert message in err

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,7 +212,6 @@ def test_adapted_roundtrip(lshape, tmp_path):
 
 def test_bipartite_colors_rejects_odd_cycle():
     """Quads (0,1,2,3) and (0,2,4,5) close the triangle 0-1-2."""
-    reg = SimpleNamespace(keys=[None] * 6)
-    assert list(_bipartite_colors(None, reg, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]
+    assert list(_bipartite_colors(6, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]
     with pytest.raises(RefineError, match="not bipartite"):
-        _bipartite_colors(None, reg, [(0, 1, 2, 3), (0, 2, 4, 5)])
+        _bipartite_colors(6, [(0, 1, 2, 3), (0, 2, 4, 5)])

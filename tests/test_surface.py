@@ -125,6 +125,18 @@ def test_length_mismatch_error():
         )
 
 
+def test_disconnected_surface_error():
+    """Six squares whose gluings leave square 2 a torus of its own, apart
+    from the genus-3 surface of the other five: validation used to sum
+    the Euler characteristics and accept the union as genus 3."""
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    right, top = (1, 0, 2, 5, 3, 4), (4, 0, 2, 3, 5, 1)
+    gluings = [pair for i in range(6)
+               for pair in (((i, 1), (right[i], 3)), ((i, 2), (top[i], 0)))]
+    with pytest.raises(SurfaceError, match="surface is disconnected"):
+        PolyhedralSurface(polygons=[sq + [i, 0] for i in range(6)], gluings=gluings)
+
+
 def test_load_surface_torus_doc():
     doc = {"format": 1, "generator": {"kind": "torus", "tau": [0.0, 1.0]}}
     s = load_surface(doc)

@@ -209,9 +209,8 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
             f"adapted meshes need a power-of-two cell count >= 4, got 1/{h}")
     if not surface.cone_classes:
         return build_quad_graph(surface, h)
-    L = 2 * k
     patches, blocks = [], []
-    start = len(surface.polygons) * (L + 1) ** 2   # first code above the lattice
+    start = len(surface.polygons) * (2 * k + 1) ** 2   # first code above the 2k lattice
     for cid in surface.cone_classes:
         gamma = 2.0 * math.pi / surface.vertex_angles[cid]
         if gamma > 0.5 + 1e-12:
@@ -234,7 +233,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
             "loops": _reference_loops(surface, k, vertex_codes),
             "poly_of_quad": np.concatenate(poly + [cell_poly.ravel()]),
             "vertex_codes": vertex_codes, "surface": surface}
-    keys = functools.partial(_patch_keys, vertex_codes, L, np.array(blocks))
+    keys = functools.partial(_patch_keys, vertex_codes, 2 * k, np.array(blocks))
     g = QuadGraph(colors, quads, corners, cones=_attach_cones(surface, k, vertex_codes),
                   vertex_keys=keys, meta=meta, dart_keys=codes)
     st = mesh_stats(g)
@@ -281,10 +280,11 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
     Ring 0, the patch boundary, lies on the 2k lattice: in units of
     1/(2k) it sits at distance 2 jc from the cone, and its slot u at 2u
     along the side, so its vertices and arcs take their lattice codes.
-    Ring r >= 1 gets the block of 3 T codes from its start, T = 2 p K its
-    slot count: vertex and arc codes of its slots, then those of its mid
-    vertices and radial edges, then its spokes.  Appends (start, cid, r,
-    T) of every ring to blocks.  Returns (vertex codes in numbering order,
+    Every ring r gets the block of 3 T codes from its start, T = 2 p K
+    its slot count: vertex and arc codes of its slots (unused at r = 0),
+    then those of its mid vertices and of its radial edges inward (the
+    fan's at the innermost ring), then its spokes.  Appends (start, cid,
+    r, T) of every ring to blocks.  Returns (vertex codes in numbering order,
     quad vertex codes, chart corners, dart edge codes, polygon of each
     quad) and the first code after the patch."""
     link = surface.vertex_links[cid]
@@ -401,8 +401,7 @@ def _bipartite_colors(n, quads):
     """Two-coloring by breadth-first depth parity from vertex 0, the
     first cone: a polygon corner, black as on uniform meshes (the cell
     count is even)."""
-    q = np.asarray(quads, dtype=np.int64)
-    a, b = q.ravel(), np.roll(q, -1, axis=1).ravel()
+    a, b = np.ravel(quads), np.roll(quads, -1, axis=1).ravel()
     colors = (spanning_tree(n, a, b).depth % 2).astype(np.int8)
     odd = np.flatnonzero(colors[a] == colors[b])
     if len(odd):

@@ -6,8 +6,10 @@ two-cone origami) against fingerprints stored in golden_meshes.json.
 Integer data must match exactly: sha256 digests of the vertex colors, the
 quad table, the dart-to-edge table, the edge endpoints, the rotation
 system (vertex degrees, then the edges and the quads around every vertex)
-and repr(vertex_keys).  Chart corners are stored in full and compared to
-within 1e-15.
+and repr(vertex_keys).  One more digest does not depend on how vertices
+are numbered: colors and quads after renumbering the vertices by first
+appearance in the quad table, and the dart-to-edge table.  Chart corners
+are stored in full and compared to within 1e-15.
 
 Regenerate the stored values only at a commit whose meshes are trusted:
 
@@ -62,6 +64,17 @@ def _digest(values):
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
 
 
+def _relabeled(graph):
+    """Colors, quads and dart edges with the vertices numbered by first
+    appearance in the quad table."""
+    _, first = np.unique(graph.quads, return_index=True)
+    old = np.argsort(first)
+    new = np.empty_like(old)
+    new[old] = np.arange(len(old))
+    return np.concatenate([graph.color[old], new[graph.quads].ravel(),
+                           graph.dart_edge.ravel()])
+
+
 def _fingerprint(graph):
     rot, _, quad_after = graph.rotation()
     V = graph.n_vertices
@@ -74,6 +87,7 @@ def _fingerprint(graph):
         "rot": _digest(np.concatenate([deg] + [rot[v] for v in range(V)])),
         "quad_after": _digest(np.concatenate([deg] + [quad_after[v] for v in range(V)])),
         "vertex_keys": hashlib.sha256(repr(graph.vertex_keys).encode()).hexdigest(),
+        "relabeled": _digest(_relabeled(graph)),
     }
 
 

@@ -274,17 +274,27 @@ def _raw_doc(colors, quads, corners, edges=None):
 SQUARE = [0, 1, 1 + 1j, 1j]
 
 
+# the 2x2 square torus of side 1: vertex colors, quads, charts, edge ids
+TORUS_2X2 = (
+    np.array([0, 1, 1, 0]),
+    np.array([[0, 2, 3, 1], [3, 2, 0, 1], [0, 1, 3, 2], [3, 1, 0, 2]]),
+    [[0, 0.5, 0.5 + 0.5j, 0.5j], [0.5 + 0.5j, 0.5 + 1j, 1j, 0.5j],
+     [1, 1 + 0.5j, 0.5 + 0.5j, 0.5], [0.5 + 0.5j, 1 + 0.5j, 1 + 1j, 0.5 + 1j]],
+    np.array([[0, 1, 2, 3], [4, 0, 5, 2], [3, 6, 1, 7], [6, 5, 7, 4]]),
+)
+
+
 def _torus_2x2_doc(copies=1, glue=None):
     """`copies` disjoint 2x2 square tori; glue maps a vertex id of the
     disjoint union to the id it is identified with."""
     glue = glue or {}
-    g = generate_torus(1j, 2)
+    color, quad, corner, edge = TORUS_2X2
     colors, quads, corners, edges = [], [], [], []
     for c in range(copies):
-        colors += g.color.tolist()
-        quads += (g.quads + 4 * c).tolist()
-        corners += g.corners.tolist()
-        edges += (g.dart_edge + 8 * c).tolist()
+        colors += color.tolist()
+        quads += (quad + 4 * c).tolist()
+        corners += [[complex(z) for z in row] for row in corner]
+        edges += (edge + 8 * c).tolist()
     ids = sorted(set(range(4 * copies)) - set(glue))
     new = {v: i for i, v in enumerate(ids)}
     new.update({v: new[u] for v, u in glue.items()})

@@ -513,11 +513,9 @@ def _run(args):
         reference = None
         if args.reference == "analytic":
             gen = getattr(obj, "generator", None) or {}
-            if gen.get("kind") == "torus":
-                reference = np.array([[complex(*gen["tau"])]])
-            else:
-                print("no analytic reference for this surface", file=sys.stderr)
-                return 2
+            if gen.get("kind") != "torus":
+                raise SurfaceError("no analytic reference for this surface")
+            reference = np.array([[complex(*gen["tau"])]])
         report, pms, fam = run_converge(
             obj, levels=args.levels, adapted=args.adapted,
             base_cell=args.cell, reference=reference, tol=args.tol, band=args.band)

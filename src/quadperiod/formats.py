@@ -86,10 +86,13 @@ def graph_from_doc(doc):
         raise SurfaceError("each quad row must hold 4 integer vertex ids and 8 chart floats")
     quads = table[:, :4].astype(np.int64)
     corners = np.ascontiguousarray(table[:, 4:]).view(complex)
-    cones = [ConePoint(vertex=v, angle=a, radius=r)
-             for v, a, r in doc.get("cones", [])]
-    dart_keys = doc.get("edges")
-    return QuadGraph(colors, quads, corners, cones=cones, dart_keys=dart_keys)
+    cones = doc.get("cones", [])
+    for row in cones if isinstance(cones, list) else [cones]:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], int)
+                and all(isinstance(x, (int, float)) and x > 0 for x in row[1:])):
+            raise SurfaceError(f"cone row {row!r} is not [vertex id, angle > 0, radius > 0]")
+    return QuadGraph(colors, quads, corners, cones=[ConePoint(*row) for row in cones],
+                     dart_keys=doc.get("edges"))
 
 
 def write_graph(path, graph):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import BLACK, WHITE, _lattice_codes, _positions, spanning_tree
+from .surface import (BLACK, WHITE, _lattice_codes, _positions, _square_tiled_data,
+                      spanning_tree)
 from . import dec
 from .dec import Differential
 from .harmonic import assemble, solve, solve_elementary
@@ -293,8 +294,9 @@ def abelian_integral(graph, omega, base=None):
 
 
 def abelian_integral_per_polygon(graph, omega):
-    """Branch-consistent primitive of a closed differential on a
-    square-tiled mesh, returned per quarter-square region.
+    """Branch-consistent primitive of a closed differential on a uniform
+    mesh of a square-tiled surface (polygons are axis-aligned unit
+    squares), returned per quarter-square region.
 
     Whole squares stop being simply connected once their boundaries are
     glued (corners collapse, opposite sides may identify), so spanning
@@ -317,6 +319,8 @@ def abelian_integral_per_polygon(graph, omega):
         raise PeriodsError("per-region branches are defined on uniform meshes")
     if k % 4 != 0:
         raise PeriodsError("per-region branches need a cell count divisible by 4")
+    if not np.allclose(_square_tiled_data(surface), (1, 1j)):
+        raise PeriodsError("per-region branches need axis-aligned unit-square polygons")
     npoly = len(surface.polygons)
     kk = k // 2
     # recover each quad's cell index from its chart corners (the vertex

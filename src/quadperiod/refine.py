@@ -198,17 +198,18 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     """Adapted quad mesh of a square-tiled surface: uniform cells of size h
     away from the cones, graded ring patches of half-width 1/4 around
     every cone.  The result is validated (bipartite by construction,
-    image bounds, angle floor) before it is returned."""
-    if len(surface.polygons) == 1 and not surface.cone_classes:
+    image bounds, angle floor) before it is returned.  A surface without
+    cones gets its uniform mesh, whatever its frame."""
+    if not surface.cone_classes:
         return build_quad_graph(surface, h)
-    _square_tiled_data(surface)
+    frame = _square_tiled_data(surface)
+    if not np.isclose(frame[1], 1j * frame[0]):
+        raise RefineError("cone patches need square polygons (ey = i ex)")
     k_f = 1.0 / h
     k = int(round(k_f))
     if abs(k - k_f) > 1e-9 or k < 4 or (k & (k - 1)) != 0:
         raise RefineError(
             f"adapted meshes need a power-of-two cell count >= 4, got 1/{h}")
-    if not surface.cone_classes:
-        return build_quad_graph(surface, h)
     patches, blocks = [], []
     start = len(surface.polygons) * (2 * k + 1) ** 2   # first code above the 2k lattice
     for cid in surface.cone_classes:
@@ -222,7 +223,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
 
     # the uniform grid outside the patches, numbered after them
     (cell_poly, _, _), corner_codes, mid_codes, pos = _grid_cells(
-        surface, k, _kept_cells(surface, k))
+        surface, k, _kept_cells(surface, k), frame)
     vertex_codes, _ = _first_appearance(np.concatenate(order + [corner_codes.ravel()]))
     quads = _positions(vertex_codes, np.concatenate(quads + [corner_codes]))
     colors = _bipartite_colors(len(vertex_codes), quads)

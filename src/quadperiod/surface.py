@@ -6,11 +6,15 @@ into quadrilaterals whose vertex graph is bipartite (black/white).  Each
 quad stores its own isometric chart; no global coordinates exist, and all
 downstream quantities are per-quad or combinatorial.
 
-Meshes are built on integer arrays, with one key scheme for every
-square-tiled mesh.  A mesh with k cells per side keys each grid vertex
-and edge midpoint by the integer code of a point (p, x, y) of the 2k
-lattice of unit square p; a point on a glued side takes its smallest
-image (a side point at parameter t maps to 2k - t on the partner side, a
+Meshes are built on integer arrays, with one key scheme for every mesh
+of glued polygons, tori included.  The polygons are translates of one
+parallelogram glued by translations; its sides ex, ey leaving the first
+vertex are the frame of the surface (1 and i for a square-tiled surface,
+1 and tau for the torus of modulus tau).  A mesh with k cells per side
+keys each grid vertex and edge midpoint by the integer code of a point
+(p, x, y) of the 2k lattice of polygon p, the point (x ex + y ey) / 2k
+from its first vertex; a point on a glued side takes its smallest image
+(a side point at parameter t maps to 2k - t on the partner side, a
 corner to the smallest corner of its vertex class).  The cone patches of
 adapted meshes (refine.py) put their boundary on the same lattice and
 key the rest of their vertices and edges by integers above its range.
@@ -632,43 +636,30 @@ def mesh_stats(graph):
 # Generators
 # ---------------------------------------------------------------------------
 
-def generate_torus(tau, n):
-    """n x n parallelogram mesh of the flat torus with modulus tau.
-
-    n must be even: the checkerboard coloring of an odd grid does not
-    close up around the torus.  Vertex (i, j) has id i * n + j; edge keys
-    are i * n + j for the horizontal edge leaving vertex (i, j) and
-    n * n + i * n + j for the vertical one.
-    """
+def torus_surface(tau):
+    """The flat torus of modulus tau: one parallelogram with sides 1 and
+    tau, opposite sides glued."""
     tau = complex(tau)
     if tau.imag <= 0:
         raise SurfaceError("torus modulus must have positive imaginary part")
-    if n % 2 != 0 or n < 2:
-        raise SurfaceError(f"grid size {n} is odd; bipartite coloring needs even n")
-    u = 1.0 / n
-    v = tau / n
-    i, j = np.indices((n, n)).reshape(2, -1)
-    vid = lambda a, b: (a % n) * n + b % n
-    colors = ((i + j) % 2).astype(np.int8)
-    cells = np.stack([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=1)
-    z00 = i * u + j * v
-    pos = np.stack([z00, z00 + u, z00 + u + v, z00 + v], axis=1)
-    ek = np.stack([vid(i, j), n * n + vid(i + 1, j), vid(i, j + 1), n * n + vid(i, j)],
-                  axis=1)
-    cells, pos, ek = _rotate_to_black(colors[cells[:, 0]], cells, pos, ek)
-    steps = np.arange(n)
-    loops = {
-        "a": [{"verts": (steps * n).tolist(), "edge_keys": (steps * n).tolist()}],
-        "b": [{"verts": steps.tolist(), "edge_keys": (n * n + steps).tolist()}],
-    }
-    meta = {"kind": "torus", "tau": tau, "n": n, "loops": loops}
-    return QuadGraph(colors, cells, pos, cones=(),
-                     vertex_keys=functools.partial(_torus_keys, n),
-                     meta=meta, dart_keys=ek)
+    poly = [[0, 0], [1, 0], [1 + tau.real, tau.imag], [tau.real, tau.imag]]
+    return PolyhedralSurface(polygons=[poly], gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3))],
+                             generator={"kind": "torus", "tau": [tau.real, tau.imag]})
 
 
-def _torus_keys(n):
-    return [("t", Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
+def generate_torus(tau, n):
+    """n x n parallelogram mesh of the flat torus with modulus tau, the
+    uniform mesh of torus_surface(tau); meta["tau"] holds tau.
+
+    n must be even and at least 2: the checkerboard coloring of an odd
+    grid does not close up around the torus.
+    """
+    surface = torus_surface(tau)
+    if n < 2 or n % 2 != 0:
+        raise SurfaceError(f"grid size {n} is not an even number >= 2")
+    g = build_quad_graph(surface, 1 / n)
+    g.meta["tau"] = complex(tau)
+    return g
 
 
 def _rotate_to_black(first_color, *tables):
@@ -679,49 +670,31 @@ def _rotate_to_black(first_color, *tables):
 
 
 def _square_tiled_data(surface):
-    """Check that every polygon is an axis-aligned unit square glued by
-    translations."""
+    """Frame (ex, ey) of a parallelogram-tiled surface, as complex numbers:
+    the sides of polygon 0 leaving its first vertex.  Checks that every
+    polygon has the sides ex, ey, -ex, -ey in this order, so it is a
+    translate of polygon 0, and that the gluings are translations."""
+    ex, ey = (complex(*surface.edge_vector(0, e)) for e in (0, 1))
     for p, poly in enumerate(surface.polygons):
         if len(poly) != 4:
             raise SurfaceError(f"polygon {p} is not a quadrilateral")
-        e = [surface.edge_vector(p, k) for k in range(4)]
-        want = [np.array([1.0, 0]), np.array([0, 1.0]),
-                np.array([-1.0, 0]), np.array([0, -1.0])]
-        # allow any cyclic labeling that starts at the bottom-left corner
-        if not all(np.allclose(e[k], want[k], atol=GEOM_TOL) for k in range(4)):
+        sides = [complex(*surface.edge_vector(p, e)) for e in range(4)]
+        if not np.allclose(sides, [ex, ey, -ex, -ey], atol=GEOM_TOL):
             raise SurfaceError(
-                f"polygon {p} is not an axis-aligned unit square with ccw "
-                "vertices from the bottom-left corner")
+                f"polygon {p} is not a translate of polygon 0 with ccw vertices "
+                "from the same corner")
     for (p, e), (q, f) in surface.gluings:
         if (e - f) % 4 != 2:
             raise SurfaceError(f"gluing ({p},{e})~({q},{f}) is not a translation")
+    return ex, ey
 
 
 def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
-    """Mesh a square-tiled surface (or a parallelogram torus) with cells of
-    the given size.  The quotient 1/cell_size must be even so that the
-    checkerboard coloring closes up across translation gluings."""
-    if surface.generator and surface.generator.get("kind") == "torus":
-        tau = complex(*surface.generator["tau"]) if isinstance(
-            surface.generator["tau"], (list, tuple)) else complex(surface.generator["tau"])
-        n = int(round(1.0 / cell_size))
-        return generate_torus(tau, n)
-    if len(surface.polygons) == 1 and len(surface.polygons[0]) == 4 and \
-            not surface.cone_classes:
-        # single parallelogram torus
-        poly = surface.polygons[0]
-        u = poly[1] - poly[0]
-        v = poly[3] - poly[0]
-        tau = complex(*v) / complex(*u)
-        n = int(round(1.0 / cell_size))
-        g = generate_torus(tau, n)
-        # restore true scale so lengths and areas are those of the input
-        scale = complex(*u)
-        g = QuadGraph(g.color, g.quads, g.corners * scale, cones=(),
-                      vertex_keys=g._vertex_keys, meta=g.meta, dart_keys=g.dart_keys)
-        g.meta["tau"] = tau
-        return g
-    _square_tiled_data(surface)
+    """Mesh a parallelogram-tiled surface: every polygon is cut into k x k
+    translates of the parallelogram with sides ex / k, ey / k, where ex, ey
+    is the frame of the surface and k = 1 / cell_size.  k must be even so
+    that the checkerboard coloring closes up across translation gluings."""
+    frame = _square_tiled_data(surface)
     k_f = 1.0 / cell_size
     k = int(round(k_f))
     if abs(k - k_f) > 1e-9 or k % 2 != 0:
@@ -730,11 +703,23 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     if adapted:
         from .refine import generate_adapted
         return generate_adapted(surface, cell_size, phi_floor=phi_floor)
-    return _uniform_square_tiled(surface, k)
+    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(
+        surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
+    vertex_codes, quads = _first_appearance(corner_codes)
+    colors = np.zeros(len(vertex_codes), dtype=np.int8)
+    colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
+    quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
+
+    meta = {"kind": "square_tiled", "k": k,
+            "loops": _reference_loops(surface, k, vertex_codes),
+            "poly_of_quad": p.ravel(), "vertex_codes": vertex_codes, "surface": surface}
+    keys = functools.partial(_lattice_keys, vertex_codes, 2 * k)
+    return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
+                     vertex_keys=keys, meta=meta, dart_keys=dart_keys)
 
 
 def _lattice_table(surface):
-    """Gluing table of a square-tiled surface, cached on it: partner
+    """Gluing table of a parallelogram-tiled surface, cached on it: partner
     (polygon, side) of every side, and for every corner the (polygon,
     corner) of the smallest image in its vertex class."""
     table = getattr(surface, "_lattice", None)
@@ -756,8 +741,8 @@ _CORNER_Y = np.array([0, 0, 1, 1])
 
 def _lattice_codes(surface, p, x, y, L):
     """Integer key of lattice points (p, x, y), 0 <= x, y <= L in units of
-    1/L of unit square p: the code (p * (L + 1) + x) * (L + 1) + y of the
-    smallest image under the gluings."""
+    1/L of the frame of polygon p: the code (p * (L + 1) + x) * (L + 1) + y
+    of the smallest image under the gluings."""
     sides, corners = _lattice_table(surface)
     on = np.stack(np.broadcast_arrays(y == 0, x == L, y == L, x == 0))
     n_on = on.sum(axis=0)
@@ -777,18 +762,21 @@ def _code(p, x, y, L):
     return (p * (L + 1) + x) * (L + 1) + y
 
 
-def _grid_cells(surface, k, keep):
+def _grid_cells(surface, k, keep, frame):
     """Cells (p, i, j) of the k x k grids, in row-major order, where the
     (P, k, k) mask keep is true: their indices as (n, 1) columns, the
-    lattice codes (2k lattice) of their corners, ccw from the lower left,
-    and of the midpoints of the sides leaving them, and their charts."""
+    lattice codes (2k lattice) of their corners, ccw from the first, and
+    of the midpoints of the sides leaving them, and their charts in the
+    frame (ex, ey)."""
     p, i, j = np.argwhere(keep).T[..., None]
+    ex, ey = frame
     L, s = 2 * k, 1.0 / k
     corner_codes = _lattice_codes(surface, p, 2 * (i + _CORNER_X), 2 * (j + _CORNER_Y), L)
     mid_codes = _lattice_codes(surface, p, 2 * i + [1, 2, 1, 0], 2 * j + [0, 1, 2, 1], L)
-    origin = np.array([poly[0] for poly in surface.polygons])[p]
-    z = (origin[..., 0] + i * s) + 1j * (origin[..., 1] + j * s)
-    pos = np.concatenate([z, z + s, z + s + 1j * s, z + 1j * s], axis=1)
+    origin = np.array([complex(*poly[0]) for poly in surface.polygons])[p]
+    z = origin + i * s * ex + j * s * ey
+    # offsets last: square-tiled charts round exactly as x + s, y + s
+    pos = z + s * np.array([0, ex, ex + ey, ey])
     return (p, i, j), corner_codes, mid_codes, pos
 
 
@@ -815,23 +803,6 @@ def _positions(distinct, codes):
     return at
 
 
-def _uniform_square_tiled(surface, k):
-    L = 2 * k
-    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(
-        surface, k, np.ones((len(surface.polygons), k, k), dtype=bool))
-    vertex_codes, quads = _first_appearance(corner_codes)
-    colors = np.zeros(len(vertex_codes), dtype=np.int8)
-    colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
-    quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
-
-    meta = {"kind": "square_tiled", "k": k,
-            "loops": _reference_loops(surface, k, vertex_codes),
-            "poly_of_quad": p.ravel(), "vertex_codes": vertex_codes, "surface": surface}
-    keys = functools.partial(_lattice_keys, vertex_codes, L)
-    return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
-                     vertex_keys=keys, meta=meta, dart_keys=dart_keys)
-
-
 def _lattice_keys(codes, L):
     """("v", p, x, y) keys, Fraction coordinates, of lattice codes."""
     p, r = np.divmod(np.ravel(codes), (L + 1) ** 2)
@@ -841,7 +812,7 @@ def _lattice_keys(codes, L):
 
 
 def _attach_cones(surface, k, vertex_codes):
-    """Cone points of a square-tiled mesh whose vertex v has the code
+    """Cone points of a lattice mesh whose vertex v has the code
     vertex_codes[v] (its 2k-lattice code where it has one)."""
     L = 2 * k
     cones = []
@@ -855,7 +826,7 @@ def _attach_cones(surface, k, vertex_codes):
 
 
 def _reference_loops(surface, k, vertex_codes):
-    """Horizontal and vertical cylinder core loops through square centers.
+    """Cylinder core loops along ex and ey through polygon centers.
 
     These depend only on the surface, not on the mesh level, so period
     matrices computed on different refinements share one homology basis.
@@ -908,14 +879,7 @@ def load_surface(doc):
         kind = gen.get("kind")
         if kind == "torus":
             tau = gen["tau"]
-            tau = complex(tau[0], tau[1]) if isinstance(tau, (list, tuple)) else complex(tau)
-            poly = np.array([[0, 0], [1, 0], [1 + tau.real, tau.imag], [tau.real, tau.imag]])
-            s = PolyhedralSurface(
-                polygons=[poly],
-                gluings=[(((0, 0)), (0, 2)), ((0, 1), (0, 3))],
-                generator={"kind": "torus", "tau": [tau.real, tau.imag]},
-            )
-            return s
+            return torus_surface(complex(*tau) if isinstance(tau, (list, tuple)) else tau)
         if kind == "l_shape":
             return l_shape_surface()
         if kind == "square_tiled":

@@ -247,7 +247,9 @@ def _raw_torus_doc(**changes):
     (_raw_torus_doc(vertices=None), "needs 'vertices' and 'quads'"),
     (_raw_torus_doc(quads=[[0, 1, 5, 4, 0.0, 0.0, 0.25, 0.0]]), "4 integer vertex ids"),
     (_raw_torus_doc(vertices=[[i, "red"] for i in range(16)]), "'black' | 'white'"),
-], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color"])
+    (_raw_torus_doc(cones=[[1, 2.0]]), "cone row [1, 2.0] is not"),
+], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
+        "short-cone-row"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"
     if text is not None:
@@ -257,3 +259,10 @@ def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, messa
     assert rc == 2
     assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_converge_without_analytic_reference_exits_2(lshape_doc, tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "converge", lshape_doc, "--reference", "analytic"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "quadperiod: error: no analytic reference for this surface\n"

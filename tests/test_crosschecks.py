@@ -198,6 +198,31 @@ def four_square_origami():
     return PolyhedralSurface(polygons=polys, gluings=gl)
 
 
+@pytest.fixture(scope="module")
+def sheared_origami(four_square_origami):
+    """The two-cone origami under (x, y) -> (x + 0.35 y, 0.8 y): genus 2,
+    every quad of its uniform meshes non-orthodiagonal."""
+    shear = np.array([[1, 0.35], [0, 0.8]])
+    return PolyhedralSurface(polygons=[p @ shear.T for p in four_square_origami.polygons],
+                             gluings=four_square_origami.gluings)
+
+
+def test_sheared_origami_passes_checks(sheared_origami):
+    from quadperiod.cli import run_check
+    from quadperiod.harmonic import assemble
+    g = build_quad_graph(sheared_origami, 1 / 8)
+    assert g.n_quads == 256 and g.genus() == 2
+    assert np.all(np.abs(assemble(g, homology_basis(g)).w12) > 1e-3)
+    checks, passed, _ = run_check(g, 1e-10, seed=0)
+    assert passed, [c for c in checks if not c[3]]
+
+
+def test_sheared_origami_has_no_adapted_mesh(sheared_origami):
+    from quadperiod.refine import generate_adapted
+    with pytest.raises(SurfaceError, match="square polygons"):
+        generate_adapted(sheared_origami, 1 / 8)
+
+
 def test_origami_structure(four_square_origami):
     s = four_square_origami
     assert s.genus == 2

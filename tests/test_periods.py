@@ -94,8 +94,8 @@ def test_period_matrix_torus_skew(torus_skew_4):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_period_matrix_explicit_parallelogram(n):
-    # a one-polygon surface document (no generator) meshes through the
-    # torus generator and keeps its edge keys for the reference loops
+    # a one-polygon surface (no generator) meshes on the lattice codes,
+    # whose edge keys carry the reference loops
     from quadperiod.surface import PolyhedralSurface, build_quad_graph
     u, v = 2 + 0.5j, 1 + 1.6j
     poly = [[0, 0], [u.real, u.imag], [(u + v).real, (u + v).imag], [v.real, v.imag]]
@@ -104,6 +104,18 @@ def test_period_matrix_explicit_parallelogram(n):
                          1 / n)
     pm = period_matrices(g, homology_basis(g))
     assert np.allclose(pm.pi, [[v / u]], atol=1e-9)
+
+
+def test_period_matrix_parallelogram_document():
+    # sides (2, 0) and 2 tau: a frame of any length gives pi = tau
+    from quadperiod.surface import build_quad_graph, load_surface
+    tau = 0.5 + 0.8j
+    corners = [0, 2, 2 + 2 * tau, 2 * tau]
+    doc = {"format": 1, "polygons": [[[z.real, z.imag] for z in corners]],
+           "gluings": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+    g = build_quad_graph(load_surface(doc), 1 / 8)
+    pm = period_matrices(g, homology_basis(g))
+    assert abs(pm.pi[0, 0] - tau) < 1e-10
 
 
 def test_period_matrix_structure(lshape_pack):
@@ -229,6 +241,13 @@ def test_abelian_path_independence_in_polygon(lshape_mesh_4, rng):
         for group in (blacks, whites):
             diffs = [vals[v] - f[v] for v in group]
             assert np.max(np.abs(np.array(diffs) - diffs[0])) < 1e-12
+
+
+def test_abelian_per_polygon_needs_unit_squares():
+    g = generate_torus(0.5 + 0.8j, 8)
+    omega = dec.exterior_derivative(g, np.arange(g.n_vertices, dtype=float))
+    with pytest.raises(PeriodsError, match="unit-square polygons"):
+        abelian_integral_per_polygon(g, omega)
 
 
 def test_abelian_per_polygon_levels_agree(lshape, rng):

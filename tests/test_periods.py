@@ -94,28 +94,17 @@ def test_period_matrix_torus_skew(torus_skew_4):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_period_matrix_explicit_parallelogram(n):
-    # a one-polygon surface (no generator) meshes on the lattice codes,
-    # whose edge keys carry the reference loops
-    from quadperiod.surface import PolyhedralSurface, build_quad_graph
-    u, v = 2 + 0.5j, 1 + 1.6j
-    poly = [[0, 0], [u.real, u.imag], [(u + v).real, (u + v).imag], [v.real, v.imag]]
-    g = build_quad_graph(PolyhedralSurface(polygons=[poly],
-                                           gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3))]),
-                         1 / n)
-    pm = period_matrices(g, homology_basis(g))
-    assert np.allclose(pm.pi, [[v / u]], atol=1e-9)
-
-
-def test_period_matrix_parallelogram_document():
-    # sides (2, 0) and 2 tau: a frame of any length gives pi = tau
+    # one-polygon surface documents (no generator) mesh on the lattice
+    # codes, whose edge keys carry the reference loops; a frame of any
+    # length, here (2, 0) and 2 tau, gives pi = tau
     from quadperiod.surface import build_quad_graph, load_surface
-    tau = 0.5 + 0.8j
-    corners = [0, 2, 2 + 2 * tau, 2 * tau]
-    doc = {"format": 1, "polygons": [[[z.real, z.imag] for z in corners]],
-           "gluings": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
-    g = build_quad_graph(load_surface(doc), 1 / 8)
-    pm = period_matrices(g, homology_basis(g))
-    assert abs(pm.pi[0, 0] - tau) < 1e-10
+    for u, v in ((2 + 0.5j, 1 + 1.6j), (2, 2 * (0.5 + 0.8j))):
+        corners = [0, u, u + v, v]
+        doc = {"format": 1, "polygons": [[[z.real, z.imag] for z in corners]],
+               "gluings": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+        g = build_quad_graph(load_surface(doc), 1 / n)
+        pm = period_matrices(g, homology_basis(g))
+        assert abs(pm.pi[0, 0] - v / u) < 1e-10
 
 
 def test_period_matrix_structure(lshape_pack):

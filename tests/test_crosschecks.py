@@ -217,6 +217,32 @@ def test_sheared_origami_passes_checks(sheared_origami):
     assert passed, [c for c in checks if not c[3]]
 
 
+@pytest.mark.parametrize("mesh", ["lshape_mesh_4", "torus_skew_4", "sheared_origami_8"])
+def test_measure_periods_match_path_integrals(mesh, request):
+    """measure_periods agrees with integrate_path summed over the projected
+    chains, for every basis element and both colours, on a random closed
+    complex differential (an exact form plus cocycle jumps)."""
+    from quadperiod.dec import PeriodData
+    if mesh == "sheared_origami_8":
+        g = build_quad_graph(request.getfixturevalue("sheared_origami"), 1 / 8)
+        assert g.genus() == 2
+    else:
+        g = request.getfixturevalue(mesh)
+    basis = homology_basis(g)
+    rng = np.random.default_rng(7)
+    n = 2 * basis.genus
+    f = rng.normal(size=g.n_vertices) + 1j * rng.normal(size=g.n_vertices)
+    jumps = PeriodData.from_flat(rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n))
+    omega = dec.exterior_derivative(g, f, basis, jumps)
+    p = dec.measure_periods(g, omega, basis)
+    for measured, proj in ((np.concatenate([p.a_black, p.b_black]), basis.proj_black),
+                           (np.concatenate([p.a_white, p.b_white]), basis.proj_white)):
+        want = np.array([sum(c * dec.integrate_path(g, omega, dc) for c, dc in chain)
+                         for chain in proj])
+        assert len(want) == n
+        assert np.max(np.abs(measured - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sheared_origami_has_no_adapted_mesh(sheared_origami):
     from quadperiod.refine import generate_adapted
     with pytest.raises(SurfaceError, match="square polygons"):

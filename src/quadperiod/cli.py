@@ -20,25 +20,19 @@ import numpy as np
 from . import dec, formats
 from .dec import PeriodData
 from .harmonic import HarmonicError, assemble, solve, verify_minimality
-from .homology import HomologyError, homology_basis
+from .homology import HomologyError, homology_basis, intersection_number
 from .periods import (
     PeriodsError,
     abelian_integral,
     bilinear_identity_residual,
     canonical_differentials,
     convergence_diagnostics,
-    energy_form_discrete,
+    energy_identity_residual,
     holomorphic_from_harmonic,
     period_matrices,
 )
 from .refine import sweep
 from .surface import QuadGraph, SurfaceError, build_quad_graph, mesh_stats
-
-
-def _graph_from_input(obj, cell):
-    if isinstance(obj, QuadGraph):
-        return obj
-    return build_quad_graph(obj, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +55,6 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
 
     # homology contracts
     chains = basis.a_chains + basis.b_chains
-    from .homology import intersection_number
     J = np.zeros((2 * g, 2 * g), dtype=np.int64)
     J[:g, g:] = np.eye(g, dtype=np.int64)
     J[g:, :g] = -np.eye(g, dtype=np.int64)
@@ -71,14 +64,11 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
             M[i, j] = sum(a * b * intersection_number(graph, x, y)
                           for a, x in ci for b, y in cj)
     check("homology_symplectic_form", np.max(np.abs(M - J)), 0.0)
-    from .homology import cocycle_period
     worst = 0
-    for color, sig, proj in ((0, basis.sigma_black, basis.proj_black),
-                             (1, basis.sigma_white, basis.proj_white)):
-        for jx in range(2 * g):
-            for kx in range(2 * g):
-                want = 1 if jx == kx else 0
-                worst = max(worst, abs(cocycle_period(sig[kx], proj[jx]) - want))
+    for op, sig in ((basis.op_black, basis.sigma_black),
+                    (basis.op_white, basis.sigma_white)):
+        gap = op @ sig.T - np.eye(2 * g, dtype=np.int64)
+        worst = max(worst, np.max(np.abs(gap), initial=0))
     check("homology_cocycle_periods", worst, 0.0)
 
     # exterior calculus identities
@@ -146,15 +136,10 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
     orthodiagonal = bool(np.max(np.abs(graph.diagonal_ratio.imag)) < 1e-12)
     if orthodiagonal:
         check("periods_orthodiagonal_blocks", d["orthodiagonal_structure"], 1e-8)
-    E = energy_form_discrete(pm.combined)
     echeck = 0.0
     for _ in range(5):
         pr = PeriodData.from_flat(rng.normal(size=4 * g))
-        eta = solve(system, pr, tol).differential
-        om = holomorphic_from_harmonic(graph, eta)
-        e = dec.energy(graph, om)
-        v = pr.quadratic_form_vector()
-        echeck = max(echeck, abs(e - float(v @ E @ v)) / max(e, 1e-300))
+        echeck = max(echeck, energy_identity_residual(graph, basis, system, pm, pr, tol))
     check("periods_energy_form_identity", echeck, 1e-8)
     bil = max(bilinear_identity_residual(graph, basis, w)
               for w in cb.equal_split + cb.black_normalized)
@@ -379,8 +364,10 @@ def make_parser():
 
 
 def _load(path, cell):
+    """The mesh of a surface document at the given cell size, or the mesh
+    a graph document holds."""
     obj = formats.read_surface(path)
-    return _graph_from_input(obj, cell), obj
+    return obj if isinstance(obj, QuadGraph) else build_quad_graph(obj, cell)
 
 
 def main(argv=None):
@@ -407,7 +394,7 @@ def _run(args):
                   f"vertices={st.n_vertices} genus={st.genus} "
                   f"phi_min={formats.fmt(st.phi_min)} wrote={path}")
     elif args.command == "check":
-        graph, _ = _load(args.surface, args.cell)
+        graph = _load(args.surface, args.cell)
         checks, passed, pm = run_check(graph, args.tol, args.seed, args.inject)
         for name, measured, bound, ok in checks:
             print(f"CHECK {name} measured={measured:.3e} bound={bound:.3e} "
@@ -417,7 +404,7 @@ def _run(args):
         print(f"genus={g.genus} RESULT={'PASS' if passed else 'FAIL'}")
         rc = 0 if passed else 1
     elif args.command == "homology":
-        graph, _ = _load(args.surface, args.cell)
+        graph = _load(args.surface, args.cell)
         basis = homology_basis(graph)
         print(f"genus {basis.genus}")
         print("intersection matrix before reduction:")
@@ -434,7 +421,7 @@ def _run(args):
             for k in range(2 * basis.genus):
                 print(f"cocycle {name} {k + 1}: support {int(np.count_nonzero(sig[k]))}")
     elif args.command == "harmonic":
-        graph, _ = _load(args.surface, args.cell)
+        graph = _load(args.surface, args.cell)
         basis = homology_basis(graph)
         vals = args.periods
         g = basis.genus
@@ -461,7 +448,7 @@ def _run(args):
             formats.write_differential(args.dump, eta)
             print(f"wrote {args.dump}")
     elif args.command == "periods":
-        graph, _ = _load(args.surface, args.cell)
+        graph = _load(args.surface, args.cell)
         basis = homology_basis(graph)
         system = assemble(graph, basis)
         cb = canonical_differentials(graph, basis, system, args.tol)
@@ -546,7 +533,7 @@ def _run(args):
         print(f"wrote {path} RESULT={'PASS' if ok else 'FAIL'}")
         rc = 0 if ok else 1
     elif args.command == "integrate":
-        graph, _ = _load(args.surface, args.cell)
+        graph = _load(args.surface, args.cell)
         omega, vals = run_integrate(graph, args.a_periods, args.tol)
         # each vertex at its first corner in the quad table
         _, first = np.unique(graph.quads, return_index=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import BLACK, WHITE
+from .surface import BLACK
 
 
 @dataclass
@@ -47,10 +47,6 @@ class Differential:
 
     def conj(self):
         return Differential(np.conj(self.wb), np.conj(self.ww))
-
-    @property
-    def is_real(self):
-        return float(np.max(np.abs(self.wb.imag)) + np.max(np.abs(self.ww.imag))) < 1e-13
 
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.wb) ** 2 + np.abs(self.ww) ** 2)))
@@ -88,21 +84,11 @@ class PeriodData:
     def b(self):
         return 0.5 * (self.b_black + self.b_white)
 
-    def real(self):
-        return PeriodData(self.a_black.real.copy(), self.b_black.real.copy(),
-                          self.a_white.real.copy(), self.b_white.real.copy())
-
     def quadratic_form_vector(self):
         """Real parts ordered (a white, a black, b black, b white), the
         layout the energy quadratic form acts on."""
         return np.concatenate([self.a_white.real, self.a_black.real,
                                self.b_black.real, self.b_white.real])
-
-    @classmethod
-    def from_quadratic_form_vector(cls, v):
-        g = len(v) // 4
-        return cls(a_white=v[:g], a_black=v[g:2 * g],
-                   b_black=v[2 * g:3 * g], b_white=v[3 * g:])
 
     def flat(self):
         """(a black, b black, a white, b white) concatenation."""
@@ -239,13 +225,8 @@ def quad_gradients(graph, f, basis=None, jumps=None):
     """Per-quad gradient of a real vertex function: the unique vector whose
     products with the two diagonals reproduce the (jump-corrected)
     diagonal differences."""
-    f = np.asarray(f, dtype=float)
-    q = graph.quads
-    db = f[q[:, 2]] - f[q[:, 0]]
-    dw = f[q[:, 3]] - f[q[:, 1]]
-    jb, jw = _jump_values(graph, basis, jumps)
-    db = db + jb
-    dw = dw + jw
+    d = exterior_derivative(graph, np.asarray(f, dtype=float), basis, jumps)
+    db, dw = 2.0 * d.wb.real, 2.0 * d.ww.real
     b, w = graph.black_diag, graph.white_diag
     det = 2.0 * graph.area  # = Im(conj(b) w)
     gx = (w.imag * db - b.imag * dw) / det
@@ -286,7 +267,9 @@ def integrate_path(graph, omega, dcycle):
 
 
 def measure_periods(graph, omega, basis, warn_tol=1e-6):
-    """All black/white periods against a homology basis.  Periods of
+    """All black/white periods against a homology basis: 2 * (op @ values)
+    with the basis' period operators, whose rows are a_1..a_g, b_1..b_g
+    (the factor 2 is the traversal factor of integrate_path).  Periods of
     non-closed differentials depend on the representatives; a warning
     flags that case."""
     ok, worst = is_closed(graph, omega, warn_tol)
@@ -295,13 +278,6 @@ def measure_periods(graph, omega, basis, warn_tol=1e-6):
         warnings.warn(f"measuring periods of a non-closed differential "
                       f"(residual {worst:.3e})", stacklevel=2)
     g = basis.genus
-    out = PeriodData.zeros(g, dtype=complex)
-    for color, field_a, field_b in ((BLACK, "a_black", "b_black"),
-                                    (WHITE, "a_white", "b_white")):
-        vals = omega.wb if color == BLACK else omega.ww
-        for k in range(g):
-            qs, ws = basis.compiled(color, "a", k)
-            getattr(out, field_a)[k] = np.sum(ws * vals[qs])
-            qs, ws = basis.compiled(color, "b", k)
-            getattr(out, field_b)[k] = np.sum(ws * vals[qs])
-    return out
+    black = 2.0 * (basis.op_black @ omega.wb)
+    white = 2.0 * (basis.op_white @ omega.ww)
+    return PeriodData(black[:g], black[g:], white[:g], white[g:])

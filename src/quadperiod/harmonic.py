@@ -36,8 +36,9 @@ class EnergySystem:
     def quadratic_form(self, f, jumps=None):
         """Energy of d(f with jumps); equals the area-weighted squared
         gradient sum by construction."""
-        g = self.graph
-        db, dw = _corrected_differences(g, self.basis, f, jumps)
+        d = dec.exterior_derivative(self.graph, np.asarray(f, dtype=float),
+                                    self.basis, jumps)
+        db, dw = 2.0 * d.wb.real, 2.0 * d.ww.real
         return float(np.sum(self.w11 * db * db + 2 * self.w12 * db * dw
                             + self.w22 * dw * dw))
 
@@ -62,15 +63,6 @@ class EnergySystem:
             A = self.matrix[self._free][:, self._free].tocsc()
             self._factor = spla.splu(A)
         return self._factor, self._free
-
-
-def _corrected_differences(graph, basis, f, jumps):
-    q = graph.quads
-    f = np.asarray(f, dtype=float)
-    db = f[q[:, 2]] - f[q[:, 0]]
-    dw = f[q[:, 3]] - f[q[:, 1]]
-    jb, jw = dec._jump_values(graph, basis, jumps)
-    return db + jb, dw + jw
 
 
 def assemble(graph, basis, pinned=None):
@@ -127,7 +119,10 @@ class HarmonicSolution:
     period_error: float
 
 
-def solve(system, jumps, tol=1e-10, refine_steps=2):
+REFINE_STEPS = 2   # iterative refinement steps per solve
+
+
+def solve(system, jumps, tol=1e-10):
     """Harmonic differential with the given real black/white periods.
 
     Closedness is exact by construction; co-closedness and the period
@@ -136,15 +131,13 @@ def solve(system, jumps, tol=1e-10, refine_steps=2):
     g = system.graph
     rhs = system.rhs(jumps)
     factor, free = system.factorized()
+    # x stays zero at the pinned vertices, so (A x)[free] = A_ff x[free]
     x = np.zeros(g.n_vertices)
     b_free = rhs[free]
-    x_free = factor.solve(b_free)
-    A_ff = system.matrix[free][:, free]
-    for _ in range(refine_steps):
-        r = b_free - A_ff @ x_free
-        x_free = x_free + factor.solve(r)
-    x[free] = x_free
-    rnorm = float(np.linalg.norm(b_free - A_ff @ x_free))
+    x[free] = factor.solve(b_free)
+    for _ in range(REFINE_STEPS):
+        x[free] += factor.solve(b_free - (system.matrix @ x)[free])
+    rnorm = float(np.linalg.norm(b_free - (system.matrix @ x)[free]))
     scale = max(float(np.linalg.norm(b_free)), 1e-300)
     residual = rnorm / scale
     if residual > tol:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .surface import BLACK, WHITE, spanning_tree
 
@@ -360,32 +361,33 @@ def project_cycle(graph, cycle, color, clockwise=False):
     return DiagonalCycle(color=color, steps=steps)
 
 
-def compile_steps(chain_projections):
-    """Flatten [(coeff, DiagonalCycle)] into (quad index, weight) arrays."""
-    qs, ws = [], []
-    for coeff, dc in chain_projections:
-        for q, s in dc.steps:
-            qs.append(q)
-            ws.append(coeff * s)
-    return np.asarray(qs, dtype=np.int64), np.asarray(ws, dtype=np.int64)
+def period_operator(chain_projections, n_quads):
+    """Integer (len(chain_projections), n_quads) CSR matrix of projected
+    chains [(coeff, DiagonalCycle)]: row i sums coeff * sign over the
+    diagonals of chain i, so its product with a cochain on the same
+    colour's diagonals is the chain's period (without the factor 2 of
+    dec.integrate_path)."""
+    rows, qs, ws = [], [], []
+    for i, chain in enumerate(chain_projections):
+        for coeff, dc in chain:
+            for q, s in dc.steps:
+                rows.append(i)
+                qs.append(q)
+                ws.append(coeff * s)
+    return sp.csr_matrix((np.asarray(ws, dtype=np.int64), (rows, qs)),
+                         shape=(len(chain_projections), n_quads))
 
 
 # ---------------------------------------------------------------------------
 # Cocycles with prescribed periods
 # ---------------------------------------------------------------------------
 
-def cocycle_period(sigma, dcycles):
-    """Period of an integer diagonal cochain along projected cycles."""
-    qs, ws = compile_steps(dcycles)
-    return int(ws @ sigma[qs])
-
-
 def build_cocycles(graph, projections, color):
     """Integer cochains sigma_1..sigma_{2g} on one color's diagonals whose
     periods along the 2g projected basis cycles are delta_{jk}.
 
-    projections: list of 2g compiled projections (lists of (coeff,
-    DiagonalCycle)) of the canonical basis cycles in the same color.
+    projections: list of 2g projections (lists of (coeff, DiagonalCycle))
+    of the canonical basis cycles in the same color.
     """
     V, F = graph.n_vertices, graph.n_quads
     ends = graph.diagonal_ends(color)
@@ -414,8 +416,7 @@ def build_cocycles(graph, projections, color):
     basis_sigma[pq] = np.where(faces[0][pq] == child, -1, 1)[:, None] * flux[child]
     if np.any(_face_sums(faces, basis_sigma, V)):
         raise HomologyError("cocycle is not closed at every face")
-    P = np.array([ws @ basis_sigma[qs]
-                  for qs, ws in map(compile_steps, projections)]).reshape(n, n)
+    P = period_operator(projections, F) @ basis_sigma
     # exact solve P X = I: X must be integral (P unimodular) or the
     # periods were inconsistent
     rows, pivots = _rref(np.hstack([P, np.eye(n, dtype=np.int64)]))
@@ -466,6 +467,15 @@ def _rref(M):
 
 @dataclass
 class HomologyBasis:
+    """Canonical basis a_1..a_g, b_1..b_g with its projections to the two
+    diagonal graphs and the cocycles sigma whose periods are delta_jk.
+
+    op_black and op_white are the period operators of the projections
+    (period_operator), built once: integer (2g, F) CSR matrices with rows
+    a_1..a_g then b_1..b_g.  The black periods of a closed differential
+    omega are 2 * (op_black @ omega.wb), the white ones
+    2 * (op_white @ omega.ww), and op @ sigma.T is the identity."""
+
     graph: object
     a_chains: list
     b_chains: list
@@ -475,23 +485,17 @@ class HomologyBasis:
     sigma_white: np.ndarray = field(repr=False, default=None)
     intersection_before: np.ndarray = None
     transform: np.ndarray = None
+    op_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    op_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        F = self.graph.n_quads
+        self.op_black = period_operator(self.proj_black, F)
+        self.op_white = period_operator(self.proj_white, F)
 
     @property
     def genus(self):
         return len(self.a_chains)
-
-    def compiled(self, color, kind, k):
-        """(quad indices, weights) for period integration along basis
-        element k; kind is 'a' or 'b', weights include the traversal
-        factor 2 per diagonal."""
-        cache = self.__dict__.setdefault("_compiled", {})
-        key = (color, kind, k)
-        if key not in cache:
-            proj = (self.proj_black if color == BLACK else self.proj_white)
-            idx = k if kind == "a" else self.genus + k
-            qs, ws = compile_steps(proj[idx])
-            cache[key] = (qs, 2.0 * ws)
-        return cache[key]
 
 
 def _select_spanning_cycles(graph, candidates, rank):
@@ -533,8 +537,7 @@ def homology_basis(graph, clockwise=False):
                 len(_rref(intersection_matrix(graph, candidates))[1]) != rank:
             candidates += basis_cycles(graph)
         try:
-            cycles, _ = _select_spanning_cycles(graph, candidates, rank)
-            M = intersection_matrix(graph, cycles)
+            cycles, M = _select_spanning_cycles(graph, candidates, rank)
             a_chains, b_chains, S = symplectic_basis(graph, cycles, M)
         except HomologyError:
             # the loops can generate a finite-index sublattice; fall back

@@ -601,12 +601,6 @@ def _tri_area(a, b, c):
     return 0.5 * np.imag(np.conj(b - a) * (c - a))
 
 
-def diagonal_ratio(graph, q=None):
-    """Complex structure datum of one quad (or all quads)."""
-    r = graph.diagonal_ratio
-    return r if q is None else complex(r[q])
-
-
 def mesh_stats(graph):
     """Edge-length, angle and genus summary of a quad-graph."""
     c = graph.corners
@@ -744,18 +738,24 @@ def _lattice_codes(surface, p, x, y, L):
     1/L of the frame of polygon p: the code (p * (L + 1) + x) * (L + 1) + y
     of the smallest image under the gluings."""
     sides, corners = _lattice_table(surface)
-    on = np.stack(np.broadcast_arrays(y == 0, x == L, y == L, x == 0))
+    p, x, y = np.broadcast_arrays(p, x, y)
+    on = np.stack((y == 0, x == L, y == L, x == 0))
     n_on = on.sum(axis=0)
+    codes = np.asarray(_code(p, x, y, L))
     # a side point at parameter t maps to parameter L - t on the partner side
-    e = np.argmax(on, axis=0)
-    q, f = sides[p, e, 0], sides[p, e, 1]
-    t = L - np.choose(e, [x, y, L - x, L - y])
+    side = n_on == 1
+    e = np.argmax(on[:, side], axis=0)
+    p1, x1, y1 = p[side], x[side], y[side]
+    q, f = sides[p1, e, 0], sides[p1, e, 1]
+    t = L - np.choose(e, [x1, y1, L - x1, L - y1])
     partner = _code(q, np.choose(f, [t, L, L - t, 0]), np.choose(f, [0, t, L, L - t]), L)
-    c = np.where(x == L, np.where(y == L, 2, 1), np.where(y == L, 3, 0))
-    cq, cc = corners[p, c, 0], corners[p, c, 1]
-    own = _code(p, x, y, L)
-    return np.where(n_on == 2, _code(cq, _CORNER_X[cc] * L, _CORNER_Y[cc] * L, L),
-                    np.where(n_on == 1, np.minimum(own, partner), own))
+    codes[side] = np.minimum(codes[side], partner)
+    corner = n_on == 2
+    x2, y2 = x[corner], y[corner]
+    c = np.where(x2 == L, np.where(y2 == L, 2, 1), np.where(y2 == L, 3, 0))
+    cq, cc = corners[p[corner], c, 0], corners[p[corner], c, 1]
+    codes[corner] = _code(cq, _CORNER_X[cc] * L, _CORNER_Y[cc] * L, L)
+    return codes
 
 
 def _code(p, x, y, L):

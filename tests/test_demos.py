@@ -1,4 +1,4 @@
-"""The torus demos run to completion as scripts."""
+"""The torus and adapted-mesh demos run to completion as scripts."""
 
 import os
 import subprocess
@@ -9,7 +9,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["torus_period_matrix.py", "abelian_integrals.py"])
+@pytest.mark.parametrize("demo", ["torus_period_matrix.py", "abelian_integrals.py",
+                                  "adapted_meshes.py"])
 def test_demo_exits_0(demo, tmp_path):
     path = os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],

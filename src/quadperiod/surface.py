@@ -751,9 +751,9 @@ def _lattice_codes(surface, p, x, y, L):
     partner = _code(q, np.choose(f, [t, L, L - t, 0]), np.choose(f, [0, t, L, L - t]), L)
     codes[side] = np.minimum(codes[side], partner)
     corner = n_on == 2
-    x2, y2 = x[corner], y[corner]
+    p2, x2, y2 = p[corner], x[corner], y[corner]
     c = np.where(x2 == L, np.where(y2 == L, 2, 1), np.where(y2 == L, 3, 0))
-    cq, cc = corners[p[corner], c, 0], corners[p[corner], c, 1]
+    cq, cc = corners[p2, c, 0], corners[p2, c, 1]
     codes[corner] = _code(cq, _CORNER_X[cc] * L, _CORNER_Y[cc] * L, L)
     return codes
 

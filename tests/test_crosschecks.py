@@ -182,31 +182,6 @@ def test_skew_torus_tree_cotree_modulus(torus_skew_4):
     assert tau.imag > 0
 
 
-@pytest.fixture(scope="module")
-def four_square_origami():
-    """Genus-2 surface with two cones of angle 4*pi (index 1/2): four unit
-    squares in a row, rights glued to lefts by (0 1 3 2) and tops to
-    bottoms by (2 3 0 1)."""
-    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    sh = (0, 1, 3, 2)
-    sv = (2, 3, 0, 1)
-    polys = [sq + [i, 0] for i in range(4)]
-    gl = []
-    for i in range(4):
-        gl.append(((i, 1), (sh[i], 3)))
-        gl.append(((i, 2), (sv[i], 0)))
-    return PolyhedralSurface(polygons=polys, gluings=gl)
-
-
-@pytest.fixture(scope="module")
-def sheared_origami(four_square_origami):
-    """The two-cone origami under (x, y) -> (x + 0.35 y, 0.8 y): genus 2,
-    every quad of its uniform meshes non-orthodiagonal."""
-    shear = np.array([[1, 0.35], [0, 0.8]])
-    return PolyhedralSurface(polygons=[p @ shear.T for p in four_square_origami.polygons],
-                             gluings=four_square_origami.gluings)
-
-
 def test_sheared_origami_passes_checks(sheared_origami):
     from quadperiod.cli import run_check
     from quadperiod.harmonic import assemble

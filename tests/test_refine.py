@@ -210,6 +210,20 @@ def test_adapted_roundtrip(lshape, tmp_path):
     assert validate_h_adapted(g2, 1 / 8)["passed"]
 
 
+def test_cone_fan_must_close_up(four_square_origami):
+    """Cone rows claiming 3*pi and 5*pi keep Gauss-Bonnet, so the raw
+    document loads; the 5*pi cone (index 2/5) is developed, and its fan
+    of quads sums to 4*pi."""
+    from quadperiod.formats import graph_from_doc, graph_to_doc
+    from quadperiod.surface import SurfaceError
+    doc = graph_to_doc(build_quad_graph(four_square_origami, 1 / 8))
+    for row, angle in zip(doc["cones"], (3 * math.pi, 5 * math.pi)):
+        row[1] = angle
+    g = graph_from_doc(doc)
+    with pytest.raises(SurfaceError, match="cone fan does not close up"):
+        validate_h_adapted(g, 1 / 8)
+
+
 def test_bipartite_colors_rejects_odd_cycle():
     """Quads (0,1,2,3) and (0,2,4,5) close the triangle 0-1-2."""
     assert list(_bipartite_colors(6, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]

@@ -10,6 +10,8 @@ coarsens 2:1 on the way in, closing with a fan of quarter-squares.
 
 import math
 
+import numpy as np
+
 from quadperiod import l_shape_surface, mesh_stats, validate_h_adapted
 from quadperiod.refine import generate_adapted
 from quadperiod.surface import build_quad_graph, develop_cone_disk
@@ -24,11 +26,9 @@ for k in (8, 16, 32):
     rep_a = validate_h_adapted(adapted, h)
     st = mesh_stats(adapted)
     cone = adapted.cones[0]
-    dev, _ = develop_cone_disk(adapted, cone)
-    _, _, quad_after = adapted.rotation()
-    import numpy as np
-    r_inner = min(float(np.sort(np.abs(dev[q]))[1])
-                  for q in quad_after[cone.vertex])
+    quads, dev, _ = develop_cone_disk(adapted, cone)
+    fan = np.any(adapted.quads[quads] == cone.vertex, axis=1)
+    r_inner = float(np.min(np.sort(np.abs(dev[fan]), axis=1)[:, 1]))
     print(f"h = 1/{k}:")
     print(f"  uniform grid:   {uniform.n_quads:>6} quads, image condition "
           f"{'PASS' if rep_u['passed'] else 'FAIL'}")

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import (BLACK, WHITE, _lattice_codes, _positions, _square_tiled_data,
-                      spanning_tree)
+from .surface import BLACK, WHITE, _lattice_codes, _positions, spanning_tree
 from . import dec
 from .dec import Differential
 from .harmonic import assemble, solve, solve_elementary
@@ -295,129 +294,98 @@ def abelian_integral(graph, omega, base=None):
 
 def abelian_integral_per_polygon(graph, omega):
     """Branch-consistent primitive of a closed differential on a uniform
-    mesh of a square-tiled surface (polygons are axis-aligned unit
-    squares), returned per quarter-square region.
+    mesh of a parallelogram-tiled surface, returned per quarter-polygon
+    region.
 
-    Whole squares stop being simply connected once their boundaries are
+    Whole polygons stop being simply connected once their boundaries are
     glued (corners collapse, opposite sides may identify), so spanning
     trees on them pick up period ambiguities that vary between meshes.
-    Quarter squares stay disks under translation gluings, which pins the
-    branch; the per-region constants are chained through vertices at
-    level-independent positions (square centers and glued-edge midpoints
-    for the black class, their immediate neighbors for the white class)
-    and anchored at the polygon-0 origin corner.  Values at a surface
-    point are then comparable across refinement levels.
+    Quarter polygons stay disks under translation gluings, which pins the
+    branch; the per-region constants are chained along a breadth-first
+    tree of links through vertices at level-independent positions
+    (polygon centers and glued-edge midpoints for the black class, their
+    immediate neighbors for the white class) and anchored at the
+    polygon-0 origin corner.  Values at a surface point are then
+    comparable across refinement levels.
 
     Returns a dict: (polygon, qx, qy) -> {vertex id: value}.
     """
-    poly = graph.meta.get("poly_of_quad")
     surface = graph.meta.get("surface")
     k = graph.meta.get("k")
-    if poly is None or surface is None:
+    if surface is None or k is None:
         raise PeriodsError("mesh does not carry polygon provenance")
     if graph.meta.get("adapted"):
         raise PeriodsError("per-region branches are defined on uniform meshes")
     if k % 4 != 0:
         raise PeriodsError("per-region branches need a cell count divisible by 4")
-    if not np.allclose(_square_tiled_data(surface), (1, 1j)):
-        raise PeriodsError("per-region branches need axis-aligned unit-square polygons")
     npoly = len(surface.polygons)
-    kk = k // 2
-    # recover each quad's cell index from its chart corners (the vertex
-    # tuple may be rotated, so take the lower-left corner)
-    z0 = np.array([complex(*surface.polygons[p][0]) for p in range(npoly)])
-    rel = graph.corners - z0[poly][:, None]
-    ij = np.stack([np.rint(np.min(rel.real, axis=1) * k).astype(int),
-                   np.rint(np.min(rel.imag, axis=1) * k).astype(int)], axis=1)
-    regions = {}
-    for p in range(npoly):
-        for qx in (0, 1):
-            for qy in (0, 1):
-                sel = np.where((poly == p)
-                               & ((ij[:, 0] >= kk) == bool(qx))
-                               & ((ij[:, 1] >= kk) == bool(qy)))[0]
-                regions[(p, qx, qy)] = sel
-    raw = {r: _region_tree_values(graph, omega, quads)
-           for r, quads in regions.items()}
+    # uniform meshes list their cells (p, i, j) in row-major order
+    p, i, j = np.unravel_index(np.arange(graph.n_quads), (npoly, k, k))
+    region = 4 * p + 2 * (i >= k // 2) + (j >= k // 2)
+    raw = np.array([_region_tree_values(graph, omega, region == r)
+                    for r in range(4 * npoly)])
 
     L = 2 * k
 
     def vid(p, x, y):
-        """Vertex at the point (x, y) / L of polygon p."""
-        return int(_positions(graph.meta["vertex_codes"], _lattice_codes(surface, p, x, y, L)))
+        """Vertices at the points (x, y) / L of polygons p."""
+        return _positions(graph.meta["vertex_codes"], _lattice_codes(surface, p, x, y, L))
 
-    links = []          # (region_a, region_b, black vertex, white vertex)
-    for p in range(npoly):
-        c = vid(p, k, k)
-        wl = vid(p, k - 2, k)    # white, on the left half of the seam
-        wr = vid(p, k + 2, k)
-        wd = vid(p, k, k - 2)
-        links.append(((p, 0, 0), (p, 0, 1), c, wl))
-        links.append(((p, 1, 0), (p, 1, 1), c, wr))
-        links.append(((p, 0, 0), (p, 1, 0), c, wd))
+    # links (region a, region b, black vertex, white vertex), regions
+    # numbered 4 p + 2 qx + qy: first across the seams of each polygon
+    # through its center, with white vertices beside the center
+    P = np.arange(npoly)
+    c = vid(P, k, k)
+    seams = np.stack([(4 * P, 4 * P + 1, c, vid(P, k - 2, k)),
+                      (4 * P + 2, 4 * P + 3, c, vid(P, k + 2, k)),
+                      (4 * P, 4 * P + 2, c, vid(P, k, k - 2))], axis=2).reshape(4, -1)
     mids = {0: (k, 0), 1: (L, k), 2: (k, L), 3: (0, k)}
     nearw = {0: (k + 2, 0), 1: (L, k + 2), 2: (k + 2, L), 3: (0, k + 2)}
-    touching = {0: ((1, 0), (0, 0)), 1: ((1, 0), (1, 1)),
-                2: ((1, 1), (0, 1)), 3: ((0, 0), (0, 1))}
+    touching = {0: (2, 0), 1: (2, 3), 2: (3, 1), 3: (0, 1)}
+    # then across glued sides, where both regions hold the side's midpoint
+    # and its white neighbor
+    glued = []
     for (p, e), (q, f) in surface.gluings:
-        xb = vid(p, *mids[e])
-        xw = vid(p, *nearw[e])
-        for ra in [(p,) + t for t in touching[e]]:
-            for rb in [(q,) + t for t in touching[f]]:
-                if xb in raw[ra] and xb in raw[rb]:
-                    wv = xw if (xw in raw[ra] and xw in raw[rb]) else None
-                    links.append((ra, rb, xb, wv))
+        xb, xw = int(vid(p, *mids[e])), int(vid(p, *nearw[e]))
+        for ra in 4 * p + np.array(touching[e]):
+            for rb in 4 * q + np.array(touching[f]):
+                if not np.any(np.isnan(raw[[ra, rb]][:, [xb, xw]])):
+                    glued.append((ra, rb, xb, xw))
 
-    # resolve (black, white) offsets over the region graph
-    start = (0, 0, 0)
-    anchor_b = vid(0, 0, 0)
-    center_b = vid(0, k, k)
-    anchor_w = vid(0, k - 2, k)
-    offb = -raw[start][anchor_b]
-    offw = (raw[start][center_b] + offb) - raw[start][anchor_w]
     # resolve both color offsets along one spanning tree of links that
     # carry a crossing vertex of each color: using separate trees per
     # color would put the two classes on different branches of the
     # multi-valued primitive
-    adj = {}
-    for ra, rb, xb, xw in links:
-        if xw is None:
-            continue
-        adj.setdefault(ra, []).append((rb, xb, xw))
-        adj.setdefault(rb, []).append((ra, xb, xw))
-    resolved = {start: (offb, offw)}
-    frontier = [start]
-    while frontier:
-        ra = frontier.pop()
-        for rb, xb, xw in sorted(adj.get(ra, ()), key=lambda t: t[0]):
-            if rb in resolved:
-                continue
-            ob = resolved[ra][0] + raw[ra][xb] - raw[rb][xb]
-            ow = resolved[ra][1] + raw[ra][xw] - raw[rb][xw]
-            resolved[rb] = (ob, ow)
-            frontier.append(rb)
-    if len(resolved) != len(regions):
-        raise PeriodsError("quarter-square regions could not be chained")
+    ra, rb, xb, xw = np.concatenate([seams, np.reshape(glued, (-1, 4)).T], axis=1)
+    tree = spanning_tree(len(raw), ra, rb)
+    if np.any(tree.depth < 0):
+        raise PeriodsError("quarter-polygon regions could not be chained")
+    child = np.flatnonzero(tree.parent_edge >= 0)
+    x = np.stack([xb, xw], axis=1)[tree.parent_edge[child]]
+    step = np.zeros((len(raw), 2), dtype=complex)
+    step[child] = raw[tree.parent[child, None], x] - raw[child[:, None], x]
+    offb = -raw[0, vid(0, 0, 0)]
+    offw = raw[0, c[0]] + offb - raw[0, vid(0, k - 2, k)]
+    total = raw + (tree.prefix_sums(step) + [offb, offw])[:, graph.color]
     out = {}
-    for r, quads in regions.items():
-        ob, ow = resolved[r]
-        out[r] = {v: val + (ob if graph.color[v] == BLACK else ow)
-                  for v, val in raw[r].items()}
+    for r, row in enumerate(total):
+        ids = np.flatnonzero(~np.isnan(raw[r]))
+        out[r // 4, r % 4 // 2, r % 2] = dict(zip(ids.tolist(), row[ids].tolist()))
     return out
 
 
-def _region_tree_values(graph, omega, quads):
-    """Primitive on the vertices of a set of quads, one tree per color,
-    roots at the smallest vertex of each color (value 0)."""
-    inside = np.isin(np.arange(graph.n_quads), quads)
-    vals = {}
+def _region_tree_values(graph, omega, inside):
+    """Primitive on the vertices of the quads where inside is true, one
+    tree per color, roots at the smallest vertex of each color (value
+    0); nan at every other vertex."""
+    vals = np.full(graph.n_vertices, np.nan, dtype=complex)
     for color in (BLACK, WHITE):
-        nodes = np.unique(np.concatenate(
-            [ends[quads] for ends in graph.diagonal_ends(color)]))
+        start, end = graph.diagonal_ends(color)
+        nodes = np.union1d(start[inside], end[inside])
         if len(nodes) == 0:
             continue
         prim = _diagonal_primitive(graph, omega, color, nodes[0], inside)[nodes]
         if np.any(np.isnan(prim)):
             raise PeriodsError("diagonal graph disconnected inside a region")
-        vals.update(zip(nodes.tolist(), prim.tolist()))
+        vals[nodes] = prim
     return vals

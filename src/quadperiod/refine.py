@@ -107,7 +107,7 @@ def subdivide(graph):
     meta = dict(graph.meta)
     if new_loops:
         meta["loops"] = new_loops
-    for key in ("poly_of_quad", "k", "vertex_codes"):   # the 2k lattice is gone
+    for key in ("k", "vertex_codes"):   # the 2k lattice is gone
         meta.pop(key, None)
 
     def keys(source=graph._vertex_keys):   # not the graph: keep no parent alive
@@ -219,10 +219,10 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         rings, kinds = _with_parity(gamma, h, k // 4)
         patch, start = _cone_patch(surface, cid, rings, kinds, k, start, blocks)
         patches.append(patch)
-    order, quads, corners, darts, poly = (list(part) for part in zip(*patches))
+    order, quads, corners, darts = (list(part) for part in zip(*patches))
 
     # the uniform grid outside the patches, numbered after them
-    (cell_poly, _, _), corner_codes, mid_codes, pos = _grid_cells(
+    _, corner_codes, mid_codes, pos = _grid_cells(
         surface, k, _kept_cells(surface, k), frame)
     vertex_codes, _ = _first_appearance(np.concatenate(order + [corner_codes.ravel()]))
     quads = _positions(vertex_codes, np.concatenate(quads + [corner_codes]))
@@ -232,7 +232,6 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         np.concatenate(darts + [mid_codes]))
     meta = {"kind": "square_tiled", "k": k, "adapted": True,
             "loops": _reference_loops(surface, k, vertex_codes),
-            "poly_of_quad": np.concatenate(poly + [cell_poly.ravel()]),
             "vertex_codes": vertex_codes, "surface": surface}
     keys = functools.partial(_patch_keys, vertex_codes, 2 * k, np.array(blocks))
     g = QuadGraph(colors, quads, corners, cones=_attach_cones(surface, k, vertex_codes),
@@ -286,8 +285,8 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
     then those of its mid vertices and of its radial edges inward (the
     fan's at the innermost ring), then its spokes.  Appends (start, cid,
     r, T) of every ring to blocks.  Returns (vertex codes in numbering order,
-    quad vertex codes, chart corners, dart edge codes, polygon of each
-    quad) and the first code after the patch."""
+    quad vertex codes, chart corners, dart edge codes) and the first code
+    after the patch."""
     link = surface.vertex_links[cid]
     K, L, jc = len(link), 2 * k, k // 4
     poly, corner = np.array(link).T
@@ -328,7 +327,7 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
         return x * ex[sec] + y * ey[sec]
 
     cone = lattice(np.zeros(1, dtype=np.int64), 0, 0)
-    order, quads, corners, darts, polys = [cone], [], [], [], []
+    order, quads, corners, darts = [cone], [], [], []
     for r, kind in enumerate(kinds):
         (t_out, p_out), (t_in, p_in) = rings[r], rings[r + 1]
         if kind == "plain":
@@ -359,12 +358,10 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
                                  radial(r, 4 * g + 4), ring(r + 1, 4 * g + 2 * d[:2] + 1),
                                  ring_start[r] + 2 * T[r] + 4 * g + d[:4]], axis=1)
             vpat, epat = _COARSEN_VERTICES, _COARSEN_EDGES
-            sec = sec.ravel()
         order.append(vt.ravel())
         quads.append(vt[:, vpat].reshape(-1, 4))
         corners.append(zt[:, vpat].reshape(-1, 4))
         darts.append(et[:, epat].reshape(-1, 4))
-        polys.append(np.repeat(poly[sec], len(vpat)))
     # closure fan: one quarter-square quad per sector
     rM = len(rings) - 1
     t_M, p_M = rings[rM]
@@ -379,8 +376,7 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
                              chart(i, t_M, 1, 2)], axis=1))
     darts.append(np.stack([radial(rM, 2 * i), ring(rM, 4 * i + 1), ring(rM, 4 * i + 3),
                            radial(rM, 2 * i + 2)], axis=1))
-    polys.append(poly)
-    patch = [np.concatenate(part) for part in (order, quads, corners, darts, polys)]
+    patch = [np.concatenate(part) for part in (order, quads, corners, darts)]
     return patch, int(ring_start[-1] + 3 * T[-1])
 
 

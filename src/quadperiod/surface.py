@@ -26,7 +26,6 @@ first read.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -687,7 +686,8 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     """Mesh a parallelogram-tiled surface: every polygon is cut into k x k
     translates of the parallelogram with sides ex / k, ey / k, where ex, ey
     is the frame of the surface and k = 1 / cell_size.  k must be even so
-    that the checkerboard coloring closes up across translation gluings."""
+    that the checkerboard coloring closes up across translation gluings.
+    Quad (p * k + i) * k + j is cell (i, j) of polygon p, i along ex."""
     frame = _square_tiled_data(surface)
     k_f = 1.0 / cell_size
     k = int(round(k_f))
@@ -697,7 +697,7 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     if adapted:
         from .refine import generate_adapted
         return generate_adapted(surface, cell_size, phi_floor=phi_floor)
-    (p, i, j), corner_codes, mid_codes, pos = _grid_cells(
+    (_, i, j), corner_codes, mid_codes, pos = _grid_cells(
         surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
     vertex_codes, quads = _first_appearance(corner_codes)
     colors = np.zeros(len(vertex_codes), dtype=np.int8)
@@ -706,7 +706,7 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
 
     meta = {"kind": "square_tiled", "k": k,
             "loops": _reference_loops(surface, k, vertex_codes),
-            "poly_of_quad": p.ravel(), "vertex_codes": vertex_codes, "surface": surface}
+            "vertex_codes": vertex_codes, "surface": surface}
     keys = functools.partial(_lattice_keys, vertex_codes, 2 * k)
     return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
                      vertex_keys=keys, meta=meta, dart_keys=dart_keys)
@@ -918,76 +918,48 @@ def l_shape_surface():
 def develop_cone_disk(graph, cone):
     """Lay out the quads of the disk around a cone in its flat polar chart.
 
-    Returns (dev, psi): per-quad developed corner positions (complex, the
-    cone at 0) and per-quad unrolled corner angles (nan at the cone
-    itself).  Positions are consistent within each quad, which is all the
-    image-length checks need.
+    The quads are developed along a breadth-first tree of the dual graph
+    from a quad at the cone; the disk is the component of the cone's fan
+    among the quads with a developed corner within cone.radius.  Returns
+    arrays (quads, dev, psi): the disk's quad ids, ascending, their
+    developed corners (complex, the cone at 0) and their corner angles,
+    unwrapped about each quad's centroid (nan at the cone itself).
+    Positions and angle differences are consistent within each quad,
+    which is all the image-length checks need.
     """
-    v0 = cone.vertex
-    R = cone.radius
-    rot, rot_pos, quad_after = graph.rotation()
-    fan = quad_after[v0]
-    dev = {}
-    psi = {}
-    total = 0.0
-    # place the fan, one sector at a time
-    for q in fan:
-        s = int(np.where(graph.quads[q] == v0)[0][0])
-        z = graph.corners[q] - graph.corners[q, s]
-        zn = z[(s + 1) % 4]  # next corner, on the current sector ray
-        wedge = _corner_angle_c(z, s)
-        rotate = cmath.exp(1j * (total - cmath.phase(zn)))
-        zq = z * rotate
-        dev[q] = zq
-        ang = np.angle(zq)
-        base = np.full(4, total, dtype=float)
-        a = _unwrap(ang, base + wedge / 2)
-        a[s] = math.nan
-        psi[q] = a
-        total += wedge
-    if abs(total - cone.angle) > 1e-7:
+    F = graph.n_quads
+    z = graph.corners.ravel()
+    z_next, z_prev = (np.roll(graph.corners, k, axis=1).ravel() for k in (-1, 1))
+    out = np.flatnonzero(graph.quads.ravel() == cone.vertex)   # darts leaving the cone
+    wedge = np.angle((z_prev[out] - z[out]) / (z_next[out] - z[out])) % TWO_PI
+    if abs(np.sum(wedge) - cone.angle) > 1e-7:
         raise SurfaceError("cone fan does not close up to the stored angle")
-    # breadth-first development outward while quads stay inside the disk
-    dart_edge = graph.dart_edge.tolist()
-    edge_occ = graph.edge_occ.tolist()
-    frontier = list(fan)
-    seen = set(fan)
-    while frontier:
-        q = frontier.pop()
-        zq = dev[q]
-        if np.nanmin(np.abs(zq)) > R:
-            continue
-        for s in range(4):
-            d1, d2 = edge_occ[dart_edge[q][s]]
-            q2, s2 = divmod(d2 if d1 == 4 * q + s else d1, 4)
-            if q2 in seen:
-                continue
-            # align the shared edge: in q it runs corner s -> s+1, in q2
-            # the same edge runs s2 -> s2+1 the opposite way
-            za, zb = zq[s], zq[(s + 1) % 4]
-            w = graph.corners[q2]
-            wa, wb = w[(s2 + 1) % 4], w[s2]
-            alpha = (zb - za) / (wb - wa)
-            beta = za - alpha * wa
-            z2 = alpha * w + beta
-            if np.min(np.abs(z2)) > R:
-                continue
-            dev[q2] = z2
-            ref = psi[q][s if not math.isnan(psi[q][s]) else (s + 1) % 4]
-            psi[q2] = _unwrap(np.angle(z2), np.full(4, ref))
-            seen.add(q2)
-            frontier.append(q2)
-    return dev, psi
-
-
-def _corner_angle_c(z, s):
-    u = z[(s - 1) % 4] - z[s]
-    v = z[(s + 1) % 4] - z[s]
-    return cmath.phase(u / v) % TWO_PI
-
-
-def _unwrap(angles, ref):
-    return angles + TWO_PI * np.round((ref - angles) / TWO_PI)
+    # a child's chart maps into its parent's by the affine map a w + b that
+    # sends their shared edge onto itself, reversed; the maps compose from
+    # the root outward, the root chart shifted to put the cone at 0
+    ends = graph.edge_occ // 4
+    root = out[0] // 4
+    tree = spanning_tree(F, *ends.T, root=root)
+    child = np.flatnonzero(tree.parent_edge >= 0)
+    darts = graph.edge_occ[tree.parent_edge[child]]
+    mine = darts // 4 == child[:, None]
+    dc, dp = darts[mine], darts[~mine]
+    a = (z_next[dp] - z[dp]) / (z[dc] - z_next[dc])
+    log_a = np.zeros(F, dtype=complex)
+    log_a[child] = np.log(a)
+    alpha = np.exp(tree.prefix_sums(log_a))
+    b = np.zeros(F, dtype=complex)
+    b[child] = alpha[tree.parent[child]] * (z[dp] - a * z_next[dc])
+    beta = tree.prefix_sums(b) - z[out[0]]
+    dev = alpha[:, None] * graph.corners + beta[:, None]
+    near = np.min(np.abs(dev), axis=1) <= cone.radius
+    disk = spanning_tree(F, *ends.T, near[ends].all(axis=1), root).depth >= 0
+    quads = np.flatnonzero(disk)
+    dev = dev[quads]
+    psi = np.angle(dev)
+    psi += TWO_PI * np.round((np.angle(np.sum(dev, axis=1))[:, None] - psi) / TWO_PI)
+    psi[graph.quads[quads] == cone.vertex] = math.nan
+    return quads, dev, psi
 
 
 def cone_image(r, a, gamma):
@@ -1010,8 +982,8 @@ def validate_h_adapted(graph, h):
         if not cone.is_singular or cone.index > 0.5 + 1e-12:
             continue
         gamma = cone.index
-        dev, psi = develop_cone_disk(graph, cone)
-        r, a = np.abs(np.array(list(dev.values()))), np.array(list(psi.values()))
+        _, dev, a = develop_cone_disk(graph, cone)
+        r = np.abs(dev)
         r2, a2 = np.roll(r, -1, axis=1), np.roll(a, -1, axis=1)
         with np.errstate(invalid="ignore"):   # psi is nan at the cone point
             img = np.where((r < GEOM_TOL) | (r2 < GEOM_TOL), np.maximum(r, r2) ** gamma,

@@ -215,28 +215,31 @@ def test_abelian_zero_form(torus_pack):
     assert np.max(np.abs(vals)) == 0
 
 
-def test_abelian_path_independence_in_polygon(lshape_mesh_4, rng):
-    """Within one square the primitive does not depend on the tree: check
-    by integrating around random contractible diagonal loops."""
-    g = lshape_mesh_4
+@pytest.mark.parametrize("mesh", ["lshape_mesh_4", "torus_skew_8", "sheared_origami_8"])
+def test_abelian_path_independence_in_polygon(mesh, request, rng):
+    """Within one quarter polygon the primitive of an exact form d f is f
+    up to one constant per colour, on square and sheared frames alike;
+    each region holds the (k/2 + 1)^2 lattice points of one quarter."""
+    from quadperiod.surface import build_quad_graph
+    if mesh == "torus_skew_8":
+        g = generate_torus(0.5 + 0.8j, 8)
+    elif mesh == "sheared_origami_8":
+        g = build_quad_graph(request.getfixturevalue("sheared_origami"), 1 / 8)
+    else:
+        g = request.getfixturevalue(mesh)
     f = rng.normal(size=g.n_vertices) + 1j * rng.normal(size=g.n_vertices)
     omega = dec.exterior_derivative(g, f)
     out1 = abelian_integral_per_polygon(g, omega)
-    # exactness: the per-polygon primitive of d(f) is f up to constants
+    k = g.meta["k"]
+    assert len(out1) == 4 * len(g.meta["surface"].polygons)
     for p, vals in out1.items():
+        assert len(vals) == (k // 2 + 1) ** 2, p
         ids = sorted(vals)
         blacks = [v for v in ids if g.color[v] == BLACK]
         whites = [v for v in ids if g.color[v] == WHITE]
         for group in (blacks, whites):
             diffs = [vals[v] - f[v] for v in group]
             assert np.max(np.abs(np.array(diffs) - diffs[0])) < 1e-12
-
-
-def test_abelian_per_polygon_needs_unit_squares():
-    g = generate_torus(0.5 + 0.8j, 8)
-    omega = dec.exterior_derivative(g, np.arange(g.n_vertices, dtype=float))
-    with pytest.raises(PeriodsError, match="unit-square polygons"):
-        abelian_integral_per_polygon(g, omega)
 
 
 def test_abelian_per_polygon_levels_agree(lshape, rng):

@@ -84,10 +84,9 @@ def test_adapted_innermost_scale(lshape):
     k = 16
     g = generate_adapted(lshape, 1.0 / k)
     cone = g.cones[0]
-    dev, _ = develop_cone_disk(g, cone)
-    rot, _, quad_after = g.rotation()
-    rmin = min(float(np.sort(np.abs(dev[q]))[1])
-               for q in quad_after[cone.vertex])
+    quads, dev, _ = develop_cone_disk(g, cone)
+    fan = np.any(g.quads[quads] == cone.vertex, axis=1)
+    rmin = float(np.min(np.sort(np.abs(dev[fan]), axis=1)[:, 1]))
     h = 1.0 / k
     # safety factors and the coloring-parity ring push somewhat below h^3
     assert h ** 3 / 500 < rmin < 5 * h ** 3
@@ -102,10 +101,10 @@ def test_worst_cone_image_matches_loop_reference(lshape, adapted):
     h = 1 / 16
     g = generate_adapted(lshape, h) if adapted else build_quad_graph(lshape, h)
     cone = g.cones[0]
-    dev, psi = develop_cone_disk(g, cone)
+    _, dev, psi = develop_cone_disk(g, cone)
     want = 0.0
-    for q, z in dev.items():
-        r, a = np.abs(z), psi[q]
+    for z, a in zip(dev, psi):
+        r = np.abs(z)
         for s in range(4):
             t = (s + 1) % 4
             if max(r[s], r[t]) > cone.radius:
@@ -129,9 +128,9 @@ def test_adapted_edge_length_bound(lshape):
     cone = g.cones[0]
     gamma = cone.index
     C = 1.0 + math.pi / (2.0 * gamma)
-    dev, _ = develop_cone_disk(g, cone)
+    quads, dev, _ = develop_cone_disk(g, cone)
     checked = 0
-    for q, z in dev.items():
+    for q, z in zip(quads, dev):
         r = np.abs(z)
         for s in range(4):
             t = (s + 1) % 4
@@ -229,3 +228,130 @@ def test_bipartite_colors_rejects_odd_cycle():
     assert list(_bipartite_colors(6, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]
     with pytest.raises(RefineError, match="not bipartite"):
         _bipartite_colors(6, [(0, 1, 2, 3), (0, 2, 4, 5)])
+
+
+def _dfs_development(graph, cone):
+    """Reference cone-disk development, the per-quad depth-first search
+    that the spanning-tree development replaced (here on Python scalars):
+    the fan is laid out sector by sector in rotation order, then quads
+    are developed across shared edges while they come within
+    cone.radius.  Returns dicts quad -> developed corners and quad ->
+    unwrapped corner angles."""
+    import cmath
+    from quadperiod.surface import TWO_PI, SurfaceError
+
+    def unwrap(angle, ref):
+        return angle + TWO_PI * round((ref - angle) / TWO_PI)
+
+    v0, R = cone.vertex, cone.radius
+    corners = graph.corners.tolist()
+    _, _, quad_after = graph.rotation()
+    fan = quad_after[v0]
+    dev, psi, total = {}, {}, 0.0
+    for q in fan:
+        s = graph.quads[q].tolist().index(v0)
+        z = [c - corners[q][s] for c in corners[q]]
+        wedge = cmath.phase(z[(s - 1) % 4] / z[(s + 1) % 4]) % TWO_PI
+        rotate = cmath.exp(1j * (total - cmath.phase(z[(s + 1) % 4])))
+        dev[q] = [c * rotate for c in z]
+        psi[q] = [unwrap(cmath.phase(c), total + wedge / 2) for c in dev[q]]
+        psi[q][s] = math.nan
+        total += wedge
+    if abs(total - cone.angle) > 1e-7:
+        raise SurfaceError("cone fan does not close up to the stored angle")
+    dart_edge, edge_occ = graph.dart_edge.tolist(), graph.edge_occ.tolist()
+    frontier, seen = list(fan), set(fan)
+    while frontier:
+        q = frontier.pop()
+        zq = dev[q]
+        if min(map(abs, zq)) > R:
+            continue
+        for s in range(4):
+            d1, d2 = edge_occ[dart_edge[q][s]]
+            q2, s2 = divmod(d2 if d1 == 4 * q + s else d1, 4)
+            if q2 in seen:
+                continue
+            # the shared edge runs s -> s+1 in q and s2 -> s2+1 in q2
+            za, zb = zq[s], zq[(s + 1) % 4]
+            w = corners[q2]
+            wa, wb = w[(s2 + 1) % 4], w[s2]
+            alpha = (zb - za) / (wb - wa)
+            beta = za - alpha * wa
+            z2 = [alpha * c + beta for c in w]
+            if min(map(abs, z2)) > R:
+                continue
+            dev[q2] = z2
+            ref = psi[q][s if not math.isnan(psi[q][s]) else (s + 1) % 4]
+            psi[q2] = [unwrap(cmath.phase(c), ref) for c in z2]
+            seen.add(q2)
+            frontier.append(q2)
+    return dev, psi
+
+
+def _origami(right, top):
+    """Unit squares in a row, rights glued to lefts by the permutation
+    right and tops to bottoms by top."""
+    from quadperiod.surface import PolyhedralSurface
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    gluings = [pair for i in range(len(right))
+               for pair in (((i, 1), (right[i], 3)), ((i, 2), (top[i], 0)))]
+    return PolyhedralSurface(polygons=[sq + [i, 0] for i in range(len(right))],
+                             gluings=gluings)
+
+
+def _two_cone_origami():
+    return _origami((0, 1, 3, 2), (2, 3, 0, 1))
+
+
+DEVELOPMENT_CORPUS = {
+    "lshape-16": lambda: build_quad_graph(l_shape_surface(), 1 / 16),
+    "lshape-64": lambda: build_quad_graph(l_shape_surface(), 1 / 64),
+    **{f"lshape-adapted-{k}": (lambda k=k: generate_adapted(l_shape_surface(), 1 / k))
+       for k in (8, 16, 32, 64, 128)},
+    "origami-two-cones-adapted-8": lambda: generate_adapted(_two_cone_origami(), 1 / 8),
+    "origami-two-cones-adapted-32": lambda: generate_adapted(_two_cone_origami(), 1 / 32),
+    "origami-two-cones-16": lambda: build_quad_graph(_two_cone_origami(), 1 / 16),
+    # a whole-surface development puts quads of other sheets inside the
+    # disks of both cones
+    "origami-six-squares-8": lambda: build_quad_graph(
+        _origami((5, 3, 1, 4, 2, 0), (0, 2, 5, 1, 3, 4)), 1 / 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEVELOPMENT_CORPUS))
+def test_development_matches_dfs_reference(name):
+    """Against the depth-first reference: the same validate_h_adapted
+    verdict, worst cone images within 1e-12 h, and the same corner radii
+    on every quad placed wholly inside the disk.  The reference places a
+    few more quads there, all at the rim, where the disk need not be
+    embedded."""
+    from quadperiod.surface import GEOM_TOL, cone_image
+    g = DEVELOPMENT_CORPUS[name]()
+    h = mesh_stats(g).h if "adapted" in name else 1 / g.meta["k"]
+    report = validate_h_adapted(g, h)
+    passed = mesh_stats(g).h <= h * (1 + 1e-9)
+    for cone in g.cones:
+        if not cone.is_singular or cone.index > 0.5 + 1e-12:
+            continue
+        dev, psi = _dfs_development(g, cone)
+        ref = np.array(list(dev))
+        r, a = np.abs(np.array(list(dev.values()))), np.array(list(psi.values()))
+        r2, a2 = np.roll(r, -1, axis=1), np.roll(a, -1, axis=1)
+        with np.errstate(invalid="ignore"):
+            img = np.where((r < GEOM_TOL) | (r2 < GEOM_TOL), np.maximum(r, r2) ** cone.index,
+                           np.abs(cone_image(r, a, cone.index) - cone_image(r2, a2, cone.index)))
+        want = float(np.max(img, where=np.maximum(r, r2) <= cone.radius, initial=0.0))
+        passed = passed and want <= h * (1 + 1e-9)
+        assert abs(report[f"cone_{cone.vertex}_worst_image"] - want) <= 1e-12 * h
+        # every quad placed wholly inside the disk is placed there by the
+        # reference too, at the same radii; the reference's other quads
+        # wholly inside reach the rim, within h of cone.radius
+        quads, got, _ = develop_cone_disk(g, cone)
+        inside = np.max(np.abs(got), axis=1) <= cone.radius
+        common, mine, theirs = np.intersect1d(quads[inside], ref, return_indices=True)
+        assert len(common) == np.sum(inside) > 0
+        assert np.all(np.max(r[theirs], axis=1) <= cone.radius)
+        assert np.max(np.abs(np.abs(got[inside][mine]) - r[theirs])) <= 1e-12
+        rest = np.delete(np.max(r, axis=1), theirs)
+        assert np.all(rest[rest <= cone.radius] > cone.radius - h)
+    assert report["passed"] == passed

@@ -327,7 +327,7 @@ def test_development_matches_dfs_reference(name):
     embedded."""
     from quadperiod.surface import GEOM_TOL, cone_image
     g = DEVELOPMENT_CORPUS[name]()
-    h = mesh_stats(g).h if "adapted" in name else 1 / g.meta["k"]
+    h = 1 / g.meta["k"]
     report = validate_h_adapted(g, h)
     passed = mesh_stats(g).h <= h * (1 + 1e-9)
     for cone in g.cones:

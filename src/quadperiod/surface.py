@@ -591,8 +591,17 @@ def spanning_tree(n, heads, tails, mask=None, root=0, directed=False):
     parent_edge = np.full(n, len(heads))
     np.minimum.at(parent_edge, b[on], eids[on])
     parent_edge[parent_edge == len(heads)] = -1
-    depth = csgraph.shortest_path(adj, directed=True, unweighted=True, indices=root)
-    depth = np.nan_to_num(depth, posinf=-1).astype(np.int64)
+    # breadth-first order lists each level after the one before, and the
+    # positions of the parents never decrease along it: a level ends
+    # where the parents leave the level before it
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    up = np.r_[-1, pos[parent[order[1:]]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(int(np.searchsorted(up, ends[-1])))
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     return SpanningTree(order, parent, parent_edge, depth)
 
 
@@ -601,7 +610,14 @@ def _tri_area(a, b, c):
 
 
 def mesh_stats(graph):
-    """Edge-length, angle and genus summary of a quad-graph."""
+    """Edge-length, angle and genus summary of a quad-graph, computed once
+    per graph."""
+    if "stats" not in graph._cache:
+        graph._cache["stats"] = _mesh_stats(graph)
+    return graph._cache["stats"]
+
+
+def _mesh_stats(graph):
     c = graph.corners
     h = 0.0
     phi = math.inf

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from quadperiod.surface import BLACK, WHITE, generate_torus
 from quadperiod import dec
 from quadperiod.dec import PeriodData
-from quadperiod.harmonic import assemble, solve, solve_elementary, verify_minimality
+from quadperiod.harmonic import (REFINE_STEPS, REFINE_TARGET, HarmonicError, assemble,
+                                 solve, solve_elementary, verify_minimality)
 from quadperiod.homology import homology_basis
 
 
@@ -122,3 +127,64 @@ def test_elementary_solutions_period_matrix(torus_sys):
         measured = dec.measure_periods(torus_sys.graph, s.differential,
                                        torus_sys.basis)
         assert np.allclose(measured.flat().real, want.flat(), atol=1e-9)
+
+
+class _ScaledFactor:
+    """Stand-in for the SuperLU factor whose first `bad` solves come out
+    scaled by `gain`; counts its solves."""
+
+    def __init__(self, factor, gain, bad):
+        self.factor, self.gain, self.bad, self.calls = factor, gain, bad, 0
+
+    def solve(self, b):
+        self.calls += 1
+        x = self.factor.solve(b)
+        return self.gain * x if self.calls <= self.bad else x
+
+
+def _with_factor(system, gain, bad):
+    factor, _ = system.factorized()
+    scaled = _ScaledFactor(factor, gain, bad)
+    return dataclasses.replace(system, _factor=scaled), scaled
+
+
+_PERIODS = PeriodData(a_black=[1.0, 0.0], b_black=[0.0, -2.0],
+                      a_white=[0.5, 0.0], b_white=[0.0, 1.0])
+
+
+def test_accurate_factor_solves_once(lshape_sys):
+    system, factor = _with_factor(lshape_sys, 1.0, 0)
+    sol = solve(system, _PERIODS)
+    assert factor.calls == 1
+    assert sol.residual <= REFINE_TARGET
+
+
+def test_perturbed_first_pass_is_refined(lshape_sys):
+    system, factor = _with_factor(lshape_sys, 1.0 + 1e-6, 1)
+    sol = solve(system, _PERIODS)
+    assert 2 <= factor.calls <= 1 + REFINE_STEPS
+    assert sol.residual <= REFINE_TARGET
+    ref = solve(lshape_sys, _PERIODS).differential
+    assert (sol.differential - ref).norm() < 1e-12 * ref.norm()
+
+
+def test_factor_short_of_tol_raises(lshape_sys):
+    """Each pass halves the error: three passes leave a relative residual
+    of 1/8, far above tol."""
+    system, factor = _with_factor(lshape_sys, 0.5, np.inf)
+    with pytest.raises(HarmonicError, match="relative residual"):
+        solve(system, _PERIODS)
+    assert factor.calls == 1 + REFINE_STEPS
+
+
+def test_factorized_drops_explicit_zeros(lshape_sys):
+    """The L-shape mesh is orthodiagonal, so every w12 entry is a stored
+    zero unless dropped; the symmetric factor pivots on the diagonal."""
+    assert np.all(lshape_sys.w12 == 0)
+    assert np.all(lshape_sys.matrix.data != 0)
+    factor, free = lshape_sys.factorized()
+    dense = sp.csc_matrix(lshape_sys.matrix.toarray()[np.ix_(free, free)])
+    ref = spla.splu(dense, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    assert factor.L.nnz + factor.U.nnz == ref.L.nnz + ref.U.nnz
+    assert np.array_equal(factor.perm_r, factor.perm_c)

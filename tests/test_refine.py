@@ -355,3 +355,15 @@ def test_development_matches_dfs_reference(name):
         rest = np.delete(np.max(r, axis=1), theirs)
         assert np.all(rest[rest <= cone.radius] > cone.radius - h)
     assert report["passed"] == passed
+
+
+def test_adapted_sweep_measures_each_mesh_once(lshape, monkeypatch):
+    """The angle floor, the adapted-mesh validation and the sweep's own
+    checks share one mesh_stats computation per level."""
+    from quadperiod import surface
+    measured, real = [], surface._mesh_stats
+    monkeypatch.setattr(surface, "_mesh_stats", lambda g: measured.append(g) or real(g))
+    levels = sweep(lshape, 2, adapted=True, base_cell=1 / 8)
+    assert len(measured) == 2
+    assert all(a is lvl.graph for a, lvl in zip(measured, levels))
+    assert all(mesh_stats(lvl.graph) is lvl.stats for lvl in levels)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from quadperiod.surface import (
     GEOM_TOL,
@@ -254,6 +255,20 @@ def test_spanning_tree_matches_reference_bfs(directed):
         for u in reversed(order[1:]):
             want[parent[u]] += want[u]
         assert np.array_equal(tree.subtree_sums(step), want)
+
+
+def test_spanning_tree_depth_is_graph_distance(rng):
+    """On a mesh's dual graph, deep enough for many levels, the depths
+    equal the unweighted distances from the root (-1 where unreached)."""
+    g = build_quad_graph(l_shape_surface(), 1 / 16)
+    ends = g.edge_occ // 4
+    for mask in (None, rng.random(len(ends)) < 0.6):
+        tree = spanning_tree(g.n_quads, *ends.T, mask, root=5)
+        kept = ends if mask is None else ends[mask]
+        adj = csr_matrix((np.ones(len(kept)), tuple(kept.T)), shape=(g.n_quads,) * 2)
+        dist = csgraph.shortest_path(adj, directed=False, unweighted=True, indices=5)
+        assert tree.depth.max() > 10
+        assert np.array_equal(tree.depth, np.nan_to_num(dist, posinf=-1))
 
 
 # -- closed-manifold checks on hand-made raw documents ------------------------

@@ -290,3 +290,60 @@ def test_imaginary_periods_come_from_star(torus_pack):
     p_star = dec.measure_periods(g, dec.hodge_star(g, eta), basis)
     assert np.allclose(p_omega.a_black.imag, p_star.a_black.real, atol=1e-9)
     assert np.allclose(p_omega.b_white.imag, p_star.b_white.real, atol=1e-9)
+
+
+@pytest.mark.parametrize("mesh", ["torus_i_4", "lshape_mesh_4", "sheared_origami_8"])
+def test_period_matrices_match_single_form_periods(mesh, request):
+    """pi, the four blocks and the a-period error agree with the periods
+    dec.measure_periods takes of each canonical form on its own, on
+    orthodiagonal and sheared (w12 != 0) meshes alike."""
+    from quadperiod.surface import build_quad_graph
+    if mesh == "sheared_origami_8":
+        graph = build_quad_graph(request.getfixturevalue("sheared_origami"), 1 / 8)
+    else:
+        graph = request.getfixturevalue(mesh)
+    basis = homology_basis(graph)
+    g = basis.genus
+    cb = canonical_differentials(graph, basis)
+    pm = period_matrices(graph, basis, cb)
+
+    def measured(forms):
+        return [dec.measure_periods(graph, w, basis) for w in forms]
+
+    pB, pW, pE = (measured(f) for f in (cb.black_normalized, cb.white_normalized,
+                                         cb.equal_split))
+    expect = {
+        "block_bb": np.column_stack([p.b_black for p in pB]),
+        "block_wb": np.column_stack([p.b_white for p in pB]),
+        "block_bw": np.column_stack([p.b_black for p in pW]),
+        "block_ww": np.column_stack([p.b_white for p in pW]),
+        "pi": np.column_stack([p.b for p in pE]),
+    }
+    scale = max(np.max(np.abs(m)) for m in expect.values())
+    for name, m in expect.items():
+        assert np.max(np.abs(getattr(pm, name) - m)) <= 1e-13 * scale, name
+
+    eye, zero = np.eye(g), np.zeros(g)
+    err = 0.0
+    for k in range(g):
+        for p, (ab, aw) in ((pB[k], (eye[k], zero)), (pW[k], (zero, eye[k])),
+                            (pE[k], (eye[k], eye[k]))):
+            err = max(err, np.max(np.abs(p.a_black - ab)), np.max(np.abs(p.a_white - aw)))
+    assert abs(cb.aperiod_error - err) <= 1e-13
+
+
+def test_canonical_differentials_rejects_nonharmonic_solution(lshape_mesh_4, monkeypatch):
+    """The harmonicity gate on each elementary solution stays: a corrupted
+    entry in one of them fails the stage."""
+    from quadperiod import periods
+    real = periods.solve_elementary
+
+    def corrupted(system, tol=1e-10):
+        sols = real(system, tol)
+        sols[1].differential.wb[len(sols[1].differential.wb) // 2] += 0.5
+        return sols
+
+    monkeypatch.setattr(periods, "solve_elementary", corrupted)
+    basis = homology_basis(lshape_mesh_4)
+    with pytest.raises(PeriodsError, match="not harmonic"):
+        canonical_differentials(lshape_mesh_4, basis)

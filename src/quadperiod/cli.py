@@ -184,30 +184,26 @@ def run_converge(surface, levels=5, adapted=False, base_cell=0.5,
     black and white periods, the quantity the refinement theory controls.
     """
     fam = sweep(surface, levels, adapted=adapted, base_cell=base_cell)
+    rng = np.random.default_rng(seed)
+    g = fam[0].stats.genus
+    v1, v2 = rng.normal(size=g), rng.normal(size=g)
+    p_fixed = PeriodData(a_black=v1, b_black=v2, a_white=v1.copy(), b_white=v2.copy())
     pms = []
     energies = []
-    p_fixed = None
     for lv in fam:
         basis = homology_basis(lv.graph)
-        if p_fixed is None:
-            rng = np.random.default_rng(seed)
-            g = basis.genus
-            v1, v2 = rng.normal(size=g), rng.normal(size=g)
-            p_fixed = PeriodData(a_black=v1, b_black=v2,
-                                 a_white=v1.copy(), b_white=v2.copy())
         system = assemble(lv.graph, basis)
         cb = canonical_differentials(lv.graph, basis, system, tol)
         pms.append(period_matrices(lv.graph, basis, cb))
         eta = solve(system, p_fixed, tol).differential
         energies.append(dec.energy(lv.graph,
                                    holomorphic_from_harmonic(lv.graph, eta)))
+    e_ref = energies[-1]
     if reference is None:
         ref = pms[-1].pi
-        e_ref = energies[-1]
         compare = list(range(levels - 1))
     else:
         ref = np.asarray(reference, dtype=complex)
-        e_ref = energies[-1]
         compare = list(range(levels))
     rows = []
     for i in compare:

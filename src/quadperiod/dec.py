@@ -266,18 +266,24 @@ def integrate_path(graph, omega, dcycle):
     return complex(total)
 
 
+def color_periods(basis, wb, ww):
+    """Black and white periods 2 * (op @ values) with the basis' period
+    operators, whose rows are a_1..a_g, b_1..b_g (the factor 2 is the
+    traversal factor of integrate_path).  wb and ww hold one form's
+    per-quad values, or (F, m) stacks of m forms' values; no closedness
+    check."""
+    return 2.0 * (basis.op_black @ wb), 2.0 * (basis.op_white @ ww)
+
+
 def measure_periods(graph, omega, basis, warn_tol=1e-6):
-    """All black/white periods against a homology basis: 2 * (op @ values)
-    with the basis' period operators, whose rows are a_1..a_g, b_1..b_g
-    (the factor 2 is the traversal factor of integrate_path).  Periods of
-    non-closed differentials depend on the representatives; a warning
-    flags that case."""
+    """All black/white periods of one differential against a homology
+    basis (color_periods).  Periods of non-closed differentials depend on
+    the representatives; a warning flags that case."""
     ok, worst = is_closed(graph, omega, warn_tol)
     if not ok:
         import warnings
         warnings.warn(f"measuring periods of a non-closed differential "
                       f"(residual {worst:.3e})", stacklevel=2)
     g = basis.genus
-    black = 2.0 * (basis.op_black @ omega.wb)
-    white = 2.0 * (basis.op_white @ omega.ww)
+    black, white = color_periods(basis, omega.wb, omega.ww)
     return PeriodData(black[:g], black[g:], white[:g], white[g:])

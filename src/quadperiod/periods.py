@@ -7,6 +7,12 @@ harmonic differential is holomorphic, and a real linear system matches
 the prescribed complex a-periods.  The period matrix collects b-periods
 split by diagonal color into four blocks; their average is the discrete
 counterpart of the classical period matrix.
+
+The canonical stage gates each elementary solution with
+holomorphic_from_harmonic, then works on (F, m) stacks of forms, one per
+color: one dense product builds the 3g canonical forms and one
+period-operator product per color measures a stack's periods.  Single
+forms go through dec.measure_periods, which keeps the non-closed warning.
 """
 
 from __future__ import annotations
@@ -52,12 +58,14 @@ class CanonicalBasis:
     aperiod_error: float
 
 
-def _a_period_rows(graph, basis, omega):
-    """Real 4g-vector of the complex a-periods (Re black, Im black,
-    Re white, Im white)."""
-    p = dec.measure_periods(graph, omega, basis)
-    return np.concatenate([p.a_black.real, p.a_black.imag,
-                           p.a_white.real, p.a_white.imag])
+def _a_period_system(basis, wb, ww):
+    """Real (4g, m) a-periods (Re black, Im black, Re white, Im white) of
+    m forms from (F, m) stacks of their black and white values, one
+    period-operator product per color."""
+    g = basis.genus
+    black, white = dec.color_periods(basis, wb, ww)
+    return np.concatenate([black[:g].real, black[:g].imag,
+                           white[:g].real, white[:g].imag])
 
 
 def canonical_differentials(graph, basis, system=None, tol=1e-10):
@@ -66,29 +74,32 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
     g = basis.genus
     system = system or assemble(graph, basis)
     sols = solve_elementary(system, tol)
-    holos = [holomorphic_from_harmonic(graph, s.differential) for s in sols]
-    M = np.column_stack([_a_period_rows(graph, basis, w) for w in holos])
+    # columns: the holomorphic forms, in solve_elementary's order.  The
+    # stacks come after the factorization and outlive the solutions, which
+    # keeps them off the process's peak memory
+    Hb = np.empty((graph.n_quads, 4 * g), dtype=complex)
+    Hw = np.empty_like(Hb)
+    for j, s in enumerate(sols):
+        w = holomorphic_from_harmonic(graph, s.differential)
+        Hb[:, j], Hw[:, j] = w.wb, w.ww
+    del sols, s
+    M = _a_period_system(basis, Hb, Hw)
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e12:
         raise PeriodsError(f"a-period system is numerically singular (cond {cond:.3g})")
     # columns: black normalized, white normalized, equal black and white
-    # a-periods; rows as in _a_period_rows (all imaginary parts zero)
+    # a-periods; rows as in _a_period_system (all imaginary parts zero)
     eye, zero = np.eye(g), np.zeros((g, g))
     T = np.block([[eye, zero, eye], [zero, zero, zero],
                   [zero, eye, eye], [zero, zero, zero]])
     C = np.linalg.solve(M, T)
-
-    def combine(coeffs):
-        wb = sum(c * w.wb for c, w in zip(coeffs, holos))
-        ww = sum(c * w.ww for c, w in zip(coeffs, holos))
-        return Differential(wb, ww)
-
-    forms = [combine(C[:, j]) for j in range(3 * g)]
-    blacks, whites, equals = forms[:g], forms[g:2 * g], forms[2 * g:]
-    err = max(float(np.max(np.abs(_a_period_rows(graph, basis, w) - T[:, j])))
-              for j, w in enumerate(forms))
-    return CanonicalBasis(black_normalized=blacks, white_normalized=whites,
-                          equal_split=equals, condition=cond, aperiod_error=err)
+    # rows: the canonical forms; einsum adds the 4g scaled columns in
+    # order, where a BLAS product would reassociate the sums
+    Fb, Fw = (np.einsum("fj,jk->kf", H, C) for H in (Hb, Hw))
+    err = float(np.max(np.abs(_a_period_system(basis, Fb.T, Fw.T) - T)))
+    forms = [Differential(wb, ww) for wb, ww in zip(Fb, Fw)]
+    return CanonicalBasis(black_normalized=forms[:g], white_normalized=forms[g:2 * g],
+                          equal_split=forms[2 * g:], condition=cond, aperiod_error=err)
 
 
 @dataclass
@@ -117,24 +128,18 @@ class PeriodMatrices:
 
 
 def period_matrices(graph, basis, cb=None, system=None):
-    """Assemble the period matrix blocks and run the structural checks."""
+    """Assemble the period matrix blocks from one product over cb's forms,
+    measured afresh, and run the structural checks."""
     cb = cb or canonical_differentials(graph, basis, system)
     g = basis.genus
-    bw = np.zeros((g, g), dtype=complex)
-    bb = np.zeros((g, g), dtype=complex)
-    ww = np.zeros((g, g), dtype=complex)
-    wb = np.zeros((g, g), dtype=complex)
-    pi = np.zeros((g, g), dtype=complex)
-    for k in range(g):
-        pB = dec.measure_periods(graph, cb.black_normalized[k], basis)
-        pW = dec.measure_periods(graph, cb.white_normalized[k], basis)
-        pE = dec.measure_periods(graph, cb.equal_split[k], basis)
-        bb[:, k] = pB.b_black
-        wb[:, k] = pB.b_white
-        bw[:, k] = pW.b_black
-        ww[:, k] = pW.b_white
-        pi[:, k] = pE.b
-    pm = PeriodMatrices(block_bw=bw, block_bb=bb, block_ww=ww, block_wb=wb, pi=pi)
+    forms = cb.black_normalized + cb.white_normalized + cb.equal_split
+    black, white = dec.color_periods(basis, np.column_stack([w.wb for w in forms]),
+                                     np.column_stack([w.ww for w in forms]))
+    # columns: black normalized, white normalized, equal split
+    bb, bw, pb = np.split(black[g:], 3, axis=1)
+    wb, ww, pw = np.split(white[g:], 3, axis=1)
+    pm = PeriodMatrices(block_bw=bw, block_bb=bb, block_ww=ww, block_wb=wb,
+                        pi=0.5 * (pb + pw))
     pm.diagnostics = structural_diagnostics(pm)
     pm.diagnostics["aperiod_error"] = cb.aperiod_error
     pm.diagnostics["condition"] = cb.condition

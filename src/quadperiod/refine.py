@@ -420,40 +420,29 @@ def sweep(surface, levels, adapted=False, base_cell=0.5, phi_floor=math.pi / 12)
     existing quad-graph (refined by repeated subdivision)."""
     if levels < 2:
         raise RefineError("a sweep needs at least 2 levels")
-    if isinstance(surface, QuadGraph):
-        if adapted:
-            raise RefineError("adapted sweeps need the glued surface, "
-                              "not a raw quad-graph")
-        out = []
-        g = surface
-        for l in range(levels):
-            if l > 0:
-                g = subdivide(g)
-            st = mesh_stats(g)
-            if st.phi_min < phi_floor - 1e-12:
-                raise RefineError(f"level {l}: phi floor violated ({st.phi_min})")
-            out.append(RefinementLevel(level=l, graph=g, stats=st, adapted=False))
-        return out
+    raw = isinstance(surface, QuadGraph)
+    if raw and adapted:
+        raise RefineError("adapted sweeps need the glued surface, "
+                          "not a raw quad-graph")
     out = []
-    genus0 = None
-    area0 = None
     for l in range(levels):
         cell = base_cell / (2 ** l)
-        if adapted:
+        if raw:
+            g = subdivide(out[-1].graph) if out else surface
+        elif adapted:
             g = generate_adapted(surface, cell, phi_floor=phi_floor)
         else:
             g = build_quad_graph(surface, cell)
         st = mesh_stats(g)
         if st.phi_min < phi_floor - 1e-12:
             raise RefineError(f"level {l}: phi floor violated ({st.phi_min})")
-        if genus0 is None:
-            genus0, area0 = st.genus, st.area
-        else:
-            if st.genus != genus0:
+        if out:
+            first = out[0].stats
+            if st.genus != first.genus:
                 raise RefineError("genus changed across levels")
-            if abs(st.area - area0) > 1e-12 * max(1.0, area0):
+            if abs(st.area - first.area) > 1e-12 * max(1.0, first.area):
                 raise RefineError("area changed across levels")
+            if st.h >= out[-1].stats.h:
+                raise RefineError("h did not decrease")
         out.append(RefinementLevel(level=l, graph=g, stats=st, adapted=adapted))
-        if l > 0 and out[-1].stats.h >= out[-2].stats.h:
-            raise RefineError("h did not decrease")
     return out

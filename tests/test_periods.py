@@ -347,3 +347,17 @@ def test_canonical_differentials_rejects_nonharmonic_solution(lshape_mesh_4, mon
     basis = homology_basis(lshape_mesh_4)
     with pytest.raises(PeriodsError, match="not harmonic"):
         canonical_differentials(lshape_mesh_4, basis)
+
+
+def test_period_matrices_measure_the_forms_they_are_given(lshape_pack):
+    """period_matrices keeps no table from the solve: a canonical form
+    changed in place afterwards changes pi."""
+    import copy
+    g, basis, _, cb, pm = lshape_pack
+    cb = copy.deepcopy(cb)
+    w = cb.equal_split[0]
+    white = dec.measure_periods(g, w, basis).b_white
+    w.ww *= 2.0
+    pi = period_matrices(g, basis, cb).pi
+    assert np.allclose(pi[:, 0], pm.pi[:, 0] + 0.5 * white, atol=1e-13)
+    assert np.array_equal(pi[:, 1:], pm.pi[:, 1:])

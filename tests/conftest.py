@@ -70,3 +70,8 @@ def sheared_origami(four_square_origami):
     shear = np.array([[1, 0.35], [0, 0.8]])
     return PolyhedralSurface(polygons=[p @ shear.T for p in four_square_origami.polygons],
                              gluings=four_square_origami.gluings)
+
+
+@pytest.fixture(scope="session")
+def sheared_origami_8(sheared_origami):
+    return build_quad_graph(sheared_origami, 1 / 8)

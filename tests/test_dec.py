@@ -67,6 +67,17 @@ def test_d_is_closed_machine_precision(torus_skew_4, rng):
     assert np.max(np.abs(res)) < 1e-12
 
 
+def test_d_of_a_stack_is_columnwise(lshape_mesh_4, rng):
+    g = lshape_mesh_4
+    f = rng.normal(size=(g.n_vertices, 3))
+    stack = exterior_derivative(g, f)
+    for j in range(3):
+        col = exterior_derivative(g, f[:, j])
+        scale = col.norm()
+        assert np.max(np.abs(stack.wb[:, j] - col.wb)) <= 1e-14 * scale
+        assert np.max(np.abs(stack.ww[:, j] - col.ww)) <= 1e-14 * scale
+
+
 def test_d_with_jumps_closed_and_period_contract(lshape_mesh_2, rng):
     g = lshape_mesh_2
     basis = homology_basis(g)

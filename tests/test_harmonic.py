@@ -129,6 +129,24 @@ def test_elementary_solutions_period_matrix(torus_sys):
         assert np.allclose(measured.flat().real, want.flat(), atol=1e-9)
 
 
+def _elementary_column(sols, j):
+    """Column j of solve_elementary's result as one differential."""
+    return sols[j].differential
+
+
+@pytest.mark.parametrize("mesh", ["lshape_mesh_4", "torus_skew_4", "sheared_origami_8"])
+def test_elementary_columns_match_single_solves(mesh, request):
+    """Each elementary solution is the single solve of its unit period
+    vector, in PeriodData.flat order."""
+    graph = request.getfixturevalue(mesh)
+    system = assemble(graph, homology_basis(graph))
+    sols = solve_elementary(system)
+    for j, e in enumerate(np.eye(4 * system.basis.genus)):
+        want = solve(system, PeriodData.from_flat(e)).differential
+        got = _elementary_column(sols, j)
+        assert (got - want).norm() <= 1e-12 * want.norm()
+
+
 class _ScaledFactor:
     """Stand-in for the SuperLU factor whose first `bad` solves come out
     scaled by `gain`; counts its solves."""

@@ -427,13 +427,13 @@ def _run(args):
             worst = (sol.residual, sol.closedness, sol.coclosedness,
                      sol.period_error)
         elif len(vals) == 8 * g:
-            # complex periods as re,im pairs: superpose two real solves
-            sr = solve(system, PeriodData.from_flat(vals[0::2]), args.tol)
-            si = solve(system, PeriodData.from_flat(vals[1::2]), args.tol)
-            eta = sr.differential + 1j * si.differential
-            worst = tuple(max(a, b) for a, b in zip(
-                (sr.residual, sr.closedness, sr.coclosedness, sr.period_error),
-                (si.residual, si.closedness, si.coclosedness, si.period_error)))
+            # complex periods as re,im pairs: superpose the two columns of
+            # one two-column solve
+            sol = solve(system, PeriodData.from_flat(np.reshape(vals, (-1, 2))), args.tol)
+            wb, ww = sol.differential.wb, sol.differential.ww
+            eta = dec.Differential(wb[:, 0] + 1j * wb[:, 1], ww[:, 0] + 1j * ww[:, 1])
+            worst = tuple(float(np.max(v)) for v in (
+                sol.residual, sol.closedness, sol.coclosedness, sol.period_error))
         else:
             raise HarmonicError(f"need {4 * g} or {8 * g} floats, got {len(vals)}")
         print(f"residual={worst[0]:.3e} closedness={worst[1]:.3e} "

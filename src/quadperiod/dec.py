@@ -12,6 +12,10 @@ on linear functions):
 * wedge(o1, o2) = 4 * sum_Q (o1.wb * o2.ww - o1.ww * o2.wb);
 * the inner product is (1/2) * wedge(o1, star(conj(o2))), which makes
   energy(d f) equal the area-weighted squared gradient sum exactly.
+
+d and the closedness residual are products with the diagonal difference
+operators, built once per graph; like the star and the period products
+they act column by column on (F, m) stacks of m forms.
 """
 
 from __future__ import annotations
@@ -19,20 +23,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .surface import BLACK
 
 
 @dataclass
 class Differential:
-    """Type-diamond one-form: one value per quad per diagonal color."""
+    """Type-diamond one-form: one value per quad per diagonal color, or
+    (F, m) stacks of m forms' values.  Real values stay real."""
 
     wb: np.ndarray
     ww: np.ndarray
 
     def __post_init__(self):
-        self.wb = np.asarray(self.wb, dtype=complex)
-        self.ww = np.asarray(self.ww, dtype=complex)
+        wb, ww = np.asarray(self.wb), np.asarray(self.ww)
+        dtype = np.result_type(wb, ww, float)
+        self.wb, self.ww = wb.astype(dtype, copy=False), ww.astype(dtype, copy=False)
 
     def __add__(self, other):
         return Differential(self.wb + other.wb, self.ww + other.ww)
@@ -49,12 +56,15 @@ class Differential:
         return Differential(np.conj(self.wb), np.conj(self.ww))
 
     def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.wb) ** 2 + np.abs(self.ww) ** 2)))
+        """L2 norm of the values; per form for a stack."""
+        n = np.sqrt(np.sum(np.abs(self.wb) ** 2 + np.abs(self.ww) ** 2, axis=0))
+        return float(n) if n.ndim == 0 else n
 
 
 @dataclass
 class PeriodData:
-    """Periods split by diagonal color; arrays of length genus."""
+    """Periods split by diagonal color; arrays of length genus, or (g, m)
+    for m period vectors."""
 
     a_black: np.ndarray
     b_black: np.ndarray
@@ -62,10 +72,8 @@ class PeriodData:
     b_white: np.ndarray
 
     def __post_init__(self):
-        self.a_black = np.atleast_1d(np.asarray(self.a_black))
-        self.b_black = np.atleast_1d(np.asarray(self.b_black))
-        self.a_white = np.atleast_1d(np.asarray(self.a_white))
-        self.b_white = np.atleast_1d(np.asarray(self.b_white))
+        for k in ("a_black", "b_black", "a_white", "b_white"):
+            setattr(self, k, np.atleast_1d(np.asarray(getattr(self, k))))
 
     @classmethod
     def zeros(cls, g, dtype=float):
@@ -112,51 +120,65 @@ def chart_dz_bar(graph):
     return chart_dz(graph).conj()
 
 
-def _jump_values(graph, basis, jumps):
-    """Per-quad cocycle combinations (black, white) for given coefficients."""
+def difference_operators(graph):
+    """The signed diagonal differences (D_b, D_w): (F, V) CSR matrices
+    with rows f[q2] - f[q0] and f[q3] - f[q1], cached on the graph."""
+    if "differences" not in graph._cache:
+        q, F = graph.quads, graph.n_quads
+        signs, rows = np.tile([1.0, -1.0], F), np.arange(0, 2 * F + 1, 2)
+        graph._cache["differences"] = tuple(
+            sp.csr_matrix((signs, q[:, [hi, lo]].ravel(), rows), shape=(F, graph.n_vertices))
+            for hi, lo in ((2, 0), (3, 1)))
+    return graph._cache["differences"]
+
+
+def _per_quad(x, *coeffs):
+    """Per-quad coefficient arrays shaped to broadcast against x, one
+    form's values or an (F, m) stack."""
+    return [c.reshape(c.shape + (1,) * (np.ndim(x) - 1)) for c in coeffs]
+
+
+def _jump_values(basis, jumps):
+    """Per-quad cocycle combinations (black, white) of the jumps' periods;
+    (F, m) stacks for (g, m) period arrays."""
     if jumps is None:
         return 0.0, 0.0
-    cb = np.concatenate([np.atleast_1d(jumps.a_black), np.atleast_1d(jumps.b_black)])
-    cw = np.concatenate([np.atleast_1d(jumps.a_white), np.atleast_1d(jumps.b_white)])
-    jb = cb @ basis.sigma_black
-    jw = cw @ basis.sigma_white
-    return jb, jw
+    c, k = jumps.flat(), 2 * basis.genus
+    return basis.cocycles_black @ c[:k], basis.cocycles_white @ c[k:]
 
 
 def exterior_derivative(graph, f, basis=None, jumps=None):
-    """d of a vertex function, optionally with prescribed periods imposed
-    through the homology cocycles.  Exact (all periods zero) when no
-    jumps are given."""
+    """d of a vertex function (or a (V, m) stack), optionally with periods
+    (g or (g, m) arrays) imposed through the homology cocycles.  Exact
+    (all periods zero) when no jumps are given."""
+    Db, Dw = difference_operators(graph)
     f = np.asarray(f)
-    q = graph.quads
-    db = f[q[:, 2]] - f[q[:, 0]]
-    dw = f[q[:, 3]] - f[q[:, 1]]
-    jb, jw = _jump_values(graph, basis, jumps)
-    return Differential((db + jb) / 2.0, (dw + jw) / 2.0)
+    jb, jw = _jump_values(basis, jumps)
+    return Differential((Db @ f + jb) / 2.0, (Dw @ f + jw) / 2.0)
 
 
 def closedness_residual(graph, omega):
-    """Per-vertex boundary sums of the vertex faces; all zero iff closed.
+    """Per-vertex boundary sums of the vertex faces; all zero iff closed;
+    (V, m) for a stack of forms.
 
     At a black vertex the white values of incident quads enter with +1
     where the vertex is the diagonal tail and -1 at the head; dually at
-    white vertices.  Quad faces are automatically exact for this class
-    of differentials (parallel edges cancel pairwise).
+    white vertices: the residual is -(D_b^T ww + D_w^T wb).  Quad faces
+    are automatically exact for this class of differentials (parallel
+    edges cancel pairwise).
     """
-    q = graph.quads
-    res = np.zeros(graph.n_vertices, dtype=complex)
-    np.add.at(res, q[:, 0], omega.ww)
-    np.subtract.at(res, q[:, 2], omega.ww)
-    np.add.at(res, q[:, 1], omega.wb)
-    np.subtract.at(res, q[:, 3], omega.wb)
-    return res
+    Db, Dw = difference_operators(graph)
+    res = Db.T @ omega.ww
+    res += Dw.T @ omega.wb
+    return np.negative(res, out=res)
 
 
 def is_closed(graph, omega, tol=1e-10):
-    res = closedness_residual(graph, omega)
-    worst = float(np.max(np.abs(res))) if len(res) else 0.0
-    scale = max(omega.norm(), 1e-300)
-    return worst <= tol * scale, worst
+    """(closed, largest residual) against tol times the form's norm; per
+    form for a stack."""
+    worst = np.max(np.abs(closedness_residual(graph, omega)), axis=0, initial=0.0)
+    ok = worst <= tol * np.maximum(omega.norm(), 1e-300)
+    return (bool(ok), float(worst)) if worst.ndim == 0 else (ok, worst)
 
 
 def star_coefficients(graph):
@@ -164,17 +186,13 @@ def star_coefficients(graph):
     (wb, ww): [[c, -d], [e, -c]] with c = cot of the diagonal crossing
     angle, d and e the length-ratio over its sine."""
     z = graph.white_diag / graph.black_diag
-    im = z.imag
-    c = z.real / im
-    d = 1.0 / im
-    e = (np.abs(z) ** 2) / im
-    return c, d, e
+    return z.real / z.imag, 1.0 / z.imag, np.abs(z) ** 2 / z.imag
 
 
 def hodge_star(graph, omega):
     """Duality rotation: squares to minus the identity; fixes the
     holomorphic condition ww = i * rho * wb as its -i eigenspace."""
-    c, d, e = star_coefficients(graph)
+    c, d, e = _per_quad(omega.wb, *star_coefficients(graph))
     return Differential(c * omega.wb - d * omega.ww,
                         e * omega.wb - c * omega.ww)
 
@@ -217,8 +235,7 @@ def inner_product(graph, o1, o2):
 
 
 def energy(graph, omega):
-    val = inner_product(graph, omega, omega)
-    return float(val.real)
+    return float(inner_product(graph, omega, omega).real)
 
 
 def quad_gradients(graph, f, basis=None, jumps=None):
@@ -238,10 +255,7 @@ def quad_derivatives(graph, f):
     """Contour-quotient derivatives (d, dbar) of a vertex function on each
     quad: trapezoid-rule integrals of f over the midpoint parallelogram
     divided by its area form.  Exact on chart-linear functions."""
-    f = np.asarray(f, dtype=complex)
-    q = graph.quads
-    db = f[q[:, 2]] - f[q[:, 0]]
-    dw = f[q[:, 3]] - f[q[:, 1]]
+    db, dw = (D @ np.asarray(f, dtype=complex) for D in difference_operators(graph))
     b, w = graph.black_diag, graph.white_diag
     a4 = 4.0 * graph.area
     d = 1j * (np.conj(w) * db - np.conj(b) * dw) / a4
@@ -276,14 +290,14 @@ def color_periods(basis, wb, ww):
 
 
 def measure_periods(graph, omega, basis, warn_tol=1e-6):
-    """All black/white periods of one differential against a homology
-    basis (color_periods).  Periods of non-closed differentials depend on
-    the representatives; a warning flags that case."""
+    """All black/white periods of one differential (or a stack) against a
+    homology basis (color_periods).  Periods of non-closed differentials
+    depend on the representatives; a warning flags that case."""
     ok, worst = is_closed(graph, omega, warn_tol)
-    if not ok:
+    if not np.all(ok):
         import warnings
         warnings.warn(f"measuring periods of a non-closed differential "
-                      f"(residual {worst:.3e})", stacklevel=2)
+                      f"(residual {np.max(worst):.3e})", stacklevel=2)
     g = basis.genus
     black, white = color_periods(basis, omega.wb, omega.ww)
     return PeriodData(black[:g], black[g:], white[:g], white[g:])

@@ -10,9 +10,12 @@ kernel, removed by pinning one vertex of each color.
 The pinned matrix is symmetric positive definite, so SuperLU factors it
 in symmetric mode: a minimum-degree ordering of A + A^T and diagonal
 pivots, with the structural zeros of orthodiagonal quads (w12 = 0)
-dropped at assembly.  Each solve takes one pass and refines it, at most
-REFINE_STEPS times, only while the relative residual is above
-REFINE_TARGET; solutions whose residual stays above tol are rejected.
+dropped at assembly.  Matrix and load vector are products with the
+diagonal difference operators (dec.difference_operators), so m period
+vectors make one (n, m) block, solved in one pass and refined, at most
+REFINE_STEPS times, in only the columns whose relative residual is above
+REFINE_TARGET; a residual above tol is rejected.  solve_elementary
+returns the 4g elementary solutions as real (F, 4g) stacks.
 """
 
 from __future__ import annotations
@@ -50,17 +53,13 @@ class EnergySystem:
                             + self.w22 * dw * dw))
 
     def rhs(self, jumps):
-        g = self.graph
-        jb, jw = dec._jump_values(g, self.basis, jumps)
-        gb = self.w11 * jb + self.w12 * jw
-        gw = self.w12 * jb + self.w22 * jw
-        L = np.zeros(g.n_vertices)
-        q = g.quads
-        np.add.at(L, q[:, 2], gb)
-        np.subtract.at(L, q[:, 0], gb)
-        np.add.at(L, q[:, 3], gw)
-        np.subtract.at(L, q[:, 1], gw)
-        return -L
+        """Load vector of the jumps' periods; (V, m) for (g, m) periods."""
+        jb, jw = dec._jump_values(self.basis, jumps)
+        w11, w12, w22 = dec._per_quad(jb, self.w11, self.w12, self.w22)
+        Db, Dw = dec.difference_operators(self.graph)
+        L = Db.T @ (w11 * jb + w12 * jw)
+        L += Dw.T @ (w12 * jb + w22 * jw)
+        return np.negative(L, out=L)
 
     def factorized(self):
         if self._factor is None:
@@ -72,41 +71,20 @@ class EnergySystem:
 
 
 def assemble(graph, basis, pinned=None):
-    """Sparse energy system on the vertex potentials."""
+    """Sparse energy system on the vertex potentials: A = D^T W D for the
+    stacked diagonal differences D = (D_b; D_w) and the per-quad weight
+    blocks W = [[w11, w12], [w12, w22]]."""
     b, w = graph.black_diag, graph.white_diag
-    area = graph.area
-    det = 2.0 * area
+    det = 2.0 * graph.area
     w11 = np.abs(w) ** 2 / (2.0 * det)
     w22 = np.abs(b) ** 2 / (2.0 * det)
     w12 = -(b.real * w.real + b.imag * w.imag) / (2.0 * det)
-    q = graph.quads
-    i0, j0, i1, j1 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rows = np.concatenate([
-        i1, i0, i1, i0,          # w11 block on black pair
-        j1, j0, j1, j0,          # w22 block on white pair
-        i1, i1, i0, i0,          # w12 cross terms, black rows
-        j1, j1, j0, j0,          # symmetric white rows
-    ])
-    cols = np.concatenate([
-        i1, i0, i0, i1,
-        j1, j0, j0, j1,
-        j1, j0, j1, j0,
-        i1, i0, i1, i0,
-    ])
-    ones = np.ones_like(w11)
-    vals = np.concatenate([
-        w11, w11, -w11, -w11,
-        w22, w22, -w22, -w22,
-        w12, -w12, -w12, w12,
-        w12, -w12, -w12, w12,
-    ])
-    A = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(graph.n_vertices, graph.n_vertices)).tocsr()
+    Db, Dw = dec.difference_operators(graph)
+    A = (Db.T @ (sp.diags(w11) @ Db + sp.diags(w12) @ Dw)
+         + Dw.T @ (sp.diags(w12) @ Db + sp.diags(w22) @ Dw)).tocsr()
     A.eliminate_zeros()
-    if pinned is None:
-        blacks = np.where(graph.color == BLACK)[0]
-        whites = np.where(graph.color == WHITE)[0]
-        pinned = (int(blacks[0]), int(whites[0]))
+    if pinned is None:  # the first vertex of each color
+        pinned = tuple(int(np.argmax(graph.color == c)) for c in (BLACK, WHITE))
     return EnergySystem(graph=graph, basis=basis, matrix=A,
                         w11=w11, w12=w12, w22=w22, pinned=pinned)
 
@@ -117,6 +95,8 @@ class HarmonicError(RuntimeError):
 
 @dataclass
 class HarmonicSolution:
+    """A harmonic differential and its diagnostics; per form for stacks."""
+
     potential: np.ndarray
     jumps: PeriodData
     differential: Differential
@@ -126,53 +106,60 @@ class HarmonicSolution:
     period_error: float
 
 
-REFINE_STEPS = 2      # cap on iterative refinement steps per solve
+REFINE_STEPS = 2      # cap on iterative refinement steps per column
 REFINE_TARGET = 1e-14  # relative residual below which refinement stops
 
 
-def solve(system, jumps, tol=1e-10):
-    """Harmonic differential with the given real black/white periods.
-
-    Closedness is exact by construction; co-closedness and the period
-    match are measured and returned as diagnostics.
-    """
-    g = system.graph
-    rhs = system.rhs(jumps)
+def _potentials(system, jumps, tol):
+    """Vertex potentials for the jumps' period vectors from one block
+    solve, and their relative residuals.  Only the columns above
+    REFINE_TARGET are refined; any residual above tol raises."""
     factor, free = system.factorized()
-    # x stays zero at the pinned vertices, so (A x)[free] = A_ff x[free]
-    x = np.zeros(g.n_vertices)
-    b_free = rhs[free]
-    x[free] = factor.solve(b_free)
-    scale = max(float(np.linalg.norm(b_free)), 1e-300)
+    rhs = system.rhs(jumps)
+    b = rhs[free].reshape(len(free), -1)
+    x = np.zeros((len(rhs), b.shape[1]))
+    x[free] = factor.solve(b)
+    scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    residual, cols = np.empty(b.shape[1]), np.arange(b.shape[1])
     for step in range(REFINE_STEPS + 1):
-        r = b_free - (system.matrix @ x)[free]
-        residual = float(np.linalg.norm(r)) / scale
-        if residual <= REFINE_TARGET or step == REFINE_STEPS:
+        # x stays zero at the pinned vertices, so (A x)[free] = A_ff x[free]
+        r = b[:, cols] - (system.matrix @ x[:, cols])[free]
+        residual[cols] = np.linalg.norm(r, axis=0) / scale[cols]
+        above = residual[cols] > REFINE_TARGET
+        if step == REFINE_STEPS or not above.any():
             break
-        x[free] += factor.solve(r)
-    if residual > tol:
-        raise HarmonicError(f"relative residual {residual:.3e} above {tol:.1e}")
+        cols = cols[above]
+        x[np.ix_(free, cols)] += factor.solve(r[:, above])
+    if np.any(residual > tol):
+        raise HarmonicError(f"relative residual {residual.max():.3e} above {tol:.1e}")
+    return x.reshape(rhs.shape), residual
+
+
+def solve(system, jumps, tol=1e-10):
+    """Harmonic differential with the given real black/white periods, or
+    (F, m) stacks of m of them for (g, m) periods, solved as one block.
+    Closedness is exact by construction; co-closedness and the period
+    match are measured and returned as diagnostics."""
+    g = system.graph
+    x, residual = _potentials(system, jumps, tol)
     eta = dec.exterior_derivative(g, x, system.basis, jumps)
     _, closed = dec.is_closed(g, eta)
     _, coclosed = dec.is_closed(g, dec.hodge_star(g, eta))
     measured = dec.measure_periods(g, eta, system.basis)
-    perr = float(np.max(np.abs(measured.flat().real - jumps.flat())))
-    return HarmonicSolution(
-        potential=x,
-        jumps=jumps,
-        differential=eta,
-        residual=residual,
-        closedness=closed,
-        coclosedness=coclosed,
-        period_error=perr,
-    )
+    perr = np.max(np.abs(measured.flat().real - jumps.flat()), axis=0)
+    if x.ndim == 1:
+        residual, perr = float(residual[0]), float(perr)
+    return HarmonicSolution(x, jumps, eta, residual, closed, coclosed, perr)
 
 
 def solve_elementary(system, tol=1e-10):
-    """Solutions for the 4g elementary period vectors, reusing the single
-    factorization.  Order: a black, b black, a white, b white."""
-    g4 = 4 * system.basis.genus
-    return [solve(system, PeriodData.from_flat(v), tol) for v in np.eye(g4)]
+    """The 4g elementary harmonic differentials as one block solve: a
+    Differential of real (F, 4g) stacks whose column j has the j-th unit
+    period vector in PeriodData.flat order (a black, b black, a white,
+    b white).  Closedness and periods are left to the caller."""
+    jumps = PeriodData.from_flat(np.eye(4 * system.basis.genus))
+    x, _ = _potentials(system, jumps, tol)
+    return dec.exterior_derivative(system.graph, x, system.basis, jumps)
 
 
 def verify_minimality(system, solution, trials=20, seed=0, tol=1e-9):
@@ -184,16 +171,11 @@ def verify_minimality(system, solution, trials=20, seed=0, tol=1e-9):
     eta = solution.differential
     e0 = dec.energy(g, eta)
     n_eta = eta.norm()
-    worst_ortho = 0.0
-    ok = True
+    worst_ortho, ok = 0.0, True
     for _ in range(trials):
-        f = rng.normal(size=g.n_vertices)
-        df = dec.exterior_derivative(g, f)
+        df = dec.exterior_derivative(g, rng.normal(size=g.n_vertices))
         ip = dec.inner_product(g, eta, df)
-        rel = abs(ip) / max(n_eta * df.norm(), 1e-300)
-        worst_ortho = max(worst_ortho, rel)
-        perturbed = dec.energy(g, eta + df)
-        if perturbed < e0 - tol * max(e0, 1.0):
-            ok = False
+        worst_ortho = max(worst_ortho, abs(ip) / max(n_eta * df.norm(), 1e-300))
+        ok &= dec.energy(g, eta + df) >= e0 - tol * max(e0, 1.0)
     return {"orthogonality": worst_ortho, "minimal": ok,
             "passed": ok and worst_ortho <= tol}

@@ -8,11 +8,12 @@ the prescribed complex a-periods.  The period matrix collects b-periods
 split by diagonal color into four blocks; their average is the discrete
 counterpart of the classical period matrix.
 
-The canonical stage gates each elementary solution with
-holomorphic_from_harmonic, then works on (F, m) stacks of forms, one per
-color: one dense product builds the 3g canonical forms and one
-period-operator product per color measures a stack's periods.  Single
-forms go through dec.measure_periods, which keeps the non-closed warning.
+The canonical stage lifts the 4g elementary solutions, real (F, 4g)
+stacks from one block solve, to holomorphic stacks behind one
+harmonicity gate, reads their period match and a-period system from one
+period-operator product per color and builds the 3g canonical forms with
+one dense product.  Single forms go through dec.measure_periods, which
+keeps the non-closed warning.
 """
 
 from __future__ import annotations
@@ -33,16 +34,23 @@ class PeriodsError(ValueError):
 
 def holomorphic_from_harmonic(graph, eta, tol=1e-8):
     """eta + i * star(eta): holomorphic, with periods whose real parts are
-    the periods of eta."""
-    _, closed = dec.is_closed(graph, eta)
+    the periods of eta.  eta is one real differential or an (F, m) stack;
+    each form must be closed and co-closed to tol of its norm.  One
+    closedness product measures both: the residual's real part is eta's,
+    its imaginary part star(eta)'s."""
+    if np.iscomplexobj(eta.wb) and (np.any(eta.wb.imag) or np.any(eta.ww.imag)):
+        raise PeriodsError("harmonic differential must be real")
+    bound = tol * np.atleast_1d(np.maximum(eta.norm(), 1e-300))
     star = dec.hodge_star(graph, eta)
-    _, coclosed = dec.is_closed(graph, star)
-    scale = max(eta.norm(), 1e-300)
-    if closed > tol * scale or coclosed > tol * scale:
-        raise PeriodsError(
-            f"input differential is not harmonic (closedness {closed}, "
-            f"co-closedness {coclosed})")
-    return eta + 1j * star
+    omega = Differential(star.wb * 1j + eta.wb, star.ww * 1j + eta.ww)
+    del eta, star  # the real stacks, unless the caller holds them
+    res = dec.closedness_residual(graph, omega)
+    closed, coclosed = (np.atleast_1d(np.max(np.abs(r), axis=0, initial=0.0))
+                        for r in (res.real, res.imag))
+    for j in np.flatnonzero((closed > bound) | (coclosed > bound))[:1]:
+        raise PeriodsError(f"input differential is not harmonic (form {j}: closedness "
+                           f"{closed[j]}, co-closedness {coclosed[j]})")
+    return omega
 
 
 @dataclass
@@ -56,34 +64,28 @@ class CanonicalBasis:
     equal_split: list
     condition: float
     aperiod_error: float
+    period_error: float  # elementary solutions' periods against their unit vectors
 
 
-def _a_period_system(basis, wb, ww):
+def _a_period_system(g, black, white):
     """Real (4g, m) a-periods (Re black, Im black, Re white, Im white) of
-    m forms from (F, m) stacks of their black and white values, one
-    period-operator product per color."""
-    g = basis.genus
-    black, white = dec.color_periods(basis, wb, ww)
+    m forms from their black and white periods (dec.color_periods)."""
     return np.concatenate([black[:g].real, black[:g].imag,
                            white[:g].real, white[:g].imag])
 
 
 def canonical_differentials(graph, basis, system=None, tol=1e-10):
-    """Solve the 4g real harmonic problems and combine them into the
-    canonical bases; achieved a-periods are re-measured and reported."""
+    """Solve the 4g real harmonic problems as one block and combine them
+    into the canonical bases; achieved a-periods are re-measured and
+    reported."""
     g = basis.genus
     system = system or assemble(graph, basis)
-    sols = solve_elementary(system, tol)
-    # columns: the holomorphic forms, in solve_elementary's order.  The
-    # stacks come after the factorization and outlive the solutions, which
-    # keeps them off the process's peak memory
-    Hb = np.empty((graph.n_quads, 4 * g), dtype=complex)
-    Hw = np.empty_like(Hb)
-    for j, s in enumerate(sols):
-        w = holomorphic_from_harmonic(graph, s.differential)
-        Hb[:, j], Hw[:, j] = w.wb, w.ww
-    del sols, s
-    M = _a_period_system(basis, Hb, Hw)
+    # columns: the holomorphic forms, in solve_elementary's order
+    H = holomorphic_from_harmonic(graph, solve_elementary(system, tol))
+    black, white = dec.color_periods(basis, H.wb, H.ww)
+    # real parts: the elementary periods, the identity in flat order
+    perr = float(np.max(np.abs(np.concatenate([black, white]).real - np.eye(4 * g))))
+    M = _a_period_system(g, black, white)
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e12:
         raise PeriodsError(f"a-period system is numerically singular (cond {cond:.3g})")
@@ -95,11 +97,13 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
     C = np.linalg.solve(M, T)
     # rows: the canonical forms; einsum adds the 4g scaled columns in
     # order, where a BLAS product would reassociate the sums
-    Fb, Fw = (np.einsum("fj,jk->kf", H, C) for H in (Hb, Hw))
-    err = float(np.max(np.abs(_a_period_system(basis, Fb.T, Fw.T) - T)))
+    Fb, Fw = (np.einsum("fj,jk->kf", X, C) for X in (H.wb, H.ww))
+    del H
+    err = float(np.max(np.abs(_a_period_system(g, *dec.color_periods(basis, Fb.T, Fw.T)) - T)))
     forms = [Differential(wb, ww) for wb, ww in zip(Fb, Fw)]
     return CanonicalBasis(black_normalized=forms[:g], white_normalized=forms[g:2 * g],
-                          equal_split=forms[2 * g:], condition=cond, aperiod_error=err)
+                          equal_split=forms[2 * g:], condition=cond, aperiod_error=err,
+                          period_error=perr)
 
 
 @dataclass

@@ -78,6 +78,30 @@ def test_d_of_a_stack_is_columnwise(lshape_mesh_4, rng):
         assert np.max(np.abs(stack.ww[:, j] - col.ww)) <= 1e-14 * scale
 
 
+def test_d_with_stacked_jumps_is_columnwise(lshape_mesh_2, rng):
+    g = lshape_mesh_2
+    basis = homology_basis(g)
+    f, c = rng.normal(size=(g.n_vertices, 3)), rng.normal(size=(8, 3))
+    stack = exterior_derivative(g, f, basis, PeriodData.from_flat(c))
+    for j in range(3):
+        col = exterior_derivative(g, f[:, j], basis, PeriodData.from_flat(c[:, j]))
+        scale = col.norm()
+        assert np.max(np.abs(stack.wb[:, j] - col.wb)) <= 1e-14 * scale
+        assert np.max(np.abs(stack.ww[:, j] - col.ww)) <= 1e-14 * scale
+
+
+def test_closedness_residual_of_a_stack_is_columnwise(lshape_mesh_4, rng):
+    g = lshape_mesh_4
+    wb, ww = rng.normal(size=(g.n_quads, 3)), rng.normal(size=(g.n_quads, 3))
+    res = closedness_residual(g, Differential(wb, ww))
+    assert res.shape == (g.n_vertices, 3)
+    for j in range(3):
+        col = closedness_residual(g, Differential(wb[:, j], ww[:, j]))
+        assert np.max(np.abs(res[:, j] - col)) <= 1e-14 * np.max(np.abs(col))
+    ok, worst = is_closed(g, Differential(wb, ww))
+    assert ok.shape == worst.shape == (3,) and not ok.any()
+
+
 def test_d_with_jumps_closed_and_period_contract(lshape_mesh_2, rng):
     g = lshape_mesh_2
     basis = homology_basis(g)

@@ -119,19 +119,20 @@ def test_minimality(torus_sys):
 
 def test_elementary_solutions_period_matrix(torus_sys):
     sols = solve_elementary(torus_sys)
-    assert len(sols) == 4
-    for i, s in enumerate(sols):
+    assert sols.wb.shape == sols.ww.shape == (torus_sys.graph.n_quads, 4)
+    assert not np.iscomplexobj(sols.wb)
+    for i in range(4):
         flat = np.zeros(4)
         flat[i] = 1.0
         want = PeriodData.from_flat(flat)
-        measured = dec.measure_periods(torus_sys.graph, s.differential,
+        measured = dec.measure_periods(torus_sys.graph, _elementary_column(sols, i),
                                        torus_sys.basis)
         assert np.allclose(measured.flat().real, want.flat(), atol=1e-9)
 
 
 def _elementary_column(sols, j):
     """Column j of solve_elementary's result as one differential."""
-    return sols[j].differential
+    return dec.Differential(sols.wb[:, j], sols.ww[:, j])
 
 
 @pytest.mark.parametrize("mesh", ["lshape_mesh_4", "torus_skew_4", "sheared_origami_8"])
@@ -149,20 +150,27 @@ def test_elementary_columns_match_single_solves(mesh, request):
 
 class _ScaledFactor:
     """Stand-in for the SuperLU factor whose first `bad` solves come out
-    scaled by `gain`; counts its solves."""
+    scaled by `gain` (only in `column` of a block, when given); counts
+    its solves and records how many columns each one gets."""
 
-    def __init__(self, factor, gain, bad):
+    def __init__(self, factor, gain, bad, column=None):
         self.factor, self.gain, self.bad, self.calls = factor, gain, bad, 0
+        self.column, self.widths = column, []
 
     def solve(self, b):
         self.calls += 1
+        self.widths.append(1 if b.ndim == 1 else b.shape[1])
         x = self.factor.solve(b)
-        return self.gain * x if self.calls <= self.bad else x
+        if self.calls <= self.bad:
+            if self.column is None:
+                return self.gain * x
+            x[:, self.column] *= self.gain
+        return x
 
 
-def _with_factor(system, gain, bad):
+def _with_factor(system, gain, bad, column=None):
     factor, _ = system.factorized()
-    scaled = _ScaledFactor(factor, gain, bad)
+    scaled = _ScaledFactor(factor, gain, bad, column)
     return dataclasses.replace(system, _factor=scaled), scaled
 
 
@@ -193,6 +201,52 @@ def test_factor_short_of_tol_raises(lshape_sys):
     with pytest.raises(HarmonicError, match="relative residual"):
         solve(system, _PERIODS)
     assert factor.calls == 1 + REFINE_STEPS
+
+
+def test_accurate_factor_solves_elementary_block_once(lshape_sys):
+    system, factor = _with_factor(lshape_sys, 1.0, 0)
+    solve_elementary(system)
+    assert factor.calls == 1 and factor.widths == [8]
+
+
+def test_perturbed_column_alone_is_refined(lshape_sys):
+    """One column of the first block pass is off by 1e-6: only that
+    column goes through refinement, and it ends where a clean solve does;
+    the other columns are the clean solve's, bit for bit."""
+    system, factor = _with_factor(lshape_sys, 1.0 + 1e-6, 1, column=3)
+    sols = solve_elementary(system)
+    assert 2 <= factor.calls <= 1 + REFINE_STEPS
+    assert factor.widths == [8] + [1] * (factor.calls - 1)
+    ref = solve_elementary(lshape_sys)
+    for j in range(8):
+        got, want = _elementary_column(sols, j), _elementary_column(ref, j)
+        if j == 3:
+            assert (got - want).norm() < 1e-12 * want.norm()
+        else:
+            assert np.array_equal(got.wb, want.wb) and np.array_equal(got.ww, want.ww)
+
+
+def test_elementary_factor_short_of_tol_raises(lshape_sys):
+    system, factor = _with_factor(lshape_sys, 0.5, np.inf)
+    with pytest.raises(HarmonicError, match="relative residual"):
+        solve_elementary(system)
+    assert factor.calls == 1 + REFINE_STEPS
+
+
+def test_two_column_solve_matches_single_solves(lshape_sys):
+    """(g, m) periods are solved as one block with per-form diagnostics;
+    each column is the single solve of its periods."""
+    p2 = PeriodData(a_black=[0.0, 1.0], b_black=[0.5, 0.0],
+                    a_white=[0.0, -1.0], b_white=[2.0, 0.0])
+    sol = solve(lshape_sys, PeriodData.from_flat(np.column_stack([_PERIODS.flat(),
+                                                                  p2.flat()])))
+    assert sol.differential.wb.shape == (lshape_sys.graph.n_quads, 2)
+    for j, p in enumerate((_PERIODS, p2)):
+        one = solve(lshape_sys, p)
+        col = dec.Differential(sol.differential.wb[:, j], sol.differential.ww[:, j])
+        assert (col - one.differential).norm() <= 1e-12 * one.differential.norm()
+        for key in ("residual", "closedness", "coclosedness", "period_error"):
+            assert np.isclose(getattr(sol, key)[j], getattr(one, key), rtol=0.5, atol=1e-15)
 
 
 def test_factorized_drops_explicit_zeros(lshape_sys):

@@ -57,6 +57,37 @@ def test_holomorphic_from_harmonic_rejects_nonharmonic(torus_i_4, rng):
         holomorphic_from_harmonic(torus_i_4, bad)
 
 
+def test_holomorphic_from_harmonic_rejects_complex_input(torus_i_4):
+    with pytest.raises(PeriodsError, match="must be real"):
+        holomorphic_from_harmonic(torus_i_4, dec.chart_dz(torus_i_4))
+
+
+def test_holomorphic_stack_is_columnwise_and_gated_per_form(lshape_pack):
+    """A stack lifts column by column; one bad column fails the gate and
+    is named."""
+    from quadperiod.harmonic import solve_elementary
+    g, _, system, _, _ = lshape_pack
+    eta = solve_elementary(system)
+    omega = holomorphic_from_harmonic(g, dec.Differential(eta.wb.copy(), eta.ww.copy()))
+    for j in range(eta.wb.shape[1]):
+        one = holomorphic_from_harmonic(g, dec.Differential(eta.wb[:, j], eta.ww[:, j]))
+        assert np.array_equal(omega.wb[:, j], one.wb)
+        assert np.array_equal(omega.ww[:, j], one.ww)
+    eta.ww[len(eta.ww) // 3, 5] += 0.1
+    with pytest.raises(PeriodsError, match="form 5"):
+        holomorphic_from_harmonic(g, eta)
+
+
+def test_canonical_reports_elementary_period_match(lshape_pack):
+    from quadperiod.harmonic import solve_elementary
+    g, basis, system, cb, _ = lshape_pack
+    eta = solve_elementary(system)
+    want = max(np.max(np.abs(dec.measure_periods(
+        g, dec.Differential(eta.wb[:, j], eta.ww[:, j]), basis).flat() - e))
+        for j, e in enumerate(np.eye(8)))
+    assert cb.period_error < 1e-12 and abs(cb.period_error - want) < 1e-14
+
+
 def test_zero_harmonic_maps_to_zero(torus_pack):
     g = torus_pack[0]
     zero = dec.Differential(np.zeros(g.n_quads), np.zeros(g.n_quads))
@@ -340,7 +371,7 @@ def test_canonical_differentials_rejects_nonharmonic_solution(lshape_mesh_4, mon
 
     def corrupted(system, tol=1e-10):
         sols = real(system, tol)
-        sols[1].differential.wb[len(sols[1].differential.wb) // 2] += 0.5
+        sols.wb[len(sols.wb) // 2, 1] += 0.5
         return sols
 
     monkeypatch.setattr(periods, "solve_elementary", corrupted)

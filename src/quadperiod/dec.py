@@ -174,8 +174,7 @@ def closedness_residual(graph, omega):
 
 
 def is_closed(graph, omega, tol=1e-10):
-    """(closed, largest residual) against tol times the form's norm; per
-    form for a stack."""
+    """(closed, largest residual) against tol times the norm; per form."""
     worst = np.max(np.abs(closedness_residual(graph, omega)), axis=0, initial=0.0)
     ok = worst <= tol * np.maximum(omega.norm(), 1e-300)
     return (bool(ok), float(worst)) if worst.ndim == 0 else (ok, worst)

@@ -11,11 +11,10 @@ The pinned matrix is symmetric positive definite, so SuperLU factors it
 in symmetric mode: a minimum-degree ordering of A + A^T and diagonal
 pivots, with the structural zeros of orthodiagonal quads (w12 = 0)
 dropped at assembly.  Matrix and load vector are products with the
-diagonal difference operators (dec.difference_operators), so m period
-vectors make one (n, m) block, solved in one pass and refined, at most
-REFINE_STEPS times, in only the columns whose relative residual is above
-REFINE_TARGET; a residual above tol is rejected.  solve_elementary
-returns the 4g elementary solutions as real (F, 4g) stacks.
+diagonal difference operators, so m period vectors make one (n, m)
+block, solved in one pass and refined, at most REFINE_STEPS times, in
+only the columns above REFINE_TARGET (relative residual); a residual
+above tol is rejected.  solve_elementary returns real (F, 4g) stacks.
 """
 
 from __future__ import annotations

@@ -477,8 +477,9 @@ class HomologyBasis:
     2 * (op_white @ omega.ww), and op @ sigma.T is the identity.
 
     cocycles_black and cocycles_white hold the cocycles once more as
-    float (F, 2g) matrices, the factor that turns period coefficients
-    into per-quad jumps; the integer sigma stays for exact checks."""
+    sparse float (F, 2g) matrices, the factor that turns period
+    coefficients into per-quad jumps; the integer sigma stays for exact
+    checks."""
 
     graph: object
     a_chains: list
@@ -491,15 +492,15 @@ class HomologyBasis:
     transform: np.ndarray = None
     op_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
     op_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    cocycles_black: np.ndarray = field(init=False, repr=False, compare=False)
-    cocycles_white: np.ndarray = field(init=False, repr=False, compare=False)
+    cocycles_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    cocycles_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F = self.graph.n_quads
         self.op_black = period_operator(self.proj_black, F)
         self.op_white = period_operator(self.proj_white, F)
-        self.cocycles_black = np.ascontiguousarray(self.sigma_black.T, dtype=float)
-        self.cocycles_white = np.ascontiguousarray(self.sigma_white.T, dtype=float)
+        self.cocycles_black = sp.csr_matrix(self.sigma_black.T, dtype=float)
+        self.cocycles_white = sp.csr_matrix(self.sigma_white.T, dtype=float)
 
     @property
     def genus(self):

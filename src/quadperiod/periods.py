@@ -35,22 +35,24 @@ class PeriodsError(ValueError):
 def holomorphic_from_harmonic(graph, eta, tol=1e-8):
     """eta + i * star(eta): holomorphic, with periods whose real parts are
     the periods of eta.  eta is one real differential or an (F, m) stack;
-    each form must be closed and co-closed to tol of its norm.  One
-    closedness product measures both: the residual's real part is eta's,
-    its imaginary part star(eta)'s."""
+    each form must be closed and co-closed to tol of its norm, measured
+    with one closedness product for the stack and one for its star."""
     if np.iscomplexobj(eta.wb) and (np.any(eta.wb.imag) or np.any(eta.ww.imag)):
         raise PeriodsError("harmonic differential must be real")
     bound = tol * np.atleast_1d(np.maximum(eta.norm(), 1e-300))
     star = dec.hodge_star(graph, eta)
-    omega = Differential(star.wb * 1j + eta.wb, star.ww * 1j + eta.ww)
-    del eta, star  # the real stacks, unless the caller holds them
-    res = dec.closedness_residual(graph, omega)
-    closed, coclosed = (np.atleast_1d(np.max(np.abs(r), axis=0, initial=0.0))
-                        for r in (res.real, res.imag))
+    closed, coclosed = (np.atleast_1d(np.max(np.abs(dec.closedness_residual(graph, w)),
+                                             axis=0, initial=0.0)) for w in (eta, star))
     for j in np.flatnonzero((closed > bound) | (coclosed > bound))[:1]:
         raise PeriodsError(f"input differential is not harmonic (form {j}: closedness "
                            f"{closed[j]}, co-closedness {coclosed[j]})")
-    return omega
+    # one color at a time, dropping each stack once used, to keep peak memory down
+    parts, lifted = [eta.wb, star.wb, eta.ww, star.ww], []
+    del eta, star
+    while parts:
+        lifted.append(np.empty(parts[0].shape, complex))
+        lifted[-1].real, lifted[-1].imag = parts.pop(0), parts.pop(0)
+    return Differential(*lifted)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadperiod.surface import (PolyhedralSurface, build_quad_graph, generate_torus,
-                                l_shape_surface)
+                                l_shape_surface, torus_surface)
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,11 @@ def torus_i_4():
 @pytest.fixture(scope="session")
 def torus_skew_4():
     return generate_torus(0.5 + 0.8j, 4)
+
+
+@pytest.fixture(scope="session")
+def skew_torus():
+    return torus_surface(0.5 + 0.8j)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ two-cone origami) against fingerprints stored in golden_meshes.json.
 Integer data must match exactly: sha256 digests of the vertex colors, the
 quad table, the dart-to-edge table, the edge endpoints, the rotation
 system (vertex degrees, then the edges and the quads around every vertex)
-and repr(vertex_keys).  One more digest does not depend on how vertices
+and repr(vertex_keys), and of meta["vertex_codes"] on the meshes that
+keep lattice codes.  One more digest does not depend on how vertices
 are numbered: colors and quads after renumbering the vertices by first
 appearance in the quad table, and the dart-to-edge table.  Chart corners
 are stored in full and compared to within 1e-15.
@@ -79,7 +80,7 @@ def _fingerprint(graph):
     rot, _, quad_after = graph.rotation()
     V = graph.n_vertices
     deg = [len(rot[v]) for v in range(V)]
-    return {
+    fp = {
         "color": _digest(graph.color),
         "quads": _digest(graph.quads),
         "dart_edge": _digest(graph.dart_edge),
@@ -89,6 +90,9 @@ def _fingerprint(graph):
         "vertex_keys": hashlib.sha256(repr(graph.vertex_keys).encode()).hexdigest(),
         "relabeled": _digest(_relabeled(graph)),
     }
+    if "vertex_codes" in graph.meta:
+        fp["vertex_codes"] = _digest(graph.meta["vertex_codes"])
+    return fp
 
 
 def _pack(corners):

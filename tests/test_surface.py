@@ -16,6 +16,8 @@ from quadperiod.surface import (
     validate_h_adapted,
     QuadGraph,
     spanning_tree,
+    _code,
+    _positions,
 )
 
 
@@ -160,6 +162,22 @@ def test_load_surface_explicit_polygons():
     }
     s = load_surface(doc)
     assert s.genus == 1
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("surface", ["lshape", "skew_torus", "four_square_origami"])
+def test_lattice_codes_match_vertices_across_levels(request, surface, k, m):
+    """Point (p, x, y) of the 2k lattice is point (p, m x, m y) of the 2mk
+    lattice, and both levels store the code of its smallest image: scaling
+    the coarse codes finds every coarse vertex on the finer level."""
+    surface = request.getfixturevalue(surface)
+    coarse, fine = (build_quad_graph(surface, 1 / n) for n in (k, m * k))
+    L = 2 * k
+    p, r = np.divmod(coarse.meta["vertex_codes"], (L + 1) ** 2)
+    x, y = np.divmod(r, L + 1)
+    ids = _positions(fine.meta["vertex_codes"], _code(p, m * x, m * y, m * L))
+    assert ids.tolist() == [fine.key_index(key) for key in coarse.vertex_keys]
 
 
 def test_validate_h_adapted_torus_vacuous():

@@ -12,6 +12,7 @@ import numpy as np
 from quadperiod import build_quad_graph, generate_torus, l_shape_surface
 from quadperiod.cli import run_integrate
 from quadperiod.periods import abelian_integral_per_polygon, base_edge
+from quadperiod.surface import lattice_vertex_ids
 
 # -- torus ------------------------------------------------------------------
 tau = 0.5 + 0.8j
@@ -41,17 +42,12 @@ for k in (4, 8, 16, 32):
     branch = abelian_integral_per_polygon(gk, om)
     if prev is not None:
         ga, va = prev
+        ids = lattice_vertex_ids(ga, gk)
         worst = 0.0
         count = 0
         for r in va:
             for v, val in va[r].items():
-                key = ga.vertex_keys[v]
-                if key is None:
-                    continue
-                try:
-                    u = gk.key_index(key)
-                except KeyError:
-                    continue
+                u = ids[v]
                 if u in branch[r]:
                     worst = max(worst, abs(val - branch[r][u]))
                     count += 1

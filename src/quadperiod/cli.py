@@ -354,8 +354,6 @@ def make_parser():
     _add_common(it)
     it.add_argument("--a-periods", required=True, type=_complexes,
                     help="semicolon separated complex a-periods 're,im;...'")
-    it.add_argument("--sample", action="store_true",
-                    help="restrict output to original grid vertices")
     return ap
 
 
@@ -535,9 +533,6 @@ def _run(args):
         position = graph.corners.ravel()[first]
         rows = []
         for v in range(graph.n_vertices):
-            key = graph.vertex_keys[v] if graph.vertex_keys else None
-            if args.sample and key is None:
-                continue
             pos = position[v]
             rows.append([v, formats.fmt(pos.real), formats.fmt(pos.imag),
                          formats.fmt(vals[v].real), formats.fmt(vals[v].imag)])

@@ -12,14 +12,11 @@ closing the center.
 Patches are keyed like the uniform grid (surface.py): the patch boundary
 lies on the 2k lattice and takes its codes, so it meets the ambient
 cells by equal codes.  Every other patch vertex and edge gets an integer
-code above the lattice range, in one block of codes per (cone, ring);
-the ("ring" | "mid", cone class, ring, slot) vertex keys are decoded
-from these codes on first read.
+code above the lattice range, in one block of codes per (cone, ring).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +31,6 @@ from .surface import (
     _first_appearance,
     _grid_cells,
     _lattice_codes,
-    _lattice_keys,
     _positions,
     _reference_loops,
     _rotate_to_black,
@@ -109,13 +105,8 @@ def subdivide(graph):
         meta["loops"] = new_loops
     for key in ("k", "vertex_codes"):   # the 2k lattice is gone
         meta.pop(key, None)
-
-    def keys(source=graph._vertex_keys):   # not the graph: keep no parent alive
-        source = source() if callable(source) else source
-        return None if source is None else source + [None] * (E + F)
-
-    return QuadGraph(colors, quads, corners, cones=graph.cones,
-                     vertex_keys=keys, meta=meta, dart_keys=dart_keys)
+    return QuadGraph(colors, quads, corners, cones=graph.cones, meta=meta,
+                     dart_keys=dart_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +201,14 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     if abs(k - k_f) > 1e-9 or k < 4 or (k & (k - 1)) != 0:
         raise RefineError(
             f"adapted meshes need a power-of-two cell count >= 4, got 1/{h}")
-    patches, blocks = [], []
+    patches = []
     start = len(surface.polygons) * (2 * k + 1) ** 2   # first code above the 2k lattice
     for cid in surface.cone_classes:
         gamma = 2.0 * math.pi / surface.vertex_angles[cid]
         if gamma > 0.5 + 1e-12:
             raise RefineError("cone with index above 1/2 on a square-tiled surface")
         rings, kinds = _with_parity(gamma, h, k // 4)
-        patch, start = _cone_patch(surface, cid, rings, kinds, k, start, blocks)
+        patch, start = _cone_patch(surface, cid, rings, kinds, k, start)
         patches.append(patch)
     order, quads, corners, darts = (list(part) for part in zip(*patches))
 
@@ -233,9 +224,8 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     meta = {"kind": "square_tiled", "k": k, "adapted": True,
             "loops": _reference_loops(surface, k, vertex_codes),
             "vertex_codes": vertex_codes, "surface": surface}
-    keys = functools.partial(_patch_keys, vertex_codes, 2 * k, np.array(blocks))
     g = QuadGraph(colors, quads, corners, cones=_attach_cones(surface, k, vertex_codes),
-                  vertex_keys=keys, meta=meta, dart_keys=codes)
+                  meta=meta, dart_keys=codes)
     st = mesh_stats(g)
     if st.phi_min < phi_floor - 1e-12:
         raise RefineError(f"angle floor violated: phi_min {st.phi_min:.4f}")
@@ -274,7 +264,7 @@ _COARSEN_EDGES = np.array([[0, 1, 8, 10], [8, 2, 3, 9], [9, 4, 5, 11], [11, 7, 6
 _SIDE_X, _SIDE_Y = np.roll(_CORNER_X, -1) - _CORNER_X, np.roll(_CORNER_Y, -1) - _CORNER_Y
 
 
-def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
+def _cone_patch(surface, cid, rings, kinds, k, start):
     """Graded ring patch around cone class cid, on integer codes.
 
     Ring 0, the patch boundary, lies on the 2k lattice: in units of
@@ -283,10 +273,9 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
     Every ring r gets the block of 3 T codes from its start, T = 2 p K
     its slot count: vertex and arc codes of its slots (unused at r = 0),
     then those of its mid vertices and of its radial edges inward (the
-    fan's at the innermost ring), then its spokes.  Appends (start, cid,
-    r, T) of every ring to blocks.  Returns (vertex codes in numbering order,
-    quad vertex codes, chart corners, dart edge codes) and the first code
-    after the patch."""
+    fan's at the innermost ring), then its spokes.  Returns (vertex codes
+    in numbering order, quad vertex codes, chart corners, dart edge codes)
+    and the first code after the patch."""
     link = surface.vertex_links[cid]
     K, L, jc = len(link), 2 * k, k // 4
     poly, corner = np.array(link).T
@@ -296,7 +285,6 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
     ey = 1j * ex
     T = np.array([2 * p * K for _, p in rings])
     ring_start = start + np.cumsum(3 * T) - 3 * T
-    blocks.extend(zip(ring_start, [cid] * len(rings), range(len(rings)), T))
 
     def lattice(sec, a, b):
         """Codes of the points (a, b) of sectors sec, in units of 1/L
@@ -378,20 +366,6 @@ def _cone_patch(surface, cid, rings, kinds, k, start, blocks):
                            radial(rM, 2 * i + 2)], axis=1))
     patch = [np.concatenate(part) for part in (order, quads, corners, darts)]
     return patch, int(ring_start[-1] + 3 * T[-1])
-
-
-def _patch_keys(codes, L, blocks):
-    """Exact vertex keys of an adapted mesh, from its vertex codes: the
-    lattice keys ("v", p, x, y), and ("ring", cid, r, slot) or ("mid",
-    cid, r, group) above the lattice, blocks holding (start, cid, r, T)
-    of every ring."""
-    b = np.searchsorted(blocks[:, 0], codes, side="right") - 1
-    lattice = iter(_lattice_keys(codes[b < 0], L))
-    off = (codes - blocks[b, 0]).tolist()
-    cid, ring, T = blocks[:, 1:].T.tolist()
-    return [next(lattice) if i < 0 else
-            ("ring" if o < T[i] else "mid", cid[i], ring[i], o % T[i])
-            for i, o in zip(b.tolist(), off)]
 
 
 def _bipartite_colors(n, quads):

@@ -19,17 +19,16 @@ corner to the smallest corner of its vertex class).  The cone patches of
 adapted meshes (refine.py) put their boundary on the same lattice and
 key the rest of their vertices and edges by integers above its range.
 Vertices and edges are numbered in order of first appearance; the mesh
-keeps the code of every vertex in meta["vertex_codes"].  The exact keys
-("v", p, x, y), Fraction coordinates, are built when `vertex_keys` is
-first read.
+keeps the code of every vertex in meta["vertex_codes"], its one vertex
+identity.  Point (p, x, y) of the 2k lattice is point (p, m x, m y) of
+the 2mk lattice, so `lattice_vertex_ids` finds the vertices of a mesh
+on a finer one by scaling their codes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix, csgraph
@@ -260,13 +259,12 @@ class QuadGraph:
     black diagonal is b- -> b+, the white diagonal w- -> w+.
     """
 
-    def __init__(self, colors, quads, corners, cones=(), vertex_keys=None,
-                 meta=None, dart_keys=None, closed=True, check=True):
+    def __init__(self, colors, quads, corners, cones=(), meta=None, dart_keys=None,
+                 closed=True, check=True):
         self.color = np.asarray(colors, dtype=np.int8)
         self.quads = np.asarray(quads, dtype=np.int64)
         self.corners = np.asarray(corners, dtype=complex)
         self.cones = list(cones)
-        self._vertex_keys = vertex_keys
         self.dart_keys = dart_keys
         self.closed = closed
         self.meta = meta or {}
@@ -318,22 +316,6 @@ class QuadGraph:
             a = 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
             self._cache["area"] = a
         return a
-
-    @property
-    def vertex_keys(self):
-        """Exact key of every vertex (None where a vertex has none), or
-        None; generators pass a function that builds the list on first
-        read."""
-        if callable(self._vertex_keys):
-            self._vertex_keys = self._vertex_keys()
-        return self._vertex_keys
-
-    def key_index(self, key):
-        idx = self._cache.get("key_index")
-        if idx is None:
-            idx = {k: i for i, k in enumerate(self.vertex_keys or []) if k is not None}
-            self._cache["key_index"] = idx
-        return idx[key]
 
     # -- validation ---------------------------------------------------------
 
@@ -723,9 +705,8 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     meta = {"kind": "square_tiled", "k": k,
             "loops": _reference_loops(surface, k, vertex_codes),
             "vertex_codes": vertex_codes, "surface": surface}
-    keys = functools.partial(_lattice_keys, vertex_codes, 2 * k)
     return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
-                     vertex_keys=keys, meta=meta, dart_keys=dart_keys)
+                     meta=meta, dart_keys=dart_keys)
 
 
 def _lattice_table(surface):
@@ -819,12 +800,16 @@ def _positions(distinct, codes):
     return at
 
 
-def _lattice_keys(codes, L):
-    """("v", p, x, y) keys, Fraction coordinates, of lattice codes."""
-    p, r = np.divmod(np.ravel(codes), (L + 1) ** 2)
+def lattice_vertex_ids(coarse, fine):
+    """Ids on the uniform mesh fine of the vertices of the uniform mesh
+    coarse of the same surface, at cell sizes 1/(m k) and 1/k."""
+    k, kf = coarse.meta["k"], fine.meta["k"]
+    if kf % k:
+        raise SurfaceError(f"cell count {kf} is not a multiple of {k}")
+    L, m = 2 * k, kf // k
+    p, r = np.divmod(coarse.meta["vertex_codes"], (L + 1) ** 2)
     x, y = np.divmod(r, L + 1)
-    return [("v", q, Fraction(a, L), Fraction(b, L))
-            for q, a, b in zip(p.tolist(), x.tolist(), y.tolist())]
+    return _positions(fine.meta["vertex_codes"], _code(p, m * x, m * y, m * L))
 
 
 def _attach_cones(surface, k, vertex_codes):

@@ -31,7 +31,8 @@ from quadperiod.periods import (
     block_mean_psd_gap,
     period_matrices,
 )
-from quadperiod.surface import build_quad_graph, generate_torus, l_shape_surface
+from quadperiod.surface import (build_quad_graph, generate_torus, l_shape_surface,
+                                lattice_vertex_ids)
 
 TORI = [(1j, n) for n in (2, 4, 8, 16)] + [(0.5 + 0.8j, n) for n in (2, 4, 8, 16)]
 LSHAPE_CELLS = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
@@ -306,16 +307,11 @@ def test_criterion_9_abelian_integrals(lshape):
         packs.append((gk, abelian_integral_per_polygon(gk, om)))
     diffs = []
     for (ga, va), (gb, vb2) in zip(packs, packs[1:]):
+        ids = lattice_vertex_ids(ga, gb)
         worst = 0.0
         for r in va:
             for v, val in va[r].items():
-                key = ga.vertex_keys[v]
-                if key is None:
-                    continue
-                try:
-                    u = gb.key_index(key)
-                except KeyError:
-                    continue
+                u = ids[v]
                 if u in vb2[r]:
                     worst = max(worst, abs(val - vb2[r][u]))
         diffs.append(worst)

@@ -6,8 +6,8 @@ two-cone origami) against fingerprints stored in golden_meshes.json.
 Integer data must match exactly: sha256 digests of the vertex colors, the
 quad table, the dart-to-edge table, the edge endpoints, the rotation
 system (vertex degrees, then the edges and the quads around every vertex)
-and repr(vertex_keys), and of meta["vertex_codes"] on the meshes that
-keep lattice codes.  One more digest does not depend on how vertices
+and meta["vertex_codes"], the vertex identity of the meshes that keep
+lattice codes.  One more digest does not depend on how vertices
 are numbered: colors and quads after renumbering the vertices by first
 appearance in the quad table, and the dart-to-edge table.  Chart corners
 are stored in full and compared to within 1e-15.
@@ -87,7 +87,6 @@ def _fingerprint(graph):
         "edge_list": _digest(np.reshape(graph.edge_list, (-1, 2))),
         "rot": _digest(np.concatenate([deg] + [rot[v] for v in range(V)])),
         "quad_after": _digest(np.concatenate([deg] + [quad_after[v] for v in range(V)])),
-        "vertex_keys": hashlib.sha256(repr(graph.vertex_keys).encode()).hexdigest(),
         "relabeled": _digest(_relabeled(graph)),
     }
     if "vertex_codes" in graph.meta:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadperiod.surface import BLACK, WHITE, generate_torus
+from quadperiod.surface import BLACK, WHITE, generate_torus, lattice_vertex_ids
 from quadperiod import dec
 from quadperiod.dec import PeriodData
 from quadperiod.harmonic import assemble, solve
@@ -289,18 +289,13 @@ def test_abelian_per_polygon_levels_agree(lshape, rng):
         omega = holomorphic_from_harmonic(g, eta)
         out.append((g, abelian_integral_per_polygon(g, omega)))
     (ga, va), (gb, vb) = out
-    # shared grid vertices are found through their level-independent keys
+    # shared grid vertices are found through their scaled lattice codes
+    ids = lattice_vertex_ids(ga, gb)
     shared = 0
     worst = 0.0
     for p in va:
         for v, val in va[p].items():
-            key = ga.vertex_keys[v]
-            if key is None:
-                continue
-            try:
-                u = gb.key_index(key)
-            except KeyError:
-                continue
+            u = ids[v]
             if u in vb[p]:
                 shared += 1
                 worst = max(worst, abs(val - vb[p][u]))

@@ -16,8 +16,7 @@ from quadperiod.surface import (
     validate_h_adapted,
     QuadGraph,
     spanning_tree,
-    _code,
-    _positions,
+    lattice_vertex_ids,
 )
 
 
@@ -168,16 +167,27 @@ def test_load_surface_explicit_polygons():
 @pytest.mark.parametrize("k", [2, 4, 8])
 @pytest.mark.parametrize("surface", ["lshape", "skew_torus", "four_square_origami"])
 def test_lattice_codes_match_vertices_across_levels(request, surface, k, m):
-    """Point (p, x, y) of the 2k lattice is point (p, m x, m y) of the 2mk
-    lattice, and both levels store the code of its smallest image: scaling
-    the coarse codes finds every coarse vertex on the finer level."""
+    """Scaling the coarse lattice codes finds every coarse vertex on the
+    finer level: each corner of coarse cell (p, i, j) and its image are
+    corners at the same chart point of fine cells of polygon p."""
     surface = request.getfixturevalue(surface)
     coarse, fine = (build_quad_graph(surface, 1 / n) for n in (k, m * k))
-    L = 2 * k
-    p, r = np.divmod(coarse.meta["vertex_codes"], (L + 1) ** 2)
-    x, y = np.divmod(r, L + 1)
-    ids = _positions(fine.meta["vertex_codes"], _code(p, m * x, m * y, m * L))
-    assert ids.tolist() == [fine.key_index(key) for key in coarse.vertex_keys]
+    ids = lattice_vertex_ids(coarse, fine).tolist()
+    # the reference uses no codes: the chart points at which each vertex
+    # is a corner of a fine cell of polygon p
+    points = {}
+    for q, (verts, zs) in enumerate(zip(fine.quads.tolist(), fine.corners)):
+        for v, z in zip(verts, zs):
+            points.setdefault((q // (m * k) ** 2, v), []).append(z)
+    for q, (verts, zs) in enumerate(zip(coarse.quads.tolist(), coarse.corners)):
+        for v, z in zip(verts, zs):
+            assert np.min(np.abs(np.array(points[q // k ** 2, ids[v]]) - z)) <= 1e-12
+
+
+def test_lattice_vertex_ids_need_a_multiple_cell_count(lshape):
+    coarse, fine = (build_quad_graph(lshape, 1 / n) for n in (4, 6))
+    with pytest.raises(SurfaceError, match="cell count 6 is not a multiple of 4"):
+        lattice_vertex_ids(coarse, fine)
 
 
 def test_validate_h_adapted_torus_vacuous():

@@ -687,11 +687,10 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     that the checkerboard coloring closes up across translation gluings.
     Quad (p * k + i) * k + j is cell (i, j) of polygon p, i along ex."""
     frame = _square_tiled_data(surface)
-    k_f = 1.0 / cell_size
-    k = int(round(k_f))
-    if abs(k - k_f) > 1e-9 or k % 2 != 0:
-        raise SurfaceError(
-            f"cell size {cell_size} does not divide 1 with an even quotient")
+    # false for nan too; then 1 / cell_size >= 2 is finite
+    k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0
+    if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
+        raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
     if adapted:
         from .refine import generate_adapted
         return generate_adapted(surface, cell_size, phi_floor=phi_floor)

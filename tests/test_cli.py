@@ -211,6 +211,10 @@ def test_converge_few_levels_no_fit(lshape_doc, tmp_path, capsys):
     (["--tol", "1e-300"], "periods", ["--cell", "0.25"]),  # HarmonicError
     ([], "integrate", ["--cell", "0.25", "--a-periods", "1,0;1,0"]),  # PeriodsError
     ([], "harmonic", ["--periods", "1,0,0"]),            # HarmonicError: 3 of 4 or 8
+    ([], "check", ["--cell", "0"]),                     # SurfaceError: 1/k, k even >= 2
+    ([], "check", ["--cell", "1e10"]),
+    ([], "check", ["--cell", "-0.5"]),
+    ([], "check", ["--cell", "nan"]),
 ])
 def test_invalid_input_exits_2_with_one_line(torus_doc, tmp_path, capsys,
                                              before, command, after):

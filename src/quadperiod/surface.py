@@ -19,10 +19,8 @@ corner to the smallest corner of its vertex class).  The cone patches of
 adapted meshes (refine.py) put their boundary on the same lattice and
 key the rest of their vertices and edges by integers above its range.
 Vertices and edges are numbered in order of first appearance; the mesh
-keeps the code of every vertex in meta["vertex_codes"], its one vertex
-identity.  Point (p, x, y) of the 2k lattice is point (p, m x, m y) of
-the 2mk lattice, so `lattice_vertex_ids` finds the vertices of a mesh
-on a finer one by scaling their codes.
+keeps the code of every vertex in meta["vertex_codes"], its one identity
+across levels (`lattice_vertex_ids`).
 """
 
 from __future__ import annotations
@@ -687,8 +685,7 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     that the checkerboard coloring closes up across translation gluings.
     Quad (p * k + i) * k + j is cell (i, j) of polygon p, i along ex."""
     frame = _square_tiled_data(surface)
-    # false for nan too; then 1 / cell_size >= 2 is finite
-    k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0
+    k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0   # 0 for nan too
     if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
         raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
     if adapted:
@@ -888,10 +885,23 @@ def load_surface(doc):
             raise SurfaceError(f"unknown generator kind {kind!r}")
     polys = doc.get("polygons")
     glu = doc.get("gluings")
-    if not polys or glu is None:
+    if not isinstance(polys, list) or not polys or not isinstance(glu, list):
         raise SurfaceError("surface document needs 'polygons' and 'gluings'")
-    gluings = [tuple(map(tuple, pair)) for pair in glu]
-    return PolyhedralSurface(polygons=polys, gluings=gluings)
+    polygons = []
+    for row in polys:
+        try:
+            polygons.append(np.asarray(row, dtype=float).reshape(len(row), 2))
+        except (TypeError, ValueError):
+            raise SurfaceError(f"polygon row {row!r} is not a list of [x, y] numbers") from None
+    sides = {(p, e): (p, e) for p, poly in enumerate(polygons) for e in range(len(poly))}
+    gluings = []
+    for row in glu:
+        try:   # sides holds int pairs; a row may spell them 1.0 or true
+            (p, e), (q, f) = row
+            gluings.append((sides[p, e], sides[q, f]))
+        except (TypeError, ValueError, KeyError):
+            raise SurfaceError(f"gluing row {row!r} does not name two polygon sides") from None
+    return PolyhedralSurface(polygons=polygons, gluings=gluings)
 
 
 def l_shape_surface():

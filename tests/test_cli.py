@@ -247,6 +247,13 @@ def _raw_torus_doc(**changes):
     return json.dumps(doc)
 
 
+def _square_torus_doc(**changes):
+    doc = {"format": 1, "polygons": [[[0, 0], [1, 0], [1, 1], [0, 1]]],
+           "gluings": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read"),
     ("{\"format\": 1,", "not a JSON document"),
@@ -254,8 +261,18 @@ def _raw_torus_doc(**changes):
     (_raw_torus_doc(quads=[[0, 1, 5, 4, 0.0, 0.0, 0.25, 0.0]]), "4 integer vertex ids"),
     (_raw_torus_doc(vertices=[[i, "red"] for i in range(16)]), "'black' | 'white'"),
     (_raw_torus_doc(cones=[[1, 2.0]]), "cone row [1, 2.0] is not"),
+    (_square_torus_doc(polygons=[[[0, 0], [1, "a"], [1, 1], [0, 1]]]),
+     "polygon row [[0, 0], [1, 'a'], [1, 1], [0, 1]] is not a list of [x, y] numbers"),
+    (_square_torus_doc(gluings=[[[0, 0]], [[0, 1], [0, 3]]]),
+     "gluing row [[0, 0]] does not name two polygon sides"),
+    (_square_torus_doc(gluings=[[[0, 0], [5, 2]], [[0, 1], [0, 3]]]),
+     "gluing row [[0, 0], [5, 2]] does not name two polygon sides"),
+    (_square_torus_doc(gluings=[[[0, 0], [0, 7]], [[0, 1], [0, 3]]]),
+     "gluing row [[0, 0], [0, 7]] does not name two polygon sides"),
+    (_square_torus_doc(gluings=5), "needs 'polygons' and 'gluings'"),
 ], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
-        "short-cone-row"])
+        "short-cone-row", "non-numeric-corner", "one-side-gluing", "unknown-polygon-gluing",
+        "unknown-side-gluing", "gluings-not-a-table"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"
     if text is not None:

@@ -28,7 +28,6 @@ from .dec import (
     inner_product,
     integrate_path,
     is_closed,
-    is_holomorphic,
     measure_periods,
     quad_derivatives,
     quad_gradients,

@@ -76,12 +76,8 @@ class PeriodData:
             setattr(self, k, np.atleast_1d(np.asarray(getattr(self, k))))
 
     @classmethod
-    def zeros(cls, g, dtype=float):
-        return cls(*(np.zeros(g, dtype=dtype) for _ in range(4)))
-
-    @property
-    def genus(self):
-        return len(self.a_black)
+    def zeros(cls, g):
+        return cls(*(np.zeros(g) for _ in range(4)))
 
     @property
     def a(self):
@@ -202,13 +198,6 @@ def holomorphy_residual(graph, omega):
     return omega.ww - 1j * graph.diagonal_ratio * omega.wb
 
 
-def is_holomorphic(graph, omega, tol=1e-10):
-    cr = float(np.max(np.abs(holomorphy_residual(graph, omega))))
-    _, cl = is_closed(graph, omega, tol)
-    scale = max(omega.norm(), 1e-300)
-    return (cr <= tol * scale and cl <= tol * scale), cr, cl
-
-
 def _cmul(x, y):
     # explicit real arithmetic keeps x*y bitwise commutative (the fused
     # complex product is not), which makes the wedge exactly antisymmetric
@@ -288,11 +277,12 @@ def color_periods(basis, wb, ww):
     return 2.0 * (basis.op_black @ wb), 2.0 * (basis.op_white @ ww)
 
 
-def measure_periods(graph, omega, basis, warn_tol=1e-6):
+def measure_periods(graph, omega, basis):
     """All black/white periods of one differential (or a stack) against a
     homology basis (color_periods).  Periods of non-closed differentials
-    depend on the representatives; a warning flags that case."""
-    ok, worst = is_closed(graph, omega, warn_tol)
+    depend on the representatives; a warning flags a closedness residual
+    above 1e-6 of the norm."""
+    ok, worst = is_closed(graph, omega, 1e-6)
     if not np.all(ok):
         import warnings
         warnings.warn(f"measuring periods of a non-closed differential "

@@ -66,30 +66,11 @@ class DiagonalCycle:
     steps: list
 
 
-def cycle_from_vertices(graph, walk, edge_keys=None):
-    """Resolve a closed vertex walk to a Cycle.
-
-    Steps between vertices joined by parallel edges need explicit edge
-    keys (graphs built by the generators carry them)."""
-    if isinstance(walk, dict):
-        walk, edge_keys = walk["verts"], walk.get("edge_keys")
-    n = len(walk)
-    eids = []
-    if edge_keys is not None:
-        if graph.dart_keys is None:
-            raise HomologyError("graph has no edge keys to resolve the walk")
-        eids = graph.edge_ids(edge_keys).tolist()
-    else:
-        by_pair = {}
-        for e, (a, b) in enumerate(graph.edge_list.tolist()):
-            by_pair.setdefault((a, b), []).append(e)
-        for i in range(n):
-            a, b = walk[i], walk[(i + 1) % n]
-            key = (a, b) if a < b else (b, a)
-            cand = by_pair.get(key, [])
-            if len(cand) != 1:
-                raise HomologyError(f"walk step {a}->{b} matches {len(cand)} edges")
-            eids.append(cand[0])
+def cycle_from_vertices(graph, walk):
+    """Resolve a closed vertex walk {"verts", "edge_keys"}, a reference
+    loop of a generated mesh, to a Cycle.  The edge keys (dart_keys
+    values) name the edge of every step, so parallel edges resolve."""
+    walk, eids = walk["verts"], graph.edge_ids(walk["edge_keys"]).tolist()
     cyc = Cycle(list(walk), eids)
     steps = np.sort(np.stack([walk, np.roll(walk, -1)], axis=1), axis=1)
     wrong = np.flatnonzero(np.any(steps != graph.edge_list[eids].reshape(-1, 2), axis=1))
@@ -531,7 +512,7 @@ def _select_spanning_cycles(graph, candidates, rank):
     return [candidates[i] for i in chosen], M[np.ix_(chosen, chosen)]
 
 
-def homology_basis(graph, clockwise=False):
+def homology_basis(graph):
     """Canonical symplectic basis with diagonal projections and period
     cocycles.  Meshes built by the generators carry mesh-independent
     reference loops (extended by tree-cotree cycles when the loops alone
@@ -557,9 +538,9 @@ def homology_basis(graph, clockwise=False):
         M = intersection_matrix(graph, cycles)
         a_chains, b_chains, S = symplectic_basis(graph, cycles, M)
     chains = a_chains + b_chains
-    proj_black = [[(c, project_cycle(graph, cyc, BLACK, clockwise))
+    proj_black = [[(c, project_cycle(graph, cyc, BLACK))
                    for c, cyc in ch] for ch in chains]
-    proj_white = [[(c, project_cycle(graph, cyc, WHITE, clockwise))
+    proj_white = [[(c, project_cycle(graph, cyc, WHITE))
                    for c, cyc in ch] for ch in chains]
     sigma_black = build_cocycles(graph, proj_black, BLACK)
     sigma_white = build_cocycles(graph, proj_white, WHITE)

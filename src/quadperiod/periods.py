@@ -32,14 +32,14 @@ class PeriodsError(ValueError):
     pass
 
 
-def holomorphic_from_harmonic(graph, eta, tol=1e-8):
+def holomorphic_from_harmonic(graph, eta):
     """eta + i * star(eta): holomorphic, with periods whose real parts are
     the periods of eta.  eta is one real differential or an (F, m) stack;
-    each form must be closed and co-closed to tol of its norm, measured
+    each form must be closed and co-closed to 1e-8 of its norm, measured
     with one closedness product for the stack and one for its star."""
     if np.iscomplexobj(eta.wb) and (np.any(eta.wb.imag) or np.any(eta.ww.imag)):
         raise PeriodsError("harmonic differential must be real")
-    bound = tol * np.atleast_1d(np.maximum(eta.norm(), 1e-300))
+    bound = 1e-8 * np.atleast_1d(np.maximum(eta.norm(), 1e-300))
     star = dec.hodge_star(graph, eta)
     closed, coclosed = (np.atleast_1d(np.max(np.abs(dec.closedness_residual(graph, w)),
                                              axis=0, initial=0.0)) for w in (eta, star))
@@ -133,10 +133,10 @@ class PeriodMatrices:
         return (self.block_bw + self.block_bb + self.block_ww + self.block_wb) / 2.0
 
 
-def period_matrices(graph, basis, cb=None, system=None):
+def period_matrices(graph, basis, cb=None):
     """Assemble the period matrix blocks from one product over cb's forms,
     measured afresh, and run the structural checks."""
-    cb = cb or canonical_differentials(graph, basis, system)
+    cb = cb or canonical_differentials(graph, basis)
     g = basis.genus
     forms = cb.black_normalized + cb.white_normalized + cb.equal_split
     black, white = dec.color_periods(basis, np.column_stack([w.wb for w in forms]),
@@ -209,7 +209,7 @@ def energy_form_continuous(pi):
                      [-2 * Mi @ R, 2 * Mi]])
 
 
-def energy_identity_residual(graph, basis, system, pm, p_real, tol=1e-10):
+def energy_identity_residual(graph, system, pm, p_real, tol=1e-10):
     """Relative gap between the energy of the holomorphic differential
     with period real parts p_real and the quadratic form value."""
     eta = solve(system, p_real, tol).differential
@@ -285,7 +285,7 @@ def base_edge(graph):
     return b, a
 
 
-def abelian_integral(graph, omega, base=None):
+def abelian_integral(graph, omega):
     """Primitive of a closed differential along diagonal spanning trees.
 
     Values at black vertices accumulate black diagonal steps along the
@@ -295,9 +295,7 @@ def abelian_integral(graph, omega, base=None):
     branch of the multi-valued primitive reached through these two
     trees; any other branch differs from it by periods.
     """
-    if base is None:
-        base = base_edge(graph)
-    vb, vw = base
+    vb, vw = base_edge(graph)
     return np.where(graph.color == BLACK,
                     _diagonal_primitive(graph, omega, BLACK, vb),
                     _diagonal_primitive(graph, omega, WHITE, vw))

@@ -258,7 +258,7 @@ class QuadGraph:
     """
 
     def __init__(self, colors, quads, corners, cones=(), meta=None, dart_keys=None,
-                 closed=True, check=True):
+                 closed=True):
         self.color = np.asarray(colors, dtype=np.int8)
         self.quads = np.asarray(quads, dtype=np.int64)
         self.corners = np.asarray(corners, dtype=complex)
@@ -267,8 +267,7 @@ class QuadGraph:
         self.closed = closed
         self.meta = meta or {}
         self._cache = {}
-        if check:
-            self.validate()
+        self.validate()
 
     # -- basic quantities ---------------------------------------------------
 
@@ -626,14 +625,18 @@ def _mesh_stats(graph):
 # ---------------------------------------------------------------------------
 
 def torus_surface(tau):
-    """The flat torus of modulus tau: one parallelogram with sides 1 and
-    tau, opposite sides glued."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise SurfaceError("torus modulus must have positive imaginary part")
-    poly = [[0, 0], [1, 0], [1 + tau.real, tau.imag], [tau.real, tau.imag]]
+    """The flat torus of modulus tau, a complex number or its [re, im]
+    pair: one parallelogram with sides 1 and tau, opposite sides glued."""
+    try:
+        z = complex(*tau) if isinstance(tau, (list, tuple)) else complex(tau)
+    except (TypeError, ValueError):
+        z = math.nan
+    if not (np.isfinite(z) and z.imag > 0):
+        raise SurfaceError(f"torus modulus {tau!r} is not a finite complex number "
+                           "with positive imaginary part")
+    poly = [[0, 0], [1, 0], [1 + z.real, z.imag], [z.real, z.imag]]
     return PolyhedralSurface(polygons=[poly], gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3))],
-                             generator={"kind": "torus", "tau": [tau.real, tau.imag]})
+                             generator={"kind": "torus", "tau": [z.real, z.imag]})
 
 
 def generate_torus(tau, n):
@@ -678,7 +681,7 @@ def _square_tiled_data(surface):
     return ex, ey
 
 
-def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
+def build_quad_graph(surface, cell_size):
     """Mesh a parallelogram-tiled surface: every polygon is cut into k x k
     translates of the parallelogram with sides ex / k, ey / k, where ex, ey
     is the frame of the surface and k = 1 / cell_size.  k must be even so
@@ -688,9 +691,6 @@ def build_quad_graph(surface, cell_size, adapted=False, phi_floor=math.pi / 12):
     k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0   # 0 for nan too
     if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
         raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
-    if adapted:
-        from .refine import generate_adapted
-        return generate_adapted(surface, cell_size, phi_floor=phi_floor)
     (_, i, j), corner_codes, mid_codes, pos = _grid_cells(
         surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
     vertex_codes, quads = _first_appearance(corner_codes)
@@ -873,14 +873,15 @@ def load_surface(doc):
         raise SurfaceError("missing or unsupported 'format' header (want 1)")
     gen = doc.get("generator")
     if gen:
+        if not isinstance(gen, dict):
+            raise SurfaceError(f"generator {gen!r} is not a table")
         kind = gen.get("kind")
         if kind == "torus":
-            tau = gen["tau"]
-            return torus_surface(complex(*tau) if isinstance(tau, (list, tuple)) else tau)
+            return torus_surface(gen.get("tau"))
         if kind == "l_shape":
             return l_shape_surface()
         if kind == "square_tiled":
-            doc = {"format": 1, "polygons": gen["polygons"], "gluings": gen["gluings"]}
+            doc = {"format": 1, "polygons": gen.get("polygons"), "gluings": gen.get("gluings")}
         else:
             raise SurfaceError(f"unknown generator kind {kind!r}")
     polys = doc.get("polygons")
@@ -893,6 +894,8 @@ def load_surface(doc):
             polygons.append(np.asarray(row, dtype=float).reshape(len(row), 2))
         except (TypeError, ValueError):
             raise SurfaceError(f"polygon row {row!r} is not a list of [x, y] numbers") from None
+        if not np.all(np.isfinite(polygons[-1])):
+            raise SurfaceError(f"polygon row {row!r} has a non-finite coordinate")
     sides = {(p, e): (p, e) for p, poly in enumerate(polygons) for e in range(len(poly))}
     gluings = []
     for row in glu:

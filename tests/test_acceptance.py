@@ -70,7 +70,7 @@ def lshape_level3(lshape):
     g = build_quad_graph(lshape, 1 / 8)
     basis = homology_basis(g)
     system = assemble(g, basis)
-    pm = period_matrices(g, basis, system=system)
+    pm = period_matrices(g, basis, canonical_differentials(g, basis, system))
     return g, basis, system, pm
 
 
@@ -165,7 +165,7 @@ def test_criterion_5_harmonic_contracts(lshape_level3):
     p_norm = float(np.linalg.norm(p.flat().real))
     ok_periods = sol.period_error <= 1e-8 * p_norm
     ok_coclosed = sol.coclosedness <= 1e-8 * n_eta
-    rep = verify_minimality(system, sol, trials=50, seed=11, tol=1e-9)
+    rep = verify_minimality(system, sol, trials=50, seed=11)
     ok = ok_periods and ok_coclosed and rep["orthogonality"] <= 1e-9
     assert _report("5 harmonic-contracts", ok,
                    f"period err={sol.period_error:.3e} (tol {1e-8 * p_norm:.1e}), "

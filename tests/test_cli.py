@@ -7,8 +7,9 @@ import pytest
 
 from quadperiod import dec, formats
 from quadperiod.cli import main, run_check, run_converge, run_integrate
+from quadperiod.harmonic import assemble
 from quadperiod.homology import homology_basis
-from quadperiod.periods import period_matrices
+from quadperiod.periods import canonical_differentials, period_matrices
 from quadperiod.surface import build_quad_graph, generate_torus, l_shape_surface
 
 
@@ -104,6 +105,40 @@ def test_periods_command(torus_doc, tmp_path, capsys):
     assert doc["genus"] == 1
     re, im = doc["pi"][0][0]
     assert abs(re) < 1e-9 and abs(im - 1) < 1e-9
+
+
+def test_periods_dump_differentials(lshape_doc, tmp_path, capsys):
+    # one CSV per equal-split canonical form, read back exactly
+    dump = tmp_path / "forms"
+    rc = main(["--out", str(tmp_path), "periods", lshape_doc, "--cell", "0.5",
+               "--dump-differentials", str(dump)])
+    assert rc == 0
+    g = build_quad_graph(l_shape_surface(), 0.5)
+    basis = homology_basis(g)
+    cb = canonical_differentials(g, basis, assemble(g, basis))
+    assert sorted(os.listdir(dump)) == ["canonical0.csv", "canonical1.csv"]
+    for k, want in enumerate(cb.equal_split):
+        got = formats.read_differential(str(dump / f"canonical{k}.csv"))
+        assert np.array_equal(got.wb, want.wb) and np.array_equal(got.ww, want.ww)
+
+
+def test_converge_lshape_fitted_slopes(lshape_doc, tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "converge", lshape_doc, "--cell", "0.5",
+               "--levels", "4"])
+    out = capsys.readouterr().out
+    fits = {line.split(":")[0].removeprefix("FIT "): line
+            for line in out.splitlines() if line.startswith("FIT ")}
+    assert sorted(fits) == ["diagonal_gap", "energy_error", "off_diagonal_gap", "pi_error"]
+    # the diagonal blocks agree exactly on the orthodiagonal L-shape; the
+    # other three errors get a least-squares slope of a decreasing error
+    assert "exact" in fits["diagonal_gap"]
+    for key in ("energy_error", "off_diagonal_gap", "pi_error"):
+        assert 0 < float(fits[key].split("slope=")[1].split()[0]) < 5
+    pi_fit = fits["pi_error"]
+    # the verdict is the pi_error fit's: decreasing errors and a slope in band
+    passed = "decreasing=True" in pi_fit and "in_band=True" in pi_fit
+    assert out.splitlines()[-1].endswith(f"RESULT={'PASS' if passed else 'FAIL'}")
+    assert rc == (0 if passed else 1)
 
 
 def test_converge_torus_exact(torus_doc, tmp_path, capsys):
@@ -270,9 +305,22 @@ def _square_torus_doc(**changes):
     (_square_torus_doc(gluings=[[[0, 0], [0, 7]], [[0, 1], [0, 3]]]),
      "gluing row [[0, 0], [0, 7]] does not name two polygon sides"),
     (_square_torus_doc(gluings=5), "needs 'polygons' and 'gluings'"),
+    (_square_torus_doc(polygons=[[[0, 0], [1, 0], [1, math.nan], [0, 1]]]),
+     "polygon row [[0, 0], [1, 0], [1, nan], [0, 1]] has a non-finite coordinate"),
+    (json.dumps({"format": 1, "generator": [1]}), "generator [1] is not a table"),
+    (json.dumps({"format": 1, "generator": {"kind": "torus", "tau": "x"}}),
+     "torus modulus 'x' is not a finite complex number"),
+    (json.dumps({"format": 1, "generator": {"kind": "torus", "tau": [0.5, math.inf]}}),
+     "torus modulus [0.5, inf] is not a finite complex number"),
+    (json.dumps({"format": 1, "generator": {"kind": "square_tiled"}}),
+     "needs 'polygons' and 'gluings'"),
+    (json.dumps({"format": 1, "generator": {"kind": "square_tiled", "polygons": [
+        [[0, 0], [1, 0], [1, 1], [0, 1]]]}}), "needs 'polygons' and 'gluings'"),
 ], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
         "short-cone-row", "non-numeric-corner", "one-side-gluing", "unknown-polygon-gluing",
-        "unknown-side-gluing", "gluings-not-a-table"])
+        "unknown-side-gluing", "gluings-not-a-table", "non-finite-corner",
+        "generator-not-a-table", "malformed-tau", "non-finite-tau",
+        "square-tiled-without-polygons", "square-tiled-without-gluings"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"
     if text is not None:

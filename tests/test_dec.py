@@ -16,7 +16,6 @@ from quadperiod.dec import (
     inner_product,
     integrate_path,
     is_closed,
-    is_holomorphic,
     measure_periods,
     quad_derivatives,
     quad_gradients,

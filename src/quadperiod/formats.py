@@ -84,6 +84,8 @@ def graph_from_doc(doc):
         table = None
     if table is None or table.shape[1:] != (12,) or np.any(table[:, :4] % 1 != 0):
         raise SurfaceError("each quad row must hold 4 integer vertex ids and 8 chart floats")
+    if np.any((table[:, :4] < 0) | (table[:, :4] >= V)):   # before the cast can overflow
+        raise SurfaceError(f"quad vertex id out of range [0, {V})")
     quads = table[:, :4].astype(np.int64)
     corners = np.ascontiguousarray(table[:, 4:]).view(complex)
     cones = doc.get("cones", [])

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
+from .dec import difference_operators
 from .surface import BLACK, WHITE, spanning_tree
 
 
@@ -49,12 +50,6 @@ class Cycle:
 
     def reversed(self):
         return Cycle(self.verts[:1] + self.verts[:0:-1], self.eids[::-1])
-
-    def passages(self):
-        """(vertex, incoming edge, outgoing edge) per step of the walk."""
-        n = len(self.verts)
-        return [(self.verts[i], self.eids[(i - 1) % n], self.eids[i])
-                for i in range(n)]
 
 
 @dataclass
@@ -146,12 +141,23 @@ def basis_cycles(graph, tc=None):
 # Intersection numbers by corner counting
 # ---------------------------------------------------------------------------
 
-def _covered(rot_pos_v, deg, e_in, e_out):
-    """Darts swept by the left push-off of a passage (e_in, e_out) at a
-    vertex of degree deg: strictly counterclockwise between e_out and
-    e_in.  A U-turn covers every other dart."""
-    i_out, i_in = rot_pos_v[e_out], rot_pos_v[e_in]
-    return {(i_out + k) % deg for k in range(1, (i_in - i_out) % deg or deg)}
+def _passage_table(graph, cycle):
+    """Integer (n, 4) table of a closed walk, one row per step: the
+    vertex, the rotation positions of its incoming and outgoing edges,
+    and the vertex degree."""
+    rot, _ = graph.rotation()
+    v = np.asarray(cycle.verts, dtype=np.int64)
+    e = np.asarray(cycle.eids, dtype=np.int64)
+    start, deg = rot.offsets[v], rot.offsets[v + 1] - rot.offsets[v]
+    k = np.arange(deg.max(initial=0))
+    around = np.where(k < deg[:, None],
+                      rot.flat[np.minimum(start[:, None] + k, len(rot.flat) - 1)], -1)
+    hit = around[:, None, :] == np.stack([np.roll(e, 1), e], axis=1)[:, :, None]
+    bad = np.flatnonzero(~hit.any(axis=2).all(axis=1))
+    if len(bad):
+        raise HomologyError(f"walk step {bad[0]} enters or leaves vertex {v[bad[0]]} "
+                            "along an edge that does not meet it")
+    return np.column_stack([v, hit.argmax(axis=2), deg])
 
 
 def intersection_number(graph, c1, c2):
@@ -162,23 +168,17 @@ def intersection_number(graph, c1, c2):
     edges.  Exact integer, antisymmetric, and well defined even when the
     walks share edges.
     """
-    rot, rot_pos, _ = graph.rotation()
-    at2 = {}
-    for v, e_in, e_out in c2.passages():
-        at2.setdefault(v, []).append((e_in, e_out))
-    total = 0
-    for v, a_in, a_out in c1.passages():
-        if v not in at2:
-            continue
-        pos = rot_pos[v]
-        deg = len(rot[v])
-        for (b_in, b_out) in at2[v]:
-            cov = _covered(pos, deg, b_in, b_out)
-            if pos[a_in] in cov:
-                total += 1
-            if pos[a_out] in cov:
-                total -= 1
-    return total
+    v1, in1, out1, deg = _passage_table(graph, c1).T
+    v2, in2, out2, _ = _passage_table(graph, c2).T
+    i, j = np.nonzero(v1[:, None] == v2)   # the pairs of passages through one vertex
+    deg, out2 = deg[i], out2[j]
+    # the left push-off of passage j sweeps the positions strictly
+    # counterclockwise from its outgoing to its incoming edge; a U-turn
+    # sweeps every other dart
+    span = (in2[j] - out2 - 1) % deg + 1
+    r_in, r_out = (in1[i] - out2) % deg, (out1[i] - out2) % deg
+    return int(np.count_nonzero((0 < r_in) & (r_in < span))
+               - np.count_nonzero((0 < r_out) & (r_out < span)))
 
 
 def intersection_matrix(graph, cycles):
@@ -304,42 +304,23 @@ def project_cycle(graph, cycle, color, clockwise=False):
     side by default; the clockwise routing differs by face boundaries and
     has the same periods against every closed differential.
     """
-    rot, rot_pos, quad_after = graph.rotation()
-    opposite = WHITE if color == BLACK else BLACK
-    lo, hi = (0, 2) if color == BLACK else (1, 3)
-    steps = []
-    for v, e_in, e_out in cycle.passages():
-        if graph.color[v] != opposite:
-            continue
-        pos = rot_pos[v]
-        fan = quad_after[v]
-        deg = len(fan)
-        i_in, i_out = pos[e_in], pos[e_out]
-        if i_in == i_out:
-            continue  # backtracking corner: empty fan
-        quads = []
-        t = i_in
-        if not clockwise:
-            while t != i_out:
-                quads.append(fan[t])
-                t = (t + 1) % deg
-        else:
-            while t != i_out:
-                t = (t - 1) % deg
-                quads.append(fan[t])
-        prev_vertex = graph.other_endpoint(e_in, v)
-        for q in quads:
-            vb0 = int(graph.quads[q, lo])
-            vb1 = int(graph.quads[q, hi])
-            if prev_vertex == vb0:
-                steps.append((q, +1))
-                prev_vertex = vb1
-            elif prev_vertex == vb1:
-                steps.append((q, -1))
-                prev_vertex = vb0
-            else:
-                raise HomologyError("fan routing lost the walk")
-    return DiagonalCycle(color=color, steps=steps)
+    rot, _ = graph.rotation()
+    v, i_in, i_out, deg = _passage_table(graph, cycle).T
+    # the fan of a passage is a range of rotation positions, empty at a
+    # backtracking corner: i_in .. i_out - 1 counterclockwise, or
+    # i_in - 1 down to i_out clockwise
+    n = np.where(graph.color[v] == color, 0,
+                 ((i_in - i_out) if clockwise else (i_out - i_in)) % deg)
+    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    at = np.repeat(v, n)
+    t = (np.repeat(i_in, n) + (-1 - step if clockwise else step)) % np.repeat(deg, n)
+    # the dart 4q + c leaving the fan vertex at position t: crossing quad
+    # q counterclockwise around corner c runs from corner c + 1 to c - 1
+    darts = graph.edge_occ[rot.flat[rot.offsets[at] + t]]
+    d = np.where(graph.quads.ravel()[darts[:, 0]] == at, darts[:, 0], darts[:, 1])
+    lo = 0 if color == BLACK else 1
+    sign = np.where((d + 1) % 4 == lo, 1, -1) * (-1 if clockwise else 1)
+    return DiagonalCycle(color=color, steps=list(zip((d // 4).tolist(), sign.tolist())))
 
 
 def period_operator(chain_projections, n_quads):
@@ -348,14 +329,14 @@ def period_operator(chain_projections, n_quads):
     diagonals of chain i, so its product with a cochain on the same
     colour's diagonals is the chain's period (without the factor 2 of
     dec.integrate_path)."""
-    rows, qs, ws = [], [], []
+    parts = [np.zeros((0, 3), dtype=np.int64)]
     for i, chain in enumerate(chain_projections):
         for coeff, dc in chain:
-            for q, s in dc.steps:
-                rows.append(i)
-                qs.append(q)
-                ws.append(coeff * s)
-    return sp.csr_matrix((np.asarray(ws, dtype=np.int64), (rows, qs)),
+            steps = np.asarray(dc.steps, dtype=np.int64).reshape(-1, 2)
+            parts.append(np.column_stack(
+                [np.full(len(steps), i), steps[:, 0], coeff * steps[:, 1]]))
+    rows, qs, ws = np.concatenate(parts).T
+    return sp.csr_matrix((ws, (rows, qs)),
                          shape=(len(chain_projections), n_quads))
 
 
@@ -391,11 +372,14 @@ def build_cocycles(graph, projections, color):
     # tree diagonal the value that closes the subtree of faces below it
     basis_sigma = np.zeros((F, n), dtype=np.int64)
     basis_sigma[leftover, np.arange(n)] = 1
-    flux = dual.subtree_sums(_face_sums(faces, basis_sigma, V))
+    # D.T @ sigma is minus the sum of a cochain around each face: a
+    # diagonal counts + at its start face and - at its end face
+    D = difference_operators(graph)[1 - color]
+    flux = dual.subtree_sums(-(D.T @ basis_sigma)).astype(np.int64)
     child = np.flatnonzero(dual.parent_edge >= 0)
     pq = dual.parent_edge[child]
     basis_sigma[pq] = np.where(faces[0][pq] == child, -1, 1)[:, None] * flux[child]
-    if np.any(_face_sums(faces, basis_sigma, V)):
+    if np.any(D.T @ basis_sigma):
         raise HomologyError("cocycle is not closed at every face")
     P = period_operator(projections, F) @ basis_sigma
     # exact solve P X = I: X must be integral (P unimodular) or the
@@ -407,16 +391,6 @@ def build_cocycles(graph, projections, color):
         raise HomologyError("non-integer cocycle coefficients")
     X = np.array([[int(x) for x in row[n:]] for row in rows], dtype=np.int64)
     return np.ascontiguousarray((basis_sigma @ X.reshape(n, n)).T)
-
-
-def _face_sums(faces, sigma, n):
-    """Sums of diagonal cochains (columns of sigma) around the faces of a
-    diagonal graph, indexed by vertex id (n of them): a diagonal counts +
-    at its start face and - at its end face.  Zero exactly when closed."""
-    out = np.zeros((n,) + sigma.shape[1:], dtype=np.int64)
-    np.add.at(out, faces[0], sigma)
-    np.add.at(out, faces[1], -sigma)
-    return out
 
 
 def _rref(M):

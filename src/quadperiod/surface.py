@@ -427,10 +427,9 @@ class QuadGraph:
     def rotation(self):
         """Counterclockwise cyclic edge order around every vertex.
 
-        Returns (rot, rot_pos, quad_after): rot[v] is the cyclic list of
-        edge ids leaving v, starting at v's first corner in the quad
-        table, rot_pos[v][eid] its position, quad_after[v][t] the quad
-        between darts t and t+1.
+        Returns (rot, quad_after): rot[v] is the cyclic list of edge ids
+        leaving v, starting at v's first corner in the quad table, and
+        quad_after[v][t] the quad between darts t and t+1.
         """
         cached = self._cache.get("rotation")
         if cached is not None:
@@ -460,7 +459,7 @@ class QuadGraph:
         if np.any(missed):
             raise SurfaceError(f"vertex {tail[missed].min()} has a disconnected link")
         rot = Ragged(self.dart_edge.ravel()[walk], offsets)
-        self._cache["rotation"] = (rot, _RotationPositions(rot), Ragged(walk // 4, offsets))
+        self._cache["rotation"] = (rot, Ragged(walk // 4, offsets))
         return self._cache["rotation"]
 
     def diagonal_ends(self, color):
@@ -468,10 +467,6 @@ class QuadGraph:
         color: (b-, b+) for black, (w-, w+) for white."""
         lo, hi = (0, 2) if color == BLACK else (1, 3)
         return self.quads[:, lo], self.quads[:, hi]
-
-    def other_endpoint(self, eid, v):
-        a, b = self.edge_list[eid].tolist()
-        return b if v == a else a
 
 
 class Ragged:
@@ -483,16 +478,6 @@ class Ragged:
 
     def __getitem__(self, v):
         return self.flat[self.offsets[v]:self.offsets[v + 1]].tolist()
-
-
-class _RotationPositions:
-    """rot_pos[v][eid]: position of edge eid in the rotation at v."""
-
-    def __init__(self, rot):
-        self.rot = rot
-
-    def __getitem__(self, v):
-        return {e: t for t, e in enumerate(self.rot[v])}
 
 
 def _dart_codes(dart_keys, tail, head, V, F):

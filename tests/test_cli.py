@@ -10,7 +10,7 @@ from quadperiod.cli import main, run_check, run_converge, run_integrate
 from quadperiod.harmonic import assemble
 from quadperiod.homology import homology_basis
 from quadperiod.periods import canonical_differentials, period_matrices
-from quadperiod.surface import build_quad_graph, generate_torus, l_shape_surface
+from quadperiod.surface import build_quad_graph, generate_torus, l_shape_surface, mesh_stats
 
 
 @pytest.fixture()
@@ -139,6 +139,26 @@ def test_converge_lshape_fitted_slopes(lshape_doc, tmp_path, capsys):
     passed = "decreasing=True" in pi_fit and "in_band=True" in pi_fit
     assert out.splitlines()[-1].endswith(f"RESULT={'PASS' if passed else 'FAIL'}")
     assert rc == (0 if passed else 1)
+
+
+def test_converge_band_option(lshape_doc, tmp_path, capsys):
+    """A valid --band sets every fitted slope's band around the predicted
+    exponent, and in_band follows the printed slope."""
+    from quadperiod.cli import predicted_exponent
+    rc = main(["--out", str(tmp_path), "converge", lshape_doc, "--cell", "0.5",
+               "--levels", "4", "--band", "5,5"])
+    out = capsys.readouterr().out
+    pred, _ = predicted_exponent(mesh_stats(build_quad_graph(l_shape_surface(), 0.5)).gamma_min,
+                                 False)
+    fits = {line.split(":")[0].removeprefix("FIT "): line
+            for line in out.splitlines() if "slope=" in line}
+    assert sorted(fits) == ["energy_error", "off_diagonal_gap", "pi_error"]
+    for line in fits.values():
+        slope = float(line.split("slope=")[1].split()[0])
+        assert f"band={[pred - 5, pred + 5]}" in line
+        assert f"in_band={pred - 5 <= slope <= pred + 5}" in line
+    assert "in_band=True" in fits["pi_error"]
+    assert rc == (0 if "decreasing=True" in fits["pi_error"] else 1)
 
 
 def test_converge_torus_exact(torus_doc, tmp_path, capsys):
@@ -316,11 +336,15 @@ def _square_torus_doc(**changes):
      "needs 'polygons' and 'gluings'"),
     (json.dumps({"format": 1, "generator": {"kind": "square_tiled", "polygons": [
         [[0, 0], [1, 0], [1, 1], [0, 1]]]}}), "needs 'polygons' and 'gluings'"),
+    # too large for an int64 vertex id: rejected before the cast can warn
+    (_raw_torus_doc(quads=[[1e300, 1, 5, 4] + [0.0] * 8]), "quad vertex id out of range"),
+    (json.dumps({"quads": []}), "missing or unsupported 'format' header"),
 ], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
         "short-cone-row", "non-numeric-corner", "one-side-gluing", "unknown-polygon-gluing",
         "unknown-side-gluing", "gluings-not-a-table", "non-finite-corner",
         "generator-not-a-table", "malformed-tau", "non-finite-tau",
-        "square-tiled-without-polygons", "square-tiled-without-gluings"])
+        "square-tiled-without-polygons", "square-tiled-without-gluings",
+        "huge-vertex-id", "raw-without-format"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"
     if text is not None:

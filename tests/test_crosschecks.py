@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from quadperiod import dec
 from quadperiod.homology import (
@@ -281,42 +282,69 @@ def test_origami_log_case_rate(four_square_origami):
     assert rep["note"] == "log-corrected"
 
 
-def _random_origami(rng, n):
+def _connected(perms):
+    """Whether the squares form one surface: the two gluing permutations
+    act transitively."""
+    sh, sv = perms
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in (sh[i], sv[i]):
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(sh)
+
+
+# an origami of n unit squares in a row: the right side of square i is
+# glued to the left side of sh[i], its top to the bottom of sv[i]
+origamis = strategies.integers(2, 5).flatmap(
+    lambda n: strategies.tuples(strategies.permutations(range(n)),
+                                strategies.permutations(range(n)))
+).filter(_connected)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(origamis)
+def test_fuzz_random_origamis(perms):
+    """Random square-tiled surfaces: every connected one (genus >= 1)
+    must satisfy the full set of period-matrix structure checks and the
+    homology invariants."""
+    sh, sv = perms
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    sh = rng.permutation(n)
-    sv = rng.permutation(n)
-    polys = [sq + [i, 0] for i in range(n)]
-    gl = []
-    for i in range(n):
-        gl.append(((i, 1), (int(sh[i]), 3)))
-        gl.append(((i, 2), (int(sv[i]), 0)))
-    return PolyhedralSurface(polygons=polys, gluings=gl)
-
-
-def test_fuzz_random_origamis():
-    """Random square-tiled surfaces: every connected genus >= 1 example
-    must satisfy the full set of period-matrix structure checks."""
-    from quadperiod.surface import SurfaceError, mesh_stats
-    rng = np.random.default_rng(2024)
-    tested = 0
-    attempts = 0
-    while tested < 6 and attempts < 60:
-        attempts += 1
-        n = int(rng.integers(2, 6))
-        try:
-            s = _random_origami(rng, n)
-        except SurfaceError:
-            continue  # disconnected or genus 0
-        g = build_quad_graph(s, 0.25)
-        basis = homology_basis(g)
-        pm = period_matrices(g, basis)
-        d = pm.diagnostics
-        assert d["full_symmetry"] < 1e-7, (n, d)
-        assert d["full_im_min_eig"] > 0
-        assert d["pi_im_min_eig"] > 0
-        assert d["psd_gap"] > -1e-10
-        assert d["block_average_gap"] < 1e-8
-        assert d["orthodiagonal_structure"] < 1e-8
-        assert d["aperiod_error"] < 1e-8
-        tested += 1
-    assert tested == 6
+    gl = [((i, 1), (sh[i], 3)) for i in range(len(sh))] + \
+        [((i, 2), (sv[i], 0)) for i in range(len(sv))]
+    g = build_quad_graph(PolyhedralSurface(polygons=[sq + [i, 0] for i in range(len(sh))],
+                                           gluings=gl), 0.25)
+    basis = homology_basis(g)
+    pm = period_matrices(g, basis)
+    d = pm.diagnostics
+    assert d["full_symmetry"] < 1e-7, (perms, d)
+    assert d["full_im_min_eig"] > 0
+    assert d["pi_im_min_eig"] > 0
+    assert d["psd_gap"] > -1e-10
+    assert d["block_average_gap"] < 1e-8
+    assert d["orthodiagonal_structure"] < 1e-8
+    assert d["aperiod_error"] < 1e-8
+    n = 2 * basis.genus
+    # cocycles with Kronecker periods, closed around every face
+    Db, Dw = dec.difference_operators(g)
+    for op, sigma, D in ((basis.op_black, basis.sigma_black, Dw),
+                         (basis.op_white, basis.sigma_white, Db)):
+        assert np.array_equal(op @ sigma.T, np.eye(n, dtype=np.int64))
+        assert not np.any(D.T @ sigma.T)
+    # the canonical chains pair to J
+    chains = basis.a_chains + basis.b_chains
+    M = [[sum(a * b * intersection_number(g, c1, c2) for a, c1 in x for b, c2 in y)
+          for y in chains] for x in chains]
+    J = np.block([[np.zeros((n // 2, n // 2)), np.eye(n // 2)],
+                  [-np.eye(n // 2), np.zeros((n // 2, n // 2))]])
+    assert np.array_equal(M, J)
+    # both routing sides give the same periods of dz
+    dz = dec.chart_dz(g)
+    for ch in chains:
+        for _, cyc in ch:
+            for color in (BLACK, WHITE):
+                ccw = dec.integrate_path(g, dz, project_cycle(g, cyc, color))
+                cw = dec.integrate_path(g, dz, project_cycle(g, cyc, color, clockwise=True))
+                assert np.isclose(ccw, cw, rtol=0, atol=1e-12)

@@ -357,10 +357,11 @@ def test_contractible_diagonal_loop_zero(torus_i_4, rng):
     omega = exterior_derivative(g, f)
     # boundary of the fan around a white vertex: all black diagonals
     # around it, oriented tail-to-head
-    rot, rot_pos, quad_after = g.rotation()
+    rot, quad_after = g.rotation()
     v = int(np.where(g.color == WHITE)[0][0])
     steps = []
-    prev = g.other_endpoint(rot[v][0], v)
+    a, b = g.edge_list[rot[v][0]]
+    prev = b if a == v else a
     for q in quad_after[v]:
         b0, b1 = int(g.quads[q, 0]), int(g.quads[q, 2])
         if prev == b0:

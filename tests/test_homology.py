@@ -4,6 +4,7 @@ import pytest
 from quadperiod.surface import BLACK, WHITE, SpanningTree, generate_torus
 from quadperiod import dec
 from quadperiod.homology import (
+    Cycle,
     HomologyError,
     basis_cycles,
     build_cocycles,
@@ -149,6 +150,45 @@ def test_projection_routing_side_same_period(lshape_mesh_4, rng):
             ccw = dec.integrate_path(g, omega, project_cycle(g, c, color))
             cw = dec.integrate_path(g, omega, project_cycle(g, c, color, clockwise=True))
             assert np.isclose(ccw, cw, atol=1e-12)
+
+
+def test_spur_changes_no_pairing_or_period(lshape_mesh_4):
+    """A there-and-back spur v, u, v along one edge is null-homologous:
+    with its far end u on another basis cycle, it changes no intersection
+    number and no period of a closed form.  At u the walk makes a U-turn,
+    a backtracking corner with an empty fan.  The spur runs along an edge
+    of another cycle, so that cycle meets the U-turn's own edge."""
+    g = lshape_mesh_4
+    cycles = basis_cycles(g)
+    c = cycles[0]
+    on_others = {e for o in cycles[1:] for e in o.eids}
+    rot, _ = g.rotation()
+    k, e = next((k, e) for k, v in enumerate(c.verts) for e in rot[v]
+                if e in on_others and e not in (c.eids[k - 1], c.eids[k]))
+    u = next(x for x in g.edge_list[e].tolist() if x != c.verts[k])
+    spurred = Cycle(c.verts[:k + 1] + [u] + c.verts[k:], c.eids[:k] + [e, e] + c.eids[k:])
+    for other in cycles:
+        assert intersection_number(g, spurred, other) == intersection_number(g, c, other)
+        assert intersection_number(g, other, spurred) == intersection_number(g, other, c)
+    dz = dec.chart_dz(g)
+    for color in (BLACK, WHITE):
+        for clockwise in (False, True):
+            want = dec.integrate_path(g, dz, project_cycle(g, c, color, clockwise))
+            got = dec.integrate_path(g, dz, project_cycle(g, spurred, color, clockwise))
+            assert np.isclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_walk_off_its_edges_rejected(torus_i_4):
+    """A walk step whose edge does not leave its vertex is a typed error,
+    not a rotation position."""
+    g = torus_i_4
+    c = cycle_from_vertices(g, g.meta["loops"]["a"][0])
+    far = next(e for e in range(g.n_edges()) if c.verts[1] not in g.edge_list[e])
+    broken = Cycle(c.verts, c.eids[:1] + [far] + c.eids[2:])
+    with pytest.raises(HomologyError, match="walk step 1"):
+        intersection_number(g, broken, c)
+    with pytest.raises(HomologyError, match="walk step 1"):
+        project_cycle(g, broken, BLACK)
 
 
 def test_cocycle_periods_are_kronecker(lshape_mesh_2):

@@ -77,7 +77,7 @@ def _relabeled(graph):
 
 
 def _fingerprint(graph):
-    rot, _, quad_after = graph.rotation()
+    rot, quad_after = graph.rotation()
     V = graph.n_vertices
     deg = [len(rot[v]) for v in range(V)]
     fp = {

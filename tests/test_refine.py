@@ -245,7 +245,7 @@ def _dfs_development(graph, cone):
 
     v0, R = cone.vertex, cone.radius
     corners = graph.corners.tolist()
-    _, _, quad_after = graph.rotation()
+    _, quad_after = graph.rotation()
     fan = quad_after[v0]
     dev, psi, total = {}, {}, 0.0
     for q in fan:

@@ -100,7 +100,7 @@ def test_lshape_mesh_half_cell():
     assert np.isclose(cone.angle, 6 * math.pi)
     assert np.isclose(cone.index, 1 / 3)
     # the cone vertex has 12 incident quads
-    _, _, quad_after = g.rotation()
+    _, quad_after = g.rotation()
     assert len(quad_after[cone.vertex]) == 12
 
 

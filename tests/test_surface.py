@@ -139,6 +139,45 @@ def test_disconnected_surface_error():
         PolyhedralSurface(polygons=[sq + [i, 0] for i in range(6)], gluings=gluings)
 
 
+def _opposite_sides_glued(n):
+    """The regular 2n-gon with each side glued to the opposite one."""
+    t = np.pi * np.arange(2 * n) / n
+    return PolyhedralSurface(polygons=[np.stack([np.cos(t), np.sin(t)], axis=1)],
+                             gluings=[((0, e), (0, e + n)) for e in range(n)])
+
+
+def _two_triangle_torus(tau=0.3 + 0.9j):
+    z = [0, 1, 1 + tau, tau]
+    xy = [[w.real, w.imag] for w in map(complex, z)]
+    return PolyhedralSurface(polygons=[[xy[0], xy[1], xy[2]], [xy[0], xy[2], xy[3]]],
+                             gluings=[((0, 2), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 2))])
+
+
+@pytest.mark.parametrize("surface, links, angles, genus, cones", [
+    (_opposite_sides_glued(4), [[(0, 0), (0, 3), (0, 6), (0, 1), (0, 4), (0, 7), (0, 2),
+                                 (0, 5)]], [6 * math.pi], 2, [0]),
+    (_opposite_sides_glued(3), [[(0, 0), (0, 2), (0, 4)], [(0, 1), (0, 3), (0, 5)]],
+     [2 * math.pi, 2 * math.pi], 1, []),
+    (_two_triangle_torus(), [[(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]],
+     [2 * math.pi], 1, []),
+], ids=["octagon", "hexagon", "two-triangle-torus"])
+def test_vertex_links_of_non_parallelogram_polygons(surface, links, angles, genus, cones):
+    """Links walk counterclockwise around each vertex from its smallest
+    corner, classes numbered by that corner."""
+    assert [[tuple(int(x) for x in c) for c in link] for link in surface.vertex_links] == links
+    assert np.allclose(surface.vertex_angles, angles, rtol=0, atol=1e-12)
+    assert surface.genus == genus
+    assert surface.cone_classes == cones
+
+
+def test_edge_glued_twice_error():
+    sq = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(SurfaceError) as err:
+        PolyhedralSurface(polygons=[sq], gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3)),
+                                                  ((0, 3), (0, 1))])
+    assert str(err.value) == "edge glued twice: (0, 3) / (0, 1)"
+
+
 def test_load_surface_torus_doc():
     doc = {"format": 1, "generator": {"kind": "torus", "tau": [0.0, 1.0]}}
     s = load_surface(doc)

@@ -114,7 +114,7 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
     check("harmonic_orthogonality", mini["orthogonality"], 1e-9)
 
     # period matrices
-    cb = canonical_differentials(graph, basis, system)
+    cb = canonical_differentials(graph, basis, system, tol)
     if inject == "holomorphicity":
         bad = cb.equal_split[0]
         bad.ww[len(bad.ww) // 2] += 0.37

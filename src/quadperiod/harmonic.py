@@ -64,8 +64,11 @@ class EnergySystem:
         if self._factor is None:
             self._free = np.setdiff1d(np.arange(self.graph.n_vertices), self.pinned)
             A = self.matrix[self._free][:, self._free].tocsc()
-            self._factor = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                     options={"SymmetricMode": True})
+            try:
+                self._factor = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                         options={"SymmetricMode": True})
+            except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+                raise HarmonicError(f"energy matrix is numerically singular ({exc})") from None
         return self._factor, self._free
 
 

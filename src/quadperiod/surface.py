@@ -1,26 +1,32 @@
 """Polyhedral surfaces and their bipartite quad decompositions.
 
-A surface is glued from planar polygons; away from finitely many cone
-points the metric is flat.  The discretization is a cell decomposition
-into quadrilaterals whose vertex graph is bipartite (black/white).  Each
-quad stores its own isometric chart; no global coordinates exist, and all
-downstream quantities are per-quad or combinatorial.
+A surface is glued from planar polygons, flat away from finitely many
+cone points.  Side e of polygon p, from its corner e to corner e + 1,
+and corner e have the flat id first[p] + e; partner[s] is the side glued
+to side s.  Counterclockwise around a vertex, the corner after c starts
+the side glued to the side before c, so the vertex classes are the
+cycles of partner[prev].  One routine walks many cycles at once (`_walk`,
+`_cycles`): vertex links, the polygon chains of reference loops and the
+rotation systems of quad graphs.
 
-Meshes are built on integer arrays, with one key scheme for every mesh
-of glued polygons, tori included.  The polygons are translates of one
-parallelogram glued by translations; its sides ex, ey leaving the first
-vertex are the frame of the surface (1 and i for a square-tiled surface,
-1 and tau for the torus of modulus tau).  A mesh with k cells per side
-keys each grid vertex and edge midpoint by the integer code of a point
-(p, x, y) of the 2k lattice of polygon p, the point (x ex + y ey) / 2k
-from its first vertex; a point on a glued side takes its smallest image
-(a side point at parameter t maps to 2k - t on the partner side, a
-corner to the smallest corner of its vertex class).  The cone patches of
-adapted meshes (refine.py) put their boundary on the same lattice and
-key the rest of their vertices and edges by integers above its range.
-Vertices and edges are numbered in order of first appearance; the mesh
-keeps the code of every vertex in meta["vertex_codes"], its one identity
-across levels (`lattice_vertex_ids`).
+A mesh is a cell decomposition into quadrilaterals with a bipartite
+(black/white) vertex graph and one isometric chart per quad; downstream
+quantities are per-quad or combinatorial.  Meshes are built on integer
+arrays, with one key scheme for every mesh of glued polygons.  The
+polygons are translates of one parallelogram glued by translations; its
+sides ex, ey leaving the first vertex are the frame of the surface (1
+and i for a square-tiled surface, 1 and tau for the torus of modulus
+tau).  A mesh with k cells per side keys each grid vertex and edge
+midpoint by the integer code of a point (p, x, y) of the 2k lattice of
+polygon p, the point (x ex + y ey) / 2k from its first vertex; a point
+on a glued side takes its smallest image (a side point at parameter t
+maps to 2k - t on the partner side, a corner to the smallest corner of
+its vertex class).  The cone patches of adapted meshes (refine.py) put
+their boundary on the same lattice and key the rest of their vertices
+and edges by integers above its range.  Vertices and edges are numbered
+in order of first appearance; the mesh keeps the code of every vertex
+in meta["vertex_codes"], its one identity across levels
+(`lattice_vertex_ids`).
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class PolyhedralSurface:
     generator: dict | None = None
 
     # filled by validate()
-    vertex_class: dict = field(default_factory=dict, repr=False)
+    vertex_class: np.ndarray = field(default=None, repr=False)
     vertex_angles: list = field(default_factory=list, repr=False)
     cone_classes: list = field(default_factory=list, repr=False)
     genus: int = 0
@@ -89,79 +95,56 @@ class PolyhedralSurface:
         m = len(poly)
         return poly[(e + 1) % m] - poly[e]
 
-    def _edge_partner_map(self):
-        cached = getattr(self, "_partner", None)
-        if cached is not None:
-            return cached
-        partner = {}
-        for (p, e), (q, f) in self.gluings:
-            if (p, e) in partner or (q, f) in partner:
-                raise SurfaceError(f"edge glued twice: {(p, e)} / {(q, f)}")
-            partner[(p, e)] = (q, f)
-            partner[(q, f)] = (p, e)
-        self._partner = partner
-        return partner
-
     def validate(self):
-        partner = self._edge_partner_map()
+        sizes = [len(poly) for poly in self.polygons]
+        first = self.first = np.cumsum([0] + sizes)
+        polygon_of = np.repeat(np.arange(len(sizes)), sizes)
+        self.local = np.stack([polygon_of, np.arange(first[-1]) - first[polygon_of]], axis=1)
+        partner = self.partner = np.full(first[-1], -1)
+        for (p, e), (q, f) in self.gluings:
+            if not all(0 <= r < len(sizes) and 0 <= i < sizes[r] for r, i in ((p, e), (q, f))):
+                raise SurfaceError(f"gluing {(p, e)} / {(q, f)} names a side outside its polygon")
+            s, t = first[p] + e, first[q] + f
+            if partner[s] >= 0 or partner[t] >= 0:
+                raise SurfaceError(f"edge glued twice: {(p, e)} / {(q, f)}")
+            partner[s], partner[t] = t, s
         for p, poly in enumerate(self.polygons):
             if len(poly) < 3:
                 raise SurfaceError(f"polygon {p} has fewer than 3 vertices")
             if _polygon_area(poly) <= 0:
                 raise SurfaceError(f"polygon {p} not counterclockwise")
-            for e in range(len(poly)):
-                if (p, e) not in partner:
-                    raise SurfaceError(f"unglued edge ({p}, {e})")
+            unglued = np.flatnonzero(partner[first[p]:first[p + 1]] < 0)
+            if len(unglued):
+                raise SurfaceError(f"unglued edge ({p}, {unglued[0]})")
         for (p, e), (q, f) in self.gluings:
             le = np.linalg.norm(self.edge_vector(p, e))
             lf = np.linalg.norm(self.edge_vector(q, f))
             if abs(le - lf) > 1e-12 * max(le, lf):
                 raise SurfaceError(
                     f"glued edges differ in length: ({p},{e})={le} ({q},{f})={lf}")
-        pairs = np.array([(p, q) for (p, _), (q, _) in self.gluings])
-        apart = np.flatnonzero(spanning_tree(len(self.polygons), *pairs.T).depth < 0)
+        apart = np.flatnonzero(
+            spanning_tree(len(sizes), polygon_of, polygon_of[partner]).depth < 0)
         if len(apart):
             raise SurfaceError(f"surface is disconnected: no chain of gluings joins "
                                f"polygon {apart[0]} to polygon 0")
-        self._build_vertex_links(partner)
-
-    def _build_vertex_links(self, partner):
-        """Walk the link of every glued vertex; a closed surface gives a
-        single corner cycle per vertex class."""
-        corners = [(p, i) for p, poly in enumerate(self.polygons)
-                   for i in range(len(poly))]
-        seen = {}
-        classes = []
-        angles = []
-        links = []
-        for corner in corners:
-            if corner in seen:
-                continue
-            cid = len(classes)
-            cycle = []
-            total = 0.0
-            c = corner
-            while True:
-                if c in seen:
-                    if c is not corner and seen[c] != cid:
-                        raise SurfaceError(f"non-manifold link at corner {corner}")
-                    break
-                seen[c] = cid
-                cycle.append(c)
-                total += self._corner_angle(*c)
-                p, i = c
-                m = len(self.polygons[p])
-                c = _link_next(partner, p, i, m)
-            classes.append(cycle[0])
-            angles.append(total)
-            links.append(cycle)
-        self.vertex_class = seen
-        self.vertex_angles = angles
-        self.vertex_links = links
+        # vertex links: the cycles of the corner permutation partner[prev]
+        prev = np.arange(len(partner)) - 1
+        prev[first[:-1]] += np.diff(first)
+        self.vertex_class, walk, offsets = _cycles(partner[prev])
+        xy = np.concatenate(self.polygons)
+        # prev[c] is also the corner before c: u, v lead to the corners before and after
+        u, v = xy[prev] - xy, xy[np.argsort(prev)] - xy
+        corner_angles = np.array([math.atan2(_cross2(b, a), float(np.dot(b, a))) % TWO_PI
+                                  for a, b in zip(u, v)])
+        links = np.split(walk, offsets[1:-1])
+        self.vertex_links = [self.local[link] for link in links]
+        # each link's corner angles summed left to right in walk order
+        angles = self.vertex_angles = [float(np.cumsum(corner_angles[link])[-1])
+                                       for link in links]
         self.cone_classes = [k for k, a in enumerate(angles)
                              if abs(a - TWO_PI) > GEOM_TOL]
         n_v = len(angles)
-        n_e = sum(len(p) for p in self.polygons) // 2
+        n_e = len(partner) // 2
         n_f = len(self.polygons)
         chi = n_v - n_e + n_f
         if chi % 2 != 0:
@@ -174,14 +157,6 @@ class PolyhedralSurface:
         if self.genus < 1:
             raise SurfaceError("genus 0 surfaces are not admitted")
 
-    def _corner_angle(self, p, i):
-        poly = self.polygons[p]
-        m = len(poly)
-        u = poly[(i - 1) % m] - poly[i]
-        v = poly[(i + 1) % m] - poly[i]
-        ang = math.atan2(_cross2(v, u), float(np.dot(v, u)))
-        return ang % TWO_PI
-
     def total_area(self):
         return sum(_polygon_area(p) for p in self.polygons)
 
@@ -191,27 +166,38 @@ class PolyhedralSurface:
         inside one polygon (a proxy for the shortest geodesic loop)."""
         best = math.inf
         for p, poly in enumerate(self.polygons):
-            m = len(poly)
-            ids = [self.vertex_class[(p, i)] for i in range(m)]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if ids[i] == class_id or ids[j] == class_id:
-                        d = float(np.linalg.norm(poly[i] - poly[j]))
-                        if ids[i] == ids[j] == class_id:
-                            best = min(best, d)
-                        elif class_id in (ids[i], ids[j]) and \
-                                (ids[i] in self.cone_classes
-                                 and ids[j] in self.cone_classes):
-                            best = min(best, d)
+            ids = self.vertex_class[self.first[p]:self.first[p + 1]].tolist()
+            for i in range(len(poly)):
+                for j in range(i + 1, len(poly)):
+                    pair = {ids[i], ids[j]}
+                    if class_id in pair and (pair == {class_id} or pair <= set(self.cone_classes)):
+                        best = min(best, float(np.linalg.norm(poly[i] - poly[j])))
         if not math.isfinite(best):
             best = math.sqrt(self.total_area())
         return 0.5 * best
 
 
-def _link_next(partner, p, i, m):
-    # rotate counterclockwise around the vertex: cross the incoming edge
-    q, f = partner[(p, (i - 1) % m)]
-    return (q, f)
+def _walk(succ, starts, lengths):
+    """Walk lengths[k] steps of succ from starts[k], for all k at once:
+    the visited elements, walk k at offsets[k]:offsets[k + 1], and offsets."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    walk = np.empty(offsets[-1], dtype=np.int64)
+    rows, cur = np.arange(len(starts)), starts
+    for t in range(int(lengths.max(initial=0))):
+        walk[offsets[rows] + t] = cur
+        more = lengths[rows] > t + 1
+        rows, cur = rows[more], succ[cur[more]]
+    return walk, offsets
+
+
+def _cycles(succ):
+    """Cycles of the permutation succ, numbered by their smallest elements
+    and walked from them: the cycle of every element, and _walk's output."""
+    n = len(succ)
+    _, label = csgraph.connected_components(
+        csr_matrix((np.ones(n), succ, np.arange(n + 1)), shape=(n, n)), directed=False)
+    _, starts, lengths = np.unique(label, return_index=True, return_counts=True)
+    return (label, *_walk(succ, starts, lengths))
 
 
 def _cross2(u, v):
@@ -445,16 +431,9 @@ class QuadGraph:
         broken = tail[nxt] != tail
         if np.any(broken):
             raise SurfaceError(f"broken rotation at vertex {tail[broken].min()}")
-        deg = np.bincount(tail, minlength=V)
-        offsets = np.concatenate([[0], np.cumsum(deg)])
         # walk around all vertices at once, from each one's first corner
         _, first = np.unique(tail, return_index=True)
-        walk = np.empty(D, dtype=np.int64)
-        verts, cur = np.arange(V), first
-        for t in range(int(deg.max(initial=0))):
-            walk[offsets[verts] + t] = cur
-            more = deg[verts] > t + 1
-            verts, cur = verts[more], nxt[cur[more]]
+        walk, offsets = _walk(nxt, first, np.bincount(tail, minlength=V))
         missed = np.bincount(walk, minlength=D) == 0
         if np.any(missed):
             raise SurfaceError(f"vertex {tail[missed].min()} has a disconnected link")
@@ -696,13 +675,12 @@ def _lattice_table(surface):
     corner) of the smallest image in its vertex class."""
     table = getattr(surface, "_lattice", None)
     if table is None:
-        partner = surface._edge_partner_map()
         P = len(surface.polygons)
-        sides = np.array([[partner[(p, e)] for e in range(4)] for p in range(P)])
-        rank = (0, 2, 3, 1)   # corners by position: (0,0) < (0,1) < (1,0) < (1,1)
-        best = [min((p, rank[c], c) for p, c in link) for link in surface.vertex_links]
-        corners = np.array([[best[surface.vertex_class[(p, c)]][::2] for c in range(4)]
-                            for p in range(P)])
+        sides = surface.local[surface.partner].reshape(P, 4, 2)
+        rank = np.array([0, 2, 3, 1])   # corners by position: (0,0) < (0,1) < (1,0) < (1,1)
+        best = np.array([link[np.lexsort((rank[link[:, 1]], link[:, 0]))[0]]
+                         for link in surface.vertex_links])
+        corners = best[surface.vertex_class].reshape(P, 4, 2)
         table = surface._lattice = (sides, corners)
     return table
 
@@ -819,27 +797,17 @@ def _reference_loops(surface, k, vertex_codes):
     def codes(points):
         return _lattice_codes(surface, *points.T, 2 * k)
 
-    partner = surface._edge_partner_map()
     along = 2 * np.arange(k)
     loops = {"a": [], "b": []}
     for direction, cross, want in (("a", 1, 3), ("b", 2, 0)):
-        seen = set()
-        for p0 in range(len(surface.polygons)):
-            if p0 in seen:
-                continue
-            chain = []
-            p = p0
-            while True:
-                seen.add(p)
-                chain.append(p)
-                q, f = partner[(p, cross)]     # cross the right / top edge
-                if f != want:
-                    raise SurfaceError("horizontal gluing is not left-right"
-                                       if direction == "a" else
-                                       "vertical gluing is not bottom-top")
-                p = q
-                if p == p0:
-                    break
+        # the polygons across the right / top sides
+        q, f = surface.local[surface.partner[surface.first[:-1] + cross]].T
+        if np.any(f != want):
+            raise SurfaceError("horizontal gluing is not left-right"
+                               if direction == "a" else
+                               "vertical gluing is not bottom-top")
+        _, order, offsets = _cycles(q)
+        for chain in np.split(order, offsets[1:-1]):
             polys = np.repeat(chain, k)
             walk = np.tile(along, len(chain))
             mid = np.full_like(walk, k)
@@ -881,6 +849,9 @@ def load_surface(doc):
             raise SurfaceError(f"polygon row {row!r} is not a list of [x, y] numbers") from None
         if not np.all(np.isfinite(polygons[-1])):
             raise SurfaceError(f"polygon row {row!r} has a non-finite coordinate")
+        # up to 1e150, squares and cross products of differences stay finite
+        if np.any(np.abs(polygons[-1]) > 1e150):
+            raise SurfaceError(f"polygon row {row!r} has a coordinate of magnitude above 1e150")
     sides = {(p, e): (p, e) for p, poly in enumerate(polygons) for e in range(len(poly))}
     gluings = []
     for row in glu:

@@ -339,12 +339,19 @@ def _square_torus_doc(**changes):
     # too large for an int64 vertex id: rejected before the cast can warn
     (_raw_torus_doc(quads=[[1e300, 1, 5, 4] + [0.0] * 8]), "quad vertex id out of range"),
     (json.dumps({"quads": []}), "missing or unsupported 'format' header"),
+    # rejected before any square, norm or cross product can overflow
+    (_square_torus_doc(polygons=[[[0, 0], [1e300, 0], [1, 1], [0, 1]]]),
+     "polygon row [[0, 0], [1e+300, 0], [1, 1], [0, 1]] has a coordinate of magnitude "
+     "above 1e150"),
+    (_square_torus_doc(polygons=[[[0, 0], [1e160, 0], [1e160, 1], [0, 1]]]),
+     "polygon row [[0, 0], [1e+160, 0], [1e+160, 1], [0, 1]] has a coordinate of magnitude "
+     "above 1e150"),
 ], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
         "short-cone-row", "non-numeric-corner", "one-side-gluing", "unknown-polygon-gluing",
         "unknown-side-gluing", "gluings-not-a-table", "non-finite-corner",
         "generator-not-a-table", "malformed-tau", "non-finite-tau",
         "square-tiled-without-polygons", "square-tiled-without-gluings",
-        "huge-vertex-id", "raw-without-format"])
+        "huge-vertex-id", "raw-without-format", "huge-corner", "huge-rectangle-torus"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"
     if text is not None:
@@ -354,6 +361,32 @@ def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, messa
     assert rc == 2
     assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_singular_energy_factor_exits_2_with_one_line(tmp_path, capsys):
+    """A valid 1e8 x 1 rectangle torus: at cell 1/2 its energy matrix is
+    singular to working precision, and SuperLU's error becomes a typed
+    one-line error."""
+    path = tmp_path / "surface.json"
+    path.write_text(_square_torus_doc(polygons=[[[0, 0], [1e8, 0], [1e8, 1], [0, 1]]]))
+    rc = main(["--out", str(tmp_path), "check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "quadperiod: error: energy matrix is numerically singular " \
+                  "(Factor is exactly singular)\n"
+
+
+def test_check_passes_its_tol_to_the_canonical_stage(torus_i_4, monkeypatch):
+    import quadperiod.cli
+    seen = []
+
+    def spy(graph, basis, system=None, tol=1e-10):
+        seen.append(tol)
+        return canonical_differentials(graph, basis, system, tol)
+
+    monkeypatch.setattr(quadperiod.cli, "canonical_differentials", spy)
+    run_check(torus_i_4, 1e-9)
+    assert seen == [1e-9]
 
 
 def test_converge_without_analytic_reference_exits_2(lshape_doc, tmp_path, capsys):

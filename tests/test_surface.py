@@ -170,12 +170,71 @@ def test_vertex_links_of_non_parallelogram_polygons(surface, links, angles, genu
     assert surface.cone_classes == cones
 
 
+def _links_one_corner_at_a_time(surface):
+    """Reference for the vertex links: each class walked from its smallest
+    corner through a dict of glued sides, angles summed along the walk."""
+    partner = {}
+    for a, b in surface.gluings:
+        partner[a], partner[b] = b, a
+    seen, links, angles = set(), [], []
+    for corner in ((p, i) for p, poly in enumerate(surface.polygons) for i in range(len(poly))):
+        link, total = [], 0.0
+        while corner not in seen:
+            seen.add(corner)
+            link.append(corner)
+            p, i = corner
+            poly = surface.polygons[p]
+            u, v = poly[i - 1] - poly[i], poly[(i + 1) % len(poly)] - poly[i]
+            total += math.atan2(v[0] * u[1] - v[1] * u[0], float(np.dot(v, u))) % (2 * math.pi)
+            corner = partner[p, (i - 1) % len(poly)]
+        if link:
+            links.append(link)
+            angles.append(total)
+    return links, angles
+
+
+@pytest.mark.parametrize("surface", [
+    _opposite_sides_glued(4), _opposite_sides_glued(5), _opposite_sides_glued(3),
+    _two_triangle_torus(), l_shape_surface()],
+    ids=["octagon", "decagon", "hexagon", "two-triangle-torus", "lshape"])
+def test_vertex_links_match_a_corner_by_corner_walk(surface):
+    links, angles = _links_one_corner_at_a_time(surface)
+    assert [[tuple(int(x) for x in c) for c in link] for link in surface.vertex_links] == links
+    assert surface.vertex_angles == angles   # same sums in the same order
+
+
 def test_edge_glued_twice_error():
     sq = [[0, 0], [1, 0], [1, 1], [0, 1]]
     with pytest.raises(SurfaceError) as err:
         PolyhedralSurface(polygons=[sq], gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3)),
                                                   ((0, 3), (0, 1))])
     assert str(err.value) == "edge glued twice: (0, 3) / (0, 1)"
+
+
+_TWO_SQUARE_TORUS = [((0, 0), (0, 2)), ((1, 0), (1, 2)), ((0, 1), (1, 3)), ((1, 1), (0, 3))]
+
+
+@pytest.mark.parametrize("gluings, row", [
+    # side (0, 4) would alias the flat id of side (1, 0)
+    ([_TWO_SQUARE_TORUS[0], ((0, 4), (1, 2)), *_TWO_SQUARE_TORUS[2:]], ((0, 4), (1, 2))),
+    (_TWO_SQUARE_TORUS + [((2, 0), (0, 1))], ((2, 0), (0, 1))),
+    (_TWO_SQUARE_TORUS + [((0, -1), (1, 5))], ((0, -1), (1, 5))),
+], ids=["aliasing-side", "unknown-polygon", "negative-side"])
+def test_gluing_outside_its_polygon_error(gluings, row):
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    with pytest.raises(SurfaceError) as err:
+        PolyhedralSurface(polygons=[sq, sq + [1, 0]], gluings=gluings)
+    assert str(err.value) == f"gluing {row[0]} / {row[1]} names a side outside its polygon"
+
+
+def test_vertex_classes_on_flat_corner_ids(lshape):
+    """Corner i of polygon p has the flat id first[p] + i; its class is
+    the link it lies in."""
+    s = _opposite_sides_glued(3)
+    for surface in (s, lshape):
+        for k, link in enumerate(surface.vertex_links):
+            assert np.all(surface.vertex_class[surface.first[link[:, 0]] + link[:, 1]] == k)
+        assert len(surface.vertex_class) == sum(len(p) for p in surface.polygons)
 
 
 def test_load_surface_torus_doc():

@@ -20,7 +20,7 @@ import numpy as np
 from . import dec, formats
 from .dec import PeriodData
 from .harmonic import HarmonicError, assemble, solve, verify_minimality
-from .homology import HomologyError, homology_basis, intersection_number
+from .homology import HomologyError, homology_basis, intersection_number, standard_form
 from .periods import (
     PeriodsError,
     abelian_integral,
@@ -55,9 +55,7 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
 
     # homology contracts
     chains = basis.a_chains + basis.b_chains
-    J = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    J[:g, g:] = np.eye(g, dtype=np.int64)
-    J[g:, :g] = -np.eye(g, dtype=np.int64)
+    J = standard_form(g)
     M = np.zeros((2 * g, 2 * g), dtype=np.int64)
     for i, ci in enumerate(chains):
         for j, cj in enumerate(chains):

@@ -11,11 +11,12 @@ scipy.sparse.csgraph).  Without reference loops the basis cycles follow a
 tree-cotree split of the vertex graph (Eppstein, "Dynamic generators of
 topologically embedded graphs", SODA 2003): a breadth-first tree from
 vertex 0, a breadth-first tree of the dual quad graph over the remaining
-edges, and one cycle per leftover edge.  The cocycles of one color come
-from the same split of its diagonal graph: each leftover diagonal gets a
-unit, the dual tree diagonals take the values that close every face,
-computed for all 2g units at once as subtree sums, and an exact rational
-solve combines the units into cochains with periods delta_jk.
+edges, and one cycle per leftover edge.  Each cycle is projected once
+per colour into an integer operator.  A black and a white diagonal path
+cross only at quad centres, so the product of the two operators is the
+intersection matrix, and by Poincare duality the white projections, read
+as black cochains, are closed cocycles with the intersection numbers as
+black periods (and vice versa): the cocycles are J times the operators.
 """
 
 from __future__ import annotations
@@ -222,36 +223,18 @@ def symplectic_reduction(M):
         sub = [(abs(M[i, j]), i, j) for i in free for j in free if M[i, j] != 0]
         if not sub:
             raise HomologyError("degenerate intersection form")
-        # make the smallest entry divide everything in its row/column
+        # Euclid steps until the smallest entry divides its row
         while True:
             m, i, j = min(sub)
-            stuck = True
-            for k in free:
-                if k in (i, j):
-                    continue
-                r = M[i, k] % M[i, j]
-                if r != 0:
-                    add_row(k, j, -(M[i, k] // M[i, j]))
-                    stuck = False
-                    break
-            if stuck:
+            k = next((k for k in free if k not in (i, j) and M[i, k] % M[i, j]), None)
+            if k is None:
                 break
+            add_row(k, j, -(M[i, k] // M[i, j]))
             sub = [(abs(M[a, b]), a, b) for a in free for b in free if M[a, b] != 0]
-        m, i, j = min(sub)
         pivot = M[i, j]
         if abs(pivot) != 1:
-            # an entry not divisible by the pivot may sit in another row
-            moved = False
-            for a in free:
-                for b in free:
-                    if a not in (i, j) and M[a, b] % pivot != 0:
-                        add_row(i, a, 1)
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                continue
+            # the pivot divides its row, hence the determinant of the free
+            # block, which is det M = 1 for a unimodular form
             raise HomologyError(f"intersection form not unimodular (pivot {pivot})")
         if pivot == -1:
             S[i, :] = -S[i, :]
@@ -265,13 +248,14 @@ def symplectic_reduction(M):
             add_row(k, i, -M[k, j])   # kills M[k, j] via M[i, j] = +1
         done.append((i, j))
         free = [k for k in free if k not in (i, j)]
-    g = n // 2
     perm = [i for i, j in done] + [j for i, j in done]
-    S = S[perm, :]
-    J = np.zeros((n, n), dtype=np.int64)
-    J[:g, g:] = np.eye(g, dtype=np.int64)
-    J[g:, :g] = -np.eye(g, dtype=np.int64)
-    return np.array(S, dtype=np.int64), J
+    return np.array(S[perm, :], dtype=np.int64), standard_form(n // 2)
+
+
+def standard_form(g):
+    """The integer form J = [[0, I], [-I, 0]] of size 2g."""
+    eye, zero = np.eye(g, dtype=np.int64), np.zeros((g, g), dtype=np.int64)
+    return np.block([[zero, eye], [-eye, zero]])
 
 
 def symplectic_basis(graph, cycles, M=None):
@@ -293,7 +277,7 @@ def symplectic_basis(graph, cycles, M=None):
 
 
 # ---------------------------------------------------------------------------
-# Projection to the diagonal graphs
+# Projection to the diagonal graphs, and the cocycles
 # ---------------------------------------------------------------------------
 
 def project_cycle(graph, cycle, color, clockwise=False):
@@ -323,74 +307,79 @@ def project_cycle(graph, cycle, color, clockwise=False):
     return DiagonalCycle(color=color, steps=list(zip((d // 4).tolist(), sign.tolist())))
 
 
-def period_operator(chain_projections, n_quads):
-    """Integer (len(chain_projections), n_quads) CSR matrix of projected
-    chains [(coeff, DiagonalCycle)]: row i sums coeff * sign over the
-    diagonals of chain i, so its product with a cochain on the same
-    colour's diagonals is the chain's period (without the factor 2 of
-    dec.integrate_path)."""
-    parts = [np.zeros((0, 3), dtype=np.int64)]
-    for i, chain in enumerate(chain_projections):
-        for coeff, dc in chain:
-            steps = np.asarray(dc.steps, dtype=np.int64).reshape(-1, 2)
-            parts.append(np.column_stack(
-                [np.full(len(steps), i), steps[:, 0], coeff * steps[:, 1]]))
-    rows, qs, ws = np.concatenate(parts).T
-    return sp.csr_matrix((ws, (rows, qs)),
-                         shape=(len(chain_projections), n_quads))
+def projection_operator(graph, cycles, color):
+    """Integer (len(cycles), n_quads) CSR matrix of the cycles projected
+    to one colour (project_cycle): row i sums the signs of the diagonals
+    cycle i traverses, so its product with a cochain on that colour's
+    diagonals is the cycle's period (without the factor 2 of
+    dec.integrate_path).  The black operator times the transposed white
+    one is the intersection matrix of the cycles."""
+    steps = [np.asarray(project_cycle(graph, c, color).steps, dtype=np.int64).reshape(-1, 2)
+             for c in cycles]
+    rows = np.repeat(np.arange(len(steps)), [len(s) for s in steps])
+    qs, ws = np.concatenate(steps + [np.zeros((0, 2), dtype=np.int64)]).T
+    return sp.csr_matrix((ws, (rows, qs)), shape=(len(steps), graph.n_quads))
 
 
-# ---------------------------------------------------------------------------
-# Cocycles with prescribed periods
-# ---------------------------------------------------------------------------
-
-def build_cocycles(graph, projections, color):
-    """Integer cochains sigma_1..sigma_{2g} on one color's diagonals whose
-    periods along the 2g projected basis cycles are delta_{jk}.
-
-    projections: list of 2g projections (lists of (coeff, DiagonalCycle))
-    of the canonical basis cycles in the same color.
-    """
-    V, F = graph.n_vertices, graph.n_quads
-    ends = graph.diagonal_ends(color)
-    faces = graph.diagonal_ends(1 - color)
-    tree = spanning_tree(V, *ends, root=int(np.argmax(graph.color == color)))
-    if np.any(tree.depth[graph.color == color] < 0):
-        raise HomologyError("diagonal graph disconnected")
-    in_tree = np.isin(np.arange(F), tree.parent_edge)
-    dual = spanning_tree(V, *faces, mask=~in_tree,
-                         root=int(np.argmax(graph.color != color)))
-    if np.any(dual.depth[graph.color != color] < 0):
-        raise HomologyError("diagonal dual graph disconnected")
-    in_cotree = np.isin(np.arange(F), dual.parent_edge)
-    leftover = np.flatnonzero(~in_tree & ~in_cotree)
-    n = len(leftover)
-    if n != len(projections):
-        raise HomologyError(
-            f"{n} leftover diagonals for {len(projections)} basis cycles")
-    # column l: 1 on leftover diagonal l, 0 on the tree, and on each dual
-    # tree diagonal the value that closes the subtree of faces below it
-    basis_sigma = np.zeros((F, n), dtype=np.int64)
-    basis_sigma[leftover, np.arange(n)] = 1
-    # D.T @ sigma is minus the sum of a cochain around each face: a
-    # diagonal counts + at its start face and - at its end face
-    D = difference_operators(graph)[1 - color]
-    flux = dual.subtree_sums(-(D.T @ basis_sigma)).astype(np.int64)
-    child = np.flatnonzero(dual.parent_edge >= 0)
-    pq = dual.parent_edge[child]
-    basis_sigma[pq] = np.where(faces[0][pq] == child, -1, 1)[:, None] * flux[child]
-    if np.any(D.T @ basis_sigma):
+def period_cocycles(graph, op_black, op_white):
+    """Integer cochains (sigma_black, sigma_white), dense (2g, n_quads),
+    whose periods along a canonical basis are delta_jk: J @ op_white and
+    -J @ op_black for the basis' period operators.  Both are closed, since
+    every projected path is closed, and op @ sigma.T = I follows from
+    op_black @ op_white.T = J; both facts are checked exactly."""
+    n = op_black.shape[0]
+    J = standard_form(n // 2)
+    sigma_black, sigma_white = J @ op_white, -J @ op_black
+    Db, Dw = difference_operators(graph)
+    # D.T @ sigma is minus the sum of a cochain around each face
+    if np.any(Dw.T @ sigma_black.T) or np.any(Db.T @ sigma_white.T):
         raise HomologyError("cocycle is not closed at every face")
-    P = period_operator(projections, F) @ basis_sigma
-    # exact solve P X = I: X must be integral (P unimodular) or the
-    # periods were inconsistent
-    rows, pivots = _rref(np.hstack([P, np.eye(n, dtype=np.int64)]))
-    if pivots[:n] != list(range(n)):
-        raise HomologyError("singular period system for cocycles")
-    if any(x.denominator != 1 for row in rows for x in row[n:]):
-        raise HomologyError("non-integer cocycle coefficients")
-    X = np.array([[int(x) for x in row[n:]] for row in rows], dtype=np.int64)
-    return np.ascontiguousarray((basis_sigma @ X.reshape(n, n)).T)
+    eye = np.eye(n, dtype=np.int64)
+    if np.any(op_black @ sigma_black.T != eye) or np.any(op_white @ sigma_white.T != eye):
+        raise HomologyError("cocycle periods are not the identity")
+    return sigma_black, sigma_white
+
+
+# ---------------------------------------------------------------------------
+# Full basis assembly
+# ---------------------------------------------------------------------------
+
+@dataclass
+class HomologyBasis:
+    """Canonical basis a_1..a_g, b_1..b_g, its period operators and the
+    cocycles sigma whose periods are delta_jk (period_cocycles).
+
+    op_black and op_white are integer (2g, F) CSR matrices with rows
+    a_1..a_g then b_1..b_g, the cycles' projection operators combined by
+    the transform.  The black periods of a closed differential omega are
+    2 * (op_black @ omega.wb), the white ones 2 * (op_white @ omega.ww).
+
+    cocycles_black and cocycles_white hold the cocycles once more as
+    sparse float (F, 2g) matrices, the factor that turns period
+    coefficients into per-quad jumps; the integer sigma stays for exact
+    checks."""
+
+    graph: object
+    a_chains: list
+    b_chains: list
+    op_black: sp.csr_matrix = field(repr=False, compare=False)
+    op_white: sp.csr_matrix = field(repr=False, compare=False)
+    intersection_before: np.ndarray
+    transform: np.ndarray
+    sigma_black: np.ndarray = field(init=False, repr=False)  # (2g, F)
+    sigma_white: np.ndarray = field(init=False, repr=False)
+    cocycles_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    cocycles_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sigma_black, self.sigma_white = period_cocycles(
+            self.graph, self.op_black, self.op_white)
+        self.cocycles_black = sp.csr_matrix(self.sigma_black.T, dtype=float)
+        self.cocycles_white = sp.csr_matrix(self.sigma_white.T, dtype=float)
+
+    @property
+    def genus(self):
+        return len(self.a_chains)
 
 
 def _rref(M):
@@ -416,64 +405,18 @@ def _rref(M):
     return rows, pivots
 
 
-# ---------------------------------------------------------------------------
-# Full basis assembly
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HomologyBasis:
-    """Canonical basis a_1..a_g, b_1..b_g with its projections to the two
-    diagonal graphs and the cocycles sigma whose periods are delta_jk.
-
-    op_black and op_white are the period operators of the projections
-    (period_operator), built once: integer (2g, F) CSR matrices with rows
-    a_1..a_g then b_1..b_g.  The black periods of a closed differential
-    omega are 2 * (op_black @ omega.wb), the white ones
-    2 * (op_white @ omega.ww), and op @ sigma.T is the identity.
-
-    cocycles_black and cocycles_white hold the cocycles once more as
-    sparse float (F, 2g) matrices, the factor that turns period
-    coefficients into per-quad jumps; the integer sigma stays for exact
-    checks."""
-
-    graph: object
-    a_chains: list
-    b_chains: list
-    proj_black: list = field(repr=False, default=None)   # 2g entries: a then b
-    proj_white: list = field(repr=False, default=None)
-    sigma_black: np.ndarray = field(repr=False, default=None)  # (2g, F)
-    sigma_white: np.ndarray = field(repr=False, default=None)
-    intersection_before: np.ndarray = None
-    transform: np.ndarray = None
-    op_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    op_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    cocycles_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    cocycles_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        F = self.graph.n_quads
-        self.op_black = period_operator(self.proj_black, F)
-        self.op_white = period_operator(self.proj_white, F)
-        self.cocycles_black = sp.csr_matrix(self.sigma_black.T, dtype=float)
-        self.cocycles_white = sp.csr_matrix(self.sigma_white.T, dtype=float)
-
-    @property
-    def genus(self):
-        return len(self.a_chains)
-
-
-def _select_spanning_cycles(graph, candidates, rank):
-    """Greedy subset of cycles spanning the homology; earlier candidates
-    are preferred, keeping the selection deterministic across meshes that
-    share the same reference loops.
+def _select_spanning_cycles(M, rank):
+    """Greedy indices of candidate cycles spanning the homology, from
+    their intersection matrix M; earlier candidates are preferred, keeping
+    the selection deterministic across meshes that share the same
+    reference loops.
 
     Usefulness of a candidate is judged by the row rank of its pairings
     against the whole candidate list (the pairing with a single new cycle
     is always zero, so square-block ranks cannot drive the greedy)."""
-    M = intersection_matrix(graph, candidates)
     chosen = []
     r_now = 0
-    for i in range(len(candidates)):
+    for i in range(len(M)):
         trial = chosen + [i]
         r_new = len(_rref(M[trial, :])[1])
         if r_new > r_now:
@@ -483,49 +426,51 @@ def _select_spanning_cycles(graph, candidates, rank):
             break
     if len(chosen) != rank:
         raise HomologyError(f"cycles span rank {r_now}, need {rank}")
-    return [candidates[i] for i in chosen], M[np.ix_(chosen, chosen)]
+    return chosen
+
+
+def _projections(graph, cycles):
+    return [projection_operator(graph, cycles, color) for color in (BLACK, WHITE)]
+
+
+def _reduce(graph, cycles, P_black, P_white):
+    """A spanning subset of the candidate cycles, brought to symplectic
+    form: the HomologyBasis fields after graph, before any cocycle."""
+    M = (P_black @ P_white.T).toarray()
+    keep = _select_spanning_cycles(M, 2 * graph.genus())
+    M = M[np.ix_(keep, keep)]
+    a_chains, b_chains, S = symplectic_basis(graph, [cycles[i] for i in keep], M)
+    T = sp.csr_matrix(S)
+    return a_chains, b_chains, T @ P_black[keep], T @ P_white[keep], M, S
+
+
+def basis_from_cycles(graph, cycles):
+    """Canonical basis from candidate cycles that span the homology,
+    earlier ones preferred, each projected once per colour."""
+    return HomologyBasis(graph, *_reduce(graph, cycles, *_projections(graph, cycles)))
 
 
 def homology_basis(graph):
-    """Canonical symplectic basis with diagonal projections and period
-    cocycles.  Meshes built by the generators carry mesh-independent
-    reference loops (extended by tree-cotree cycles when the loops alone
-    do not span); otherwise cycles come from a tree-cotree split."""
+    """Canonical symplectic basis with period operators and cocycles.
+    Meshes built by the generators carry mesh-independent reference loops
+    (extended by tree-cotree cycles when the loops alone do not span);
+    otherwise cycles come from a tree-cotree split."""
     loops = (graph.meta or {}).get("loops")
-    rank = 2 * graph.genus()
-    cycles = None
     if loops:
-        candidates = [cycle_from_vertices(graph, w) for w in loops["a"]]
-        candidates += [cycle_from_vertices(graph, w) for w in loops["b"]]
-        if len(candidates) != rank or \
-                len(_rref(intersection_matrix(graph, candidates))[1]) != rank:
-            candidates += basis_cycles(graph)
+        cycles = [cycle_from_vertices(graph, w) for w in loops["a"]]
+        cycles += [cycle_from_vertices(graph, w) for w in loops["b"]]
+        P = _projections(graph, cycles)
+        rank = 2 * graph.genus()
+        if len(cycles) != rank or len(_rref((P[0] @ P[1].T).toarray())[1]) != rank:
+            more = basis_cycles(graph)
+            cycles += more
+            P = [sp.vstack(pair, format="csr") for pair in zip(P, _projections(graph, more))]
         try:
-            cycles, M = _select_spanning_cycles(graph, candidates, rank)
-            a_chains, b_chains, S = symplectic_basis(graph, cycles, M)
+            parts = _reduce(graph, cycles, *P)
         except HomologyError:
             # the loops can generate a finite-index sublattice; fall back
             # to the tree-cotree basis, which is always unimodular
-            cycles = None
-    if cycles is None:
-        cycles = basis_cycles(graph)
-        M = intersection_matrix(graph, cycles)
-        a_chains, b_chains, S = symplectic_basis(graph, cycles, M)
-    chains = a_chains + b_chains
-    proj_black = [[(c, project_cycle(graph, cyc, BLACK))
-                   for c, cyc in ch] for ch in chains]
-    proj_white = [[(c, project_cycle(graph, cyc, WHITE))
-                   for c, cyc in ch] for ch in chains]
-    sigma_black = build_cocycles(graph, proj_black, BLACK)
-    sigma_white = build_cocycles(graph, proj_white, WHITE)
-    return HomologyBasis(
-        graph=graph,
-        a_chains=a_chains,
-        b_chains=b_chains,
-        proj_black=proj_black,
-        proj_white=proj_white,
-        sigma_black=sigma_black,
-        sigma_white=sigma_white,
-        intersection_before=M,
-        transform=S,
-    )
+            pass
+        else:
+            return HomologyBasis(graph, *parts)
+    return basis_from_cycles(graph, basis_cycles(graph))

@@ -79,10 +79,10 @@ class PolyhedralSurface:
     generator: dict | None = None
 
     # filled by validate()
-    vertex_class: np.ndarray = field(default=None, repr=False)
-    vertex_angles: list = field(default_factory=list, repr=False)
-    cone_classes: list = field(default_factory=list, repr=False)
-    genus: int = 0
+    vertex_class: np.ndarray = field(init=False, repr=False)
+    vertex_angles: list = field(init=False, repr=False)
+    cone_classes: list = field(init=False, repr=False)
+    genus: int = field(init=False)
 
     def __post_init__(self):
         self.polygons = [np.asarray(p, dtype=float) for p in self.polygons]
@@ -487,25 +487,13 @@ class SpanningTree:
     parent_edge: np.ndarray
     depth: np.ndarray
 
-    def _levels(self):
-        """Reached nodes grouped by depth, root level excluded."""
-        cuts = np.flatnonzero(np.diff(self.depth[self.order])) + 1
-        return np.split(self.order, cuts)[1:]
-
     def prefix_sums(self, step):
         """Root-outward sums: out[u] = out[parent[u]] + step[u], zero at
-        the root and off the tree."""
+        the root and off the tree; one vector step per depth level."""
         out = np.zeros_like(step)
-        for nodes in self._levels():
+        cuts = np.flatnonzero(np.diff(self.depth[self.order])) + 1
+        for nodes in np.split(self.order, cuts)[1:]:
             out[nodes] = out[self.parent[nodes]] + step[nodes]
-        return out
-
-    def subtree_sums(self, values):
-        """Leaves-inward sums: out[u] is the sum of values (along the
-        first axis) over the subtree of u."""
-        out = np.array(values, copy=True)
-        for nodes in reversed(self._levels()):
-            np.add.at(out, self.parent[nodes], out[nodes])
         return out
 
 
@@ -598,6 +586,8 @@ def torus_surface(tau):
     if not (np.isfinite(z) and z.imag > 0):
         raise SurfaceError(f"torus modulus {tau!r} is not a finite complex number "
                            "with positive imaginary part")
+    if max(abs(z.real), z.imag) > 1e150:   # the bound of load_surface's coordinates
+        raise SurfaceError(f"torus modulus {tau!r} has a part of magnitude above 1e150")
     poly = [[0, 0], [1, 0], [1 + z.real, z.imag], [z.real, z.imag]]
     return PolyhedralSurface(polygons=[poly], gluings=[((0, 0), (0, 2)), ((0, 1), (0, 3))],
                              generator={"kind": "torus", "tau": [z.real, z.imag]})

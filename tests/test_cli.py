@@ -332,6 +332,12 @@ def _square_torus_doc(**changes):
      "torus modulus 'x' is not a finite complex number"),
     (json.dumps({"format": 1, "generator": {"kind": "torus", "tau": [0.5, math.inf]}}),
      "torus modulus [0.5, inf] is not a finite complex number"),
+    # held to the polygon coordinates' bound: no overflow in the energy
+    # matrix, no false length mismatch
+    (json.dumps({"format": 1, "generator": {"kind": "torus", "tau": [0, 1e200]}}),
+     "torus modulus [0, 1e+200] has a part of magnitude above 1e150"),
+    (json.dumps({"format": 1, "generator": {"kind": "torus", "tau": [1e300, 1]}}),
+     "torus modulus [1e+300, 1] has a part of magnitude above 1e150"),
     (json.dumps({"format": 1, "generator": {"kind": "square_tiled"}}),
      "needs 'polygons' and 'gluings'"),
     (json.dumps({"format": 1, "generator": {"kind": "square_tiled", "polygons": [
@@ -349,8 +355,8 @@ def _square_torus_doc(**changes):
 ], ids=["missing-file", "invalid-json", "no-vertices", "short-quad-row", "unknown-color",
         "short-cone-row", "non-numeric-corner", "one-side-gluing", "unknown-polygon-gluing",
         "unknown-side-gluing", "gluings-not-a-table", "non-finite-corner",
-        "generator-not-a-table", "malformed-tau", "non-finite-tau",
-        "square-tiled-without-polygons", "square-tiled-without-gluings",
+        "generator-not-a-table", "malformed-tau", "non-finite-tau", "huge-tau-imag",
+        "huge-tau-real", "square-tiled-without-polygons", "square-tiled-without-gluings",
         "huge-vertex-id", "raw-without-format", "huge-corner", "huge-rectangle-torus"])
 def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "surface.json"

@@ -6,37 +6,19 @@ from hypothesis import given, settings, strategies
 
 from quadperiod import dec
 from quadperiod.homology import (
-    HomologyBasis,
     basis_cycles,
-    build_cocycles,
+    basis_from_cycles,
+    cycle_from_vertices,
     homology_basis,
+    intersection_matrix,
     intersection_number,
     project_cycle,
-    symplectic_basis,
+    projection_operator,
 )
 from quadperiod.periods import period_matrices
 from quadperiod.surface import (
     BLACK, WHITE, PolyhedralSurface, SurfaceError, build_quad_graph)
 from quadperiod.formats import graph_to_doc, graph_from_doc
-
-
-def _basis_from_cycles(graph, cycles):
-    """Assemble a HomologyBasis from explicit primitive cycles (the same
-    steps homology_basis performs, but starting from the given cycles)."""
-    from quadperiod.homology import intersection_matrix
-    M = intersection_matrix(graph, cycles)
-    a_chains, b_chains, S = symplectic_basis(graph, cycles, M)
-    chains = a_chains + b_chains
-    proj_black = [[(c, project_cycle(graph, cyc, BLACK)) for c, cyc in ch]
-                  for ch in chains]
-    proj_white = [[(c, project_cycle(graph, cyc, WHITE)) for c, cyc in ch]
-                  for ch in chains]
-    return HomologyBasis(
-        graph=graph, a_chains=a_chains, b_chains=b_chains,
-        proj_black=proj_black, proj_white=proj_white,
-        sigma_black=build_cocycles(graph, proj_black, BLACK),
-        sigma_white=build_cocycles(graph, proj_white, WHITE),
-        intersection_before=M, transform=S)
 
 
 def _chain_pairing(graph, ch1, ch2):
@@ -78,7 +60,7 @@ def test_period_linearity_across_bases(lshape_mesh_4):
 
     g = lshape_mesh_4
     basis1 = homology_basis(g)
-    basis2 = _basis_from_cycles(g, basis_cycles(g))
+    basis2 = basis_from_cycles(g, basis_cycles(g))
     A, B, C, D = _change_of_basis(g, basis1, basis2)
     cb = canonical_differentials(g, basis1, assemble(g, basis1))
     gen = basis1.genus
@@ -100,7 +82,7 @@ def test_modular_transformation_in_the_limit(lshape):
     for cell in (1 / 4, 1 / 8, 1 / 16):
         g = build_quad_graph(lshape, cell)
         basis1 = homology_basis(g)
-        basis2 = _basis_from_cycles(g, basis_cycles(g))
+        basis2 = basis_from_cycles(g, basis_cycles(g))
         A, B, C, D = _change_of_basis(g, basis1, basis2)
         P1 = period_matrices(g, basis1).pi
         P2 = period_matrices(g, basis2).pi
@@ -166,7 +148,7 @@ def test_skew_torus_tree_cotree_modulus(torus_skew_4):
     """Even with an arbitrary tree-cotree basis the torus modulus is
     recovered up to the modular group action."""
     g = torus_skew_4
-    basis = _basis_from_cycles(g, basis_cycles(g))
+    basis = basis_from_cycles(g, basis_cycles(g))
     pm = period_matrices(g, basis)
     tau = pm.pi[0, 0]
     want = g.meta["tau"]
@@ -211,10 +193,11 @@ def test_measure_periods_match_path_integrals(mesh, request):
     jumps = PeriodData.from_flat(rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n))
     omega = dec.exterior_derivative(g, f, basis, jumps)
     p = dec.measure_periods(g, omega, basis)
-    for measured, proj in ((np.concatenate([p.a_black, p.b_black]), basis.proj_black),
-                           (np.concatenate([p.a_white, p.b_white]), basis.proj_white)):
-        want = np.array([sum(c * dec.integrate_path(g, omega, dc) for c, dc in chain)
-                         for chain in proj])
+    chains = basis.a_chains + basis.b_chains
+    for measured, color in ((np.concatenate([p.a_black, p.b_black]), BLACK),
+                            (np.concatenate([p.a_white, p.b_white]), WHITE)):
+        want = np.array([sum(c * dec.integrate_path(g, omega, project_cycle(g, cyc, color))
+                             for c, cyc in chain) for chain in chains])
         assert len(want) == n
         assert np.max(np.abs(measured - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -340,6 +323,11 @@ def test_fuzz_random_origamis(perms):
     J = np.block([[np.zeros((n // 2, n // 2)), np.eye(n // 2)],
                   [-np.eye(n // 2), np.zeros((n // 2, n // 2))]])
     assert np.array_equal(M, J)
+    # corner counting agrees with the product of the projection operators
+    loops = g.meta["loops"]
+    cycles = [cycle_from_vertices(g, w) for w in loops["a"] + loops["b"]] + basis_cycles(g)
+    P_black, P_white = (projection_operator(g, cycles, c) for c in (BLACK, WHITE))
+    assert np.array_equal((P_black @ P_white.T).toarray(), intersection_matrix(g, cycles))
     # both routing sides give the same periods of dz
     dz = dec.chart_dz(g)
     for ch in chains:

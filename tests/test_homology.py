@@ -1,18 +1,22 @@
+import copy
+
 import numpy as np
 import pytest
 
-from quadperiod.surface import BLACK, WHITE, SpanningTree, generate_torus
-from quadperiod import dec
+from quadperiod.surface import BLACK, WHITE, generate_torus
+from quadperiod import dec, homology
 from quadperiod.homology import (
     Cycle,
     HomologyError,
     basis_cycles,
-    build_cocycles,
+    basis_from_cycles,
     cycle_from_vertices,
     homology_basis,
     intersection_matrix,
     intersection_number,
+    period_cocycles,
     project_cycle,
+    standard_form,
     symplectic_basis,
     symplectic_reduction,
     tree_cotree,
@@ -95,6 +99,21 @@ def test_symplectic_reduction_rejects_nonunimodular():
     M = np.array([[0, 2], [-2, 0]])
     with pytest.raises(HomologyError, match="unimodular"):
         symplectic_reduction(M)
+    # determinant 9: a unit pair, then a pair with pivot 3
+    M = np.array([[0, 3, 0, 0], [-3, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    with pytest.raises(HomologyError, match="not unimodular"):
+        symplectic_reduction(M)
+
+
+def test_symplectic_reduction_euclid_step():
+    """Pfaffian 2*5 - 3*3 = 1 but smallest entry 2: the pivot's row holds
+    a 3, so a Euclid step must shrink the entries before a unit pivot."""
+    M = np.zeros((4, 4), dtype=np.int64)
+    M[0, 1], M[0, 2], M[1, 3], M[2, 3] = 2, 3, 3, 5
+    M -= M.T
+    S, J = symplectic_reduction(M)
+    assert np.array_equal(J, standard_form(2))
+    assert np.array_equal(S @ M @ S.T, J)
 
 
 def test_symplectic_basis_lshape(lshape_mesh_2):
@@ -238,15 +257,11 @@ def test_exact_shift_leaves_periods(torus_i_4, rng):
     shift = ind[q[:, 2]] - ind[q[:, 0]]
     omega0 = dec.Differential(sig / 2.0, np.zeros(g.n_quads))
     omega1 = dec.Differential((sig + shift) / 2.0, np.zeros(g.n_quads))
-    for j in range(2):
-        p0 = dec.integrate_path(g, omega0, _one(basis.proj_black[j]))
-        p1 = dec.integrate_path(g, omega1, _one(basis.proj_black[j]))
-        assert np.isclose(p0, p1)
-
-
-def _one(chain_proj):
-    assert len(chain_proj) == 1 and chain_proj[0][0] == 1
-    return chain_proj[0][1]
+    for chain in basis.a_chains + basis.b_chains:
+        assert len(chain) == 1 and chain[0][0] == 1
+        path = project_cycle(g, chain[0][1], BLACK)
+        assert np.isclose(dec.integrate_path(g, omega0, path),
+                          dec.integrate_path(g, omega1, path))
 
 
 def test_homology_basis_torus_reference(torus_skew_4):
@@ -256,8 +271,48 @@ def test_homology_basis_torus_reference(torus_skew_4):
     assert abs(M[0, 1]) == 1
 
 
-def test_cocycle_closedness_check_fires(lshape_mesh_2, monkeypatch):
-    """Wrong values on the dual tree diagonals are caught face by face."""
-    monkeypatch.setattr(SpanningTree, "subtree_sums", lambda self, v: 0 * v)
+def test_projection_product_is_intersection_matrix(lshape_mesh_4):
+    """The pairing basis_from_cycles reduces is the corner-counting one."""
+    g = lshape_mesh_4
+    cycles = basis_cycles(g)
+    assert np.array_equal(basis_from_cycles(g, cycles).intersection_before,
+                          intersection_matrix(g, cycles))
+
+
+def test_cocycle_closedness_check_fires(lshape_mesh_2):
+    """A projected white path with one diagonal dropped is open, so the
+    black cocycle it makes is not closed; operators that do not pair to J
+    give closed cocycles with wrong periods."""
+    basis = homology_basis(lshape_mesh_2)
+    op_white = basis.op_white.toarray()
+    op_white[0, np.flatnonzero(op_white[0])[0]] = 0
+    with pytest.raises(HomologyError, match="not closed"):
+        period_cocycles(lshape_mesh_2, basis.op_black, op_white)
+    swapped = basis.op_black[[1, 0, 2, 3]]
+    with pytest.raises(HomologyError, match="not the identity"):
+        period_cocycles(lshape_mesh_2, swapped, basis.op_white)
+
+
+def test_loops_of_a_sublattice_fall_back_to_tree_cotree(torus_i_4):
+    """Reference loops a twice and b pair to 2: the reduction fails, and
+    the basis is the tree-cotree one."""
+    g = copy.copy(torus_i_4)
+    a, b = g.meta["loops"]["a"][0], g.meta["loops"]["b"][0]
+    twice = {"verts": list(a["verts"]) * 2, "edge_keys": list(a["edge_keys"]) * 2}
+    g.meta = dict(g.meta, loops={"a": [twice], "b": [b]})
+    basis, want = homology_basis(g), basis_from_cycles(g, basis_cycles(g))
+    assert np.array_equal(basis.transform, want.transform)
+    assert [[(c, x.eids) for c, x in ch] for ch in basis.a_chains + basis.b_chains] == \
+        [[(c, x.eids) for c, x in ch] for ch in want.a_chains + want.b_chains]
+
+
+def test_cocycle_failure_does_not_fall_back(lshape_mesh_2, monkeypatch):
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise HomologyError("cocycle is not closed at every face")
+    monkeypatch.setattr(homology, "period_cocycles", broken)
     with pytest.raises(HomologyError, match="not closed"):
         homology_basis(lshape_mesh_2)
+    assert len(calls) == 1

@@ -40,14 +40,20 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_meshes.json")
 CORNER_TOL = 1e-15
 
 
-def _two_cone_origami():
-    """Four unit squares in a row, rights glued to lefts by (0 1 3 2) and
-    tops to bottoms by (2 3 0 1): genus 2, two cones of angle 4*pi."""
+def _origami(right, top):
+    """Unit squares in a row, the right side of square i glued to the left
+    side of right[i] and its top to the bottom of top[i]."""
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    right, top = (0, 1, 3, 2), (2, 3, 0, 1)
-    gluings = [pair for i in range(4)
+    gluings = [pair for i in range(len(right))
                for pair in (((i, 1), (right[i], 3)), ((i, 2), (top[i], 0)))]
-    return PolyhedralSurface(polygons=[sq + [i, 0] for i in range(4)], gluings=gluings)
+    return PolyhedralSurface(polygons=[sq + [i, 0] for i in range(len(right))],
+                             gluings=gluings)
+
+
+def _two_cone_origami():
+    """Four squares glued by (0 1 3 2) and (2 3 0 1): genus 2, two cones
+    of angle 4*pi."""
+    return _origami((0, 1, 3, 2), (2, 3, 0, 1))
 
 
 CORPUS = dict(PERIOD_CORPUS)
@@ -58,6 +64,9 @@ CORPUS["torus-i-2-subdivided"] = lambda: subdivide(generate_torus(1j, 2))
 CORPUS["lshape-adapted-16"] = lambda: generate_adapted(l_shape_surface(), 1 / 16)
 # two cone patches: pins the order in which they are interned
 CORPUS["origami-two-cones-adapted-8"] = lambda: generate_adapted(_two_cone_origami(), 1 / 8)
+# three squares, genus 2, one 6*pi cone: the three reference loops span
+# rank 2 of 4, so the basis extends them by tree-cotree cycles
+CORPUS["origami-one-cone-4"] = lambda: build_quad_graph(_origami((1, 0, 2), (2, 0, 1)), 1 / 4)
 
 
 def _digest(values):

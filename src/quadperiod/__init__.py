@@ -40,7 +40,6 @@ from .homology import (
     intersection_matrix,
     intersection_number,
     project_cycle,
-    symplectic_basis,
     tree_cotree,
 )
 from .harmonic import EnergySystem, HarmonicSolution, assemble, solve, verify_minimality

@@ -128,9 +128,9 @@ def _tree_path(tc, v, u):
     return up + down, [int(pedge[x]) for x in up[:-1] + down]
 
 
-def basis_cycles(graph, tc=None):
+def basis_cycles(graph):
     """One cycle per leftover edge: the edge plus its tree path."""
-    tc = tc or tree_cotree(graph)
+    tc = tree_cotree(graph)
     out = []
     for e, (a, b) in zip(tc["leftover"].tolist(), graph.edge_list[tc["leftover"]].tolist()):
         verts, eids = _tree_path(tc, b, a)  # b ... a through the tree
@@ -258,24 +258,6 @@ def standard_form(g):
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def symplectic_basis(graph, cycles, M=None):
-    """Canonical basis as integer combinations of the given cycles.
-
-    Returns (a_chains, b_chains, S): chains are lists of (coefficient,
-    Cycle); S is the integer transform with S M S^T standard.
-    """
-    M = intersection_matrix(graph, cycles) if M is None else np.asarray(M)
-    S, J = symplectic_reduction(M)
-    got = S @ M.astype(object) @ S.T
-    if np.any(got != J):
-        raise HomologyError("symplectic reduction failed to reach standard form")
-    n = len(cycles)
-    g = n // 2
-    chains = [[(int(S[i, m]), cycles[m]) for m in range(n) if S[i, m] != 0]
-              for i in range(n)]
-    return chains[:g], chains[g:], S
-
-
 # ---------------------------------------------------------------------------
 # Projection to the diagonal graphs, and the cocycles
 # ---------------------------------------------------------------------------
@@ -382,10 +364,13 @@ class HomologyBasis:
         return len(self.a_chains)
 
 
-def _rref(M):
-    """Reduced row echelon form of an integer matrix over the rationals:
-    (rows as lists of Fractions, pivot columns)."""
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
+def _independent_rows(M):
+    """Indices of the earliest linearly independent rows of an integer
+    matrix: the pivot columns of one exact elimination of M^T over the
+    rationals.  Row i is kept exactly when it is independent of the rows
+    before it, so the choice among candidate cycles is deterministic and
+    earlier ones win."""
+    rows = [[Fraction(int(x)) for x in col] for col in np.asarray(M).T]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -393,40 +378,14 @@ def _rref(M):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col] / rows[r][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    return rows, pivots
-
-
-def _select_spanning_cycles(M, rank):
-    """Greedy indices of candidate cycles spanning the homology, from
-    their intersection matrix M; earlier candidates are preferred, keeping
-    the selection deterministic across meshes that share the same
-    reference loops.
-
-    Usefulness of a candidate is judged by the row rank of its pairings
-    against the whole candidate list (the pairing with a single new cycle
-    is always zero, so square-block ranks cannot drive the greedy)."""
-    chosen = []
-    r_now = 0
-    for i in range(len(M)):
-        trial = chosen + [i]
-        r_new = len(_rref(M[trial, :])[1])
-        if r_new > r_now:
-            chosen = trial
-            r_now = r_new
-        if len(chosen) == rank:
-            break
-    if len(chosen) != rank:
-        raise HomologyError(f"cycles span rank {r_now}, need {rank}")
-    return chosen
+    return pivots
 
 
 def _projections(graph, cycles):
@@ -434,14 +393,21 @@ def _projections(graph, cycles):
 
 
 def _reduce(graph, cycles, P_black, P_white):
-    """A spanning subset of the candidate cycles, brought to symplectic
-    form: the HomologyBasis fields after graph, before any cocycle."""
+    """The earliest candidate cycles that span the homology, brought to
+    symplectic form by an integer transform S with S M S^T = J, and their
+    chains (lists of (coefficient, Cycle)): the HomologyBasis fields after
+    graph, before any cocycle."""
     M = (P_black @ P_white.T).toarray()
-    keep = _select_spanning_cycles(M, 2 * graph.genus())
+    keep, rank = _independent_rows(M), 2 * graph.genus()
+    if len(keep) != rank:
+        raise HomologyError(f"cycles span rank {len(keep)}, need {rank}")
     M = M[np.ix_(keep, keep)]
-    a_chains, b_chains, S = symplectic_basis(graph, [cycles[i] for i in keep], M)
+    S, J = symplectic_reduction(M)
+    if np.any(S @ M.astype(object) @ S.T != J):
+        raise HomologyError("symplectic reduction failed to reach standard form")
+    chains = [[(int(c), cycles[m]) for c, m in zip(row, keep) if c] for row in S]
     T = sp.csr_matrix(S)
-    return a_chains, b_chains, T @ P_black[keep], T @ P_white[keep], M, S
+    return chains[:rank // 2], chains[rank // 2:], T @ P_black[keep], T @ P_white[keep], M, S
 
 
 def basis_from_cycles(graph, cycles):
@@ -461,7 +427,7 @@ def homology_basis(graph):
         cycles += [cycle_from_vertices(graph, w) for w in loops["b"]]
         P = _projections(graph, cycles)
         rank = 2 * graph.genus()
-        if len(cycles) != rank or len(_rref((P[0] @ P[1].T).toarray())[1]) != rank:
+        if len(cycles) != rank or len(_independent_rows((P[0] @ P[1].T).toarray())) != rank:
             more = basis_cycles(graph)
             cycles += more
             P = [sp.vstack(pair, format="csr") for pair in zip(P, _projections(graph, more))]

@@ -19,6 +19,7 @@ from quadperiod.periods import period_matrices
 from quadperiod.surface import (
     BLACK, WHITE, PolyhedralSurface, SurfaceError, build_quad_graph)
 from quadperiod.formats import graph_to_doc, graph_from_doc
+from test_homology import assert_selection_is_greedy
 
 
 def _chain_pairing(graph, ch1, ch2):
@@ -327,7 +328,10 @@ def test_fuzz_random_origamis(perms):
     loops = g.meta["loops"]
     cycles = [cycle_from_vertices(g, w) for w in loops["a"] + loops["b"]] + basis_cycles(g)
     P_black, P_white = (projection_operator(g, cycles, c) for c in (BLACK, WHITE))
-    assert np.array_equal((P_black @ P_white.T).toarray(), intersection_matrix(g, cycles))
+    M = (P_black @ P_white.T).toarray()
+    assert np.array_equal(M, intersection_matrix(g, cycles))
+    # the one elimination keeps the candidates the greedy keeps
+    assert_selection_is_greedy(M)
     # both routing sides give the same periods of dz
     dz = dec.chart_dz(g)
     for ch in chains:

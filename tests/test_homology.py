@@ -1,7 +1,9 @@
 import copy
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from quadperiod.surface import BLACK, WHITE, generate_torus
 from quadperiod import dec, homology
@@ -17,7 +19,6 @@ from quadperiod.homology import (
     period_cocycles,
     project_cycle,
     standard_form,
-    symplectic_basis,
     symplectic_reduction,
     tree_cotree,
 )
@@ -118,8 +119,8 @@ def test_symplectic_reduction_euclid_step():
 
 def test_symplectic_basis_lshape(lshape_mesh_2):
     g = lshape_mesh_2
-    cycles = basis_cycles(g)
-    a, b, S = symplectic_basis(g, cycles)
+    basis = basis_from_cycles(g, basis_cycles(g))
+    a, b = basis.a_chains, basis.b_chains
     # verify against a fresh run of the corner-counting pairing
     def chain_pairing(ch1, ch2):
         return sum(c1 * c2 * intersection_number(g, x1, x2)
@@ -316,3 +317,72 @@ def test_cocycle_failure_does_not_fall_back(lshape_mesh_2, monkeypatch):
     with pytest.raises(HomologyError, match="not closed"):
         homology_basis(lshape_mesh_2)
     assert len(calls) == 1
+
+
+def _rref_pivots(M):
+    """Pivot columns of the reduced row echelon form of an integer matrix
+    over the rationals."""
+    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(M)]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def greedy_spanning_rows(M, rank):
+    """Reference selection: keep candidate i when adding its row of M to
+    the rows kept so far raises their rank, one exact row reduction per
+    candidate, until rank rows are kept."""
+    chosen = []
+    r_now = 0
+    for i in range(len(M)):
+        trial = chosen + [i]
+        r_new = len(_rref_pivots(M[trial, :]))
+        if r_new > r_now:
+            chosen = trial
+            r_now = r_new
+        if len(chosen) == rank:
+            break
+    if len(chosen) != rank:
+        raise HomologyError(f"cycles span rank {r_now}, need {rank}")
+    return chosen
+
+
+def assert_selection_is_greedy(M):
+    """The one elimination keeps the rows the greedy keeps, and the greedy
+    finds no further independent row."""
+    keep = homology._independent_rows(M)
+    assert greedy_spanning_rows(M, len(keep)) == keep
+    with pytest.raises(HomologyError, match=f"span rank {len(keep)}, need"):
+        greedy_spanning_rows(M, len(keep) + 1)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(n=strategies.integers(1, 7), rank=strategies.integers(0, 7),
+       antisymmetric=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+def test_independent_rows_match_greedy(n, rank, antisymmetric, seed):
+    """Integer matrices of rank at most `rank` (a product of random
+    factors, with repeated and zero rows), antisymmetrised or not."""
+    rng = np.random.default_rng(seed)
+    M = rng.integers(-2, 3, (n, rank)) @ rng.integers(-2, 3, (rank, n))
+    if antisymmetric:
+        M = M - M.T
+    assert_selection_is_greedy(M)
+
+
+def test_independent_rows_of_empty_and_zero_matrices():
+    assert homology._independent_rows(np.zeros((0, 0), dtype=np.int64)) == []
+    assert homology._independent_rows(np.zeros((3, 3), dtype=np.int64)) == []

@@ -265,44 +265,11 @@ class QuadGraph:
     def n_quads(self):
         return len(self.quads)
 
-    @property
-    def black_diag(self):
-        d = self._cache.get("bd")
-        if d is None:
-            d = self.corners[:, 2] - self.corners[:, 0]
-            self._cache["bd"] = d
-        return d
-
-    @property
-    def white_diag(self):
-        d = self._cache.get("wd")
-        if d is None:
-            d = self.corners[:, 3] - self.corners[:, 1]
-            self._cache["wd"] = d
-        return d
-
-    @property
-    def diagonal_ratio(self):
-        """-i * (white diagonal) / (black diagonal) per quad; the complex
-        structure datum.  Real and positive exactly for orthogonal
-        diagonals; the real part is positive on every valid quad."""
-        r = self._cache.get("rho")
-        if r is None:
-            r = -1j * self.white_diag / self.black_diag
-            self._cache["rho"] = r
-        return r
-
-    @property
-    def area(self):
-        a = self._cache.get("area")
-        if a is None:
-            a = 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
-            self._cache["area"] = a
-        return a
-
-    # -- validation ---------------------------------------------------------
+    # -- validation and per-quad geometry -----------------------------------
 
     def validate(self):
+        """Check the quad table and the charts; sets black_diag, white_diag,
+        area and diagonal_ratio per quad, each checked before its first use."""
         V, F = self.n_vertices, self.n_quads
         q = self.quads
         if q.shape != (F, 4) or self.corners.shape != (F, 4):
@@ -312,17 +279,20 @@ class QuadGraph:
         if np.any(self.color[q[:, 0]] != BLACK) or np.any(self.color[q[:, 2]] != BLACK) \
                 or np.any(self.color[q[:, 1]] != WHITE) or np.any(self.color[q[:, 3]] != WHITE):
             raise SurfaceError("vertex coloring does not alternate around a quad")
-        scale = np.max(np.abs(self.corners - np.roll(self.corners, 1, axis=1)), axis=1)
+        c = self.corners
+        scale = np.max(np.abs(c - np.roll(c, 1, axis=1)), axis=1)
+        self.black_diag = c[:, 2] - c[:, 0]
         if np.any(np.abs(self.black_diag) < GEOM_TOL * scale):
             raise SurfaceError("degenerate black diagonal")
+        self.white_diag = c[:, 3] - c[:, 1]
         if np.any(np.abs(self.white_diag) < GEOM_TOL * scale):
             raise SurfaceError("degenerate white diagonal")
+        self.area = 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
         if np.any(self.area <= 0):
             bad = int(np.argmin(self.area))
             raise SurfaceError(f"quad {bad} not positively oriented (area {self.area[bad]})")
         # simplicity: one of the two diagonals must split the quad into two
         # positively oriented triangles (weakly, straight corners allowed)
-        c = self.corners
         t1 = _tri_area(c[:, 0], c[:, 1], c[:, 2])
         t2 = _tri_area(c[:, 0], c[:, 2], c[:, 3])
         u1 = _tri_area(c[:, 1], c[:, 2], c[:, 3])
@@ -331,6 +301,10 @@ class QuadGraph:
         ok = ((t1 >= tol) & (t2 >= tol)) | ((u1 >= tol) & (u2 >= tol))
         if not np.all(ok):
             raise SurfaceError(f"quad {int(np.argmin(ok))} is not a simple quadrilateral")
+        # -i * (white diagonal) / (black diagonal) per quad; the complex
+        # structure datum.  Real and positive exactly for orthogonal
+        # diagonals; the real part is positive on every valid quad.
+        self.diagonal_ratio = -1j * self.white_diag / self.black_diag
         if np.any(self.diagonal_ratio.real <= 0):
             raise SurfaceError("diagonal ratio with nonpositive real part")
         if not self.closed:
@@ -594,8 +568,9 @@ def torus_surface(tau):
 
 
 def generate_torus(tau, n):
-    """n x n parallelogram mesh of the flat torus with modulus tau, the
-    uniform mesh of torus_surface(tau); meta["tau"] holds tau.
+    """n x n parallelogram mesh of the flat torus with modulus tau, a
+    complex number or its [re, im] pair: the uniform mesh of
+    torus_surface(tau).
 
     n must be even and at least 2: the checkerboard coloring of an odd
     grid does not close up around the torus.
@@ -603,9 +578,7 @@ def generate_torus(tau, n):
     surface = torus_surface(tau)
     if n < 2 or n % 2 != 0:
         raise SurfaceError(f"grid size {n} is not an even number >= 2")
-    g = build_quad_graph(surface, 1 / n)
-    g.meta["tau"] = complex(tau)
-    return g
+    return build_quad_graph(surface, 1 / n)
 
 
 def _rotate_to_black(first_color, *tables):

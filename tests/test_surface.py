@@ -45,6 +45,14 @@ def test_torus_parallelogram_rho():
     assert np.isclose(vals[0] * vals[1], 1.0)
 
 
+def test_torus_modulus_pair_or_complex():
+    """generate_torus takes tau as a complex number or as its [re, im]
+    pair, as torus_surface does, and meshes both alike."""
+    pair, z = generate_torus([0.5, 0.8], 4), generate_torus(0.5 + 0.8j, 4)
+    assert np.array_equal(pair.quads, z.quads)
+    assert np.array_equal(pair.corners, z.corners)
+
+
 def test_torus_odd_n_rejected():
     with pytest.raises(SurfaceError):
         generate_torus(1j, 3)

@@ -158,8 +158,6 @@ def fit_slope(hs, errs):
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     keep = errs > 1e-300
-    if keep.sum() < 2:
-        return math.nan
     return float(np.polyfit(np.log(hs[keep]), np.log(errs[keep]), 1)[0])
 
 
@@ -490,7 +488,8 @@ def _run(args):
             reference = np.array([[complex(*gen["tau"])]])
         report, pms, fam = run_converge(
             obj, levels=args.levels, adapted=args.adapted,
-            base_cell=args.cell, reference=reference, tol=args.tol, band=args.band)
+            base_cell=args.cell, reference=reference, tol=args.tol, band=args.band,
+            seed=args.seed)
         header = ["level", "h", "phi_min", "n_quads", "pi_error",
                   "off_diagonal_gap", "diagonal_gap", "energy_error", "psd_gap"]
         if args.format == "json-like":

@@ -252,6 +252,22 @@ def test_check_adapted_mesh(lshape_doc, tmp_path, capsys):
                    for name, *_ in checks)
 
 
+def test_converge_takes_the_global_seed(lshape_doc, tmp_path):
+    """--seed draws the period vector of the energy rows: --seed 0 is the
+    default, and another seed changes energy_error."""
+    def converge_csv(seed=None):
+        out = tmp_path / f"seed{seed}"
+        opts = [] if seed is None else ["--seed", str(seed)]
+        assert main(["--out", str(out), *opts, "converge", lshape_doc, "--levels", "3"]) == 0
+        return (out / "converge.csv").read_text()
+    default = converge_csv()
+    assert converge_csv(0) == default
+    energy = [[row.split(",")[7] for row in csv.splitlines()]
+              for csv in (default, converge_csv(3))]
+    assert energy[0][0] == "energy_error"
+    assert energy[1][1] != energy[0][1]
+
+
 def test_converge_few_levels_no_fit(lshape_doc, tmp_path, capsys):
     # three levels give two self-referenced error rows: fits are skipped
     rc = main(["--out", str(tmp_path), "converge", lshape_doc,

@@ -372,7 +372,7 @@ def _independent_rows(M):
     earlier ones win."""
     rows = [[Fraction(int(x)) for x in col] for col in np.asarray(M).T]
     pivots = []
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(len(M)):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
@@ -383,8 +383,6 @@ def _independent_rows(M):
                 f = rows[i][col] / rows[r][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
-        if len(pivots) == len(rows):
-            break
     return pivots
 
 

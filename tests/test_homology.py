@@ -381,8 +381,3 @@ def test_independent_rows_match_greedy(n, rank, antisymmetric, seed):
     if antisymmetric:
         M = M - M.T
     assert_selection_is_greedy(M)
-
-
-def test_independent_rows_of_empty_and_zero_matrices():
-    assert homology._independent_rows(np.zeros((0, 0), dtype=np.int64)) == []
-    assert homology._independent_rows(np.zeros((3, 3), dtype=np.int64)) == []

@@ -27,6 +27,7 @@ from .periods import (
     bilinear_identity_residual,
     canonical_differentials,
     convergence_diagnostics,
+    diagnostic_bounds,
     energy_identity_residual,
     holomorphic_from_harmonic,
     period_matrices,
@@ -122,15 +123,14 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
         worst_holo = max(worst_holo, res / max(w.norm(), 1e-300))
     check("periods_holomorphicity", worst_holo, 100 * tol)
     pm = period_matrices(graph, basis, cb)
-    d = pm.diagnostics
-    check("periods_full_symmetry", d["full_symmetry"], 1e-7)
-    check("periods_pi_symmetry", d["pi_symmetry"], 1e-7)
+    d, bounds = pm.diagnostics, diagnostic_bounds(pm.pi, tol)
+    check("periods_full_symmetry", d["full_symmetry"], bounds["full_symmetry"])
+    check("periods_pi_symmetry", d["pi_symmetry"], bounds["pi_symmetry"])
     check("periods_im_positive_full", -d["full_im_min_eig"], 0.0)
     check("periods_im_positive_pi", -d["pi_im_min_eig"], 0.0)
-    check("periods_block_average", d["block_average_gap"],
-          1e-8 * max(1.0, float(np.linalg.norm(pm.pi))))
+    check("periods_block_average", d["block_average_gap"], bounds["block_average_gap"])
     check("periods_psd_diagnostic", -d["psd_gap"], 1e-10)
-    check("periods_aperiod_error", d["aperiod_error"], 100 * tol)
+    check("periods_aperiod_error", d["aperiod_error"], bounds["aperiod_error"])
     orthodiagonal = bool(np.max(np.abs(graph.diagonal_ratio.imag)) < 1e-12)
     if orthodiagonal:
         check("periods_orthodiagonal_blocks", d["orthodiagonal_structure"], 1e-8)
@@ -452,11 +452,7 @@ def _run(args):
             "diagnostics": {},
         }
         ok = True
-        d = pm.diagnostics
-        bounds = {
-            "full_symmetry": 1e-7, "pi_symmetry": 1e-7,
-            "block_average_gap": 1e-8, "aperiod_error": 1e-8,
-        }
+        d, bounds = pm.diagnostics, diagnostic_bounds(pm.pi, args.tol)
         for key, val in d.items():
             entry = {"value": float(np.real(val))}
             if key in bounds:

@@ -10,11 +10,15 @@ kernel, removed by pinning one vertex of each color.
 The pinned matrix is symmetric positive definite, so SuperLU factors it
 in symmetric mode: a minimum-degree ordering of A + A^T and diagonal
 pivots, with the structural zeros of orthodiagonal quads (w12 = 0)
-dropped at assembly.  Matrix and load vector are products with the
-diagonal difference operators, so m period vectors make one (n, m)
-block, solved in one pass and refined, at most REFINE_STEPS times, in
-only the columns above REFINE_TARGET (relative residual); a residual
-above tol is rejected.  solve_elementary returns real (F, 4g) stacks.
+dropped at assembly.  Its connected components are labelled once, at
+assembly, and each is factored on its own, only when a load reaches it:
+on an orthodiagonal mesh the black and white vertices are two
+components, and black period jumps load only the black one.  Matrix and
+load vector are products with the diagonal difference operators, so m
+period vectors make one (n, m) block, solved in one pass and refined, at
+most REFINE_STEPS times, in only the columns above REFINE_TARGET
+(relative residual); a residual above tol is rejected.  solve_elementary
+returns real (F, 2g) stacks for the 2g black unit period vectors.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .surface import BLACK, WHITE
 from . import dec
@@ -39,8 +44,8 @@ class EnergySystem:
     w12: np.ndarray = field(repr=False)
     w22: np.ndarray = field(repr=False)
     pinned: tuple = (0, 0)
-    _factor: object = field(default=None, repr=False)
-    _free: np.ndarray = field(default=None, repr=False)
+    parts: list = field(default=None, repr=False)  # free vertex ids per component
+    _factor: object = field(default=None, repr=False)  # per part; None until the first
 
     def quadratic_form(self, f, jumps=None):
         """Energy of d(f with jumps); equals the area-weighted squared
@@ -60,16 +65,20 @@ class EnergySystem:
         L += Dw.T @ (w12 * jb + w22 * jw)
         return np.negative(L, out=L)
 
-    def factorized(self):
-        if self._factor is None:
-            self._free = np.setdiff1d(np.arange(self.graph.n_vertices), self.pinned)
-            A = self.matrix[self._free][:, self._free].tocsc()
+    def factorized(self, part):
+        """SuperLU factor of one component of the pinned matrix, factored
+        on first use, and the component's vertex ids."""
+        rows = self.parts[part]
+        factors = self._factor or [None] * len(self.parts)
+        if factors[part] is None:
+            A = self.matrix[rows][:, rows].tocsc()
             try:
-                self._factor = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                         options={"SymmetricMode": True})
+                factors[part] = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
             except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
                 raise HarmonicError(f"energy matrix is numerically singular ({exc})") from None
-        return self._factor, self._free
+        self._factor = factors
+        return factors[part], rows
 
 
 def assemble(graph, basis, pinned=None):
@@ -87,8 +96,16 @@ def assemble(graph, basis, pinned=None):
     A.eliminate_zeros()
     if pinned is None:  # the first vertex of each color
         pinned = tuple(int(np.argmax(graph.color == c)) for c in (BLACK, WHITE))
-    return EnergySystem(graph=graph, basis=basis, matrix=A,
-                        w11=w11, w12=w12, w22=w22, pinned=pinned)
+    # The components of the whole matrix, less the pinned vertices, are
+    # those of the pinned matrix: removing a vertex never splits a mesh's
+    # diagonal graph, as the faces around it link its neighbours (a part
+    # holding two blocks would still factor correctly).  "strong" on the
+    # symmetric pattern labels as "weak" does, without a transposed copy.
+    n, labels = csgraph.connected_components(A, directed=True, connection="strong")
+    labels[list(pinned)] = -1
+    parts = [np.flatnonzero(labels == c) for c in range(n)]
+    return EnergySystem(graph=graph, basis=basis, matrix=A, w11=w11, w12=w12, w22=w22,
+                        pinned=pinned, parts=parts)
 
 
 class HarmonicError(RuntimeError):
@@ -112,26 +129,40 @@ REFINE_STEPS = 2      # cap on iterative refinement steps per column
 REFINE_TARGET = 1e-14  # relative residual below which refinement stops
 
 
+def _solve_parts(system, b):
+    """Pinned-matrix solution of the (V, m) block b, zero at the pinned
+    vertices: one block solve per component that b is nonzero on; the
+    others keep potential 0 and are never factored."""
+    # np.zeros leaves the pages unmapped until written, so x adds nothing
+    # to the peak memory of the factor below
+    x = np.zeros(b.shape)
+    for part, rows in enumerate(system.parts):
+        if b[rows].any():
+            factor, _ = system.factorized(part)
+            x[rows] = factor.solve(b[rows])
+    return x
+
+
 def _potentials(system, jumps, tol):
     """Vertex potentials for the jumps' period vectors from one block
     solve, and their relative residuals.  Only the columns above
     REFINE_TARGET are refined; any residual above tol raises."""
-    factor, free = system.factorized()
+    pinned = list(system.pinned)
     rhs = system.rhs(jumps)
-    b = rhs[free].reshape(len(free), -1)
-    x = np.zeros((len(rhs), b.shape[1]))
-    x[free] = factor.solve(b)
+    b = rhs.reshape(len(rhs), -1)
+    b[pinned] = 0.0  # the pinned vertices carry no equation
+    x = _solve_parts(system, b)
     scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
     residual, cols = np.empty(b.shape[1]), np.arange(b.shape[1])
     for step in range(REFINE_STEPS + 1):
-        # x stays zero at the pinned vertices, so (A x)[free] = A_ff x[free]
-        r = b[:, cols] - (system.matrix @ x[:, cols])[free]
+        r = b[:, cols] - system.matrix @ x[:, cols]
+        r[pinned] = 0.0
         residual[cols] = np.linalg.norm(r, axis=0) / scale[cols]
         above = residual[cols] > REFINE_TARGET
         if step == REFINE_STEPS or not above.any():
             break
         cols = cols[above]
-        x[np.ix_(free, cols)] += factor.solve(r[:, above])
+        x[:, cols] += _solve_parts(system, r[:, above])
     if np.any(residual > tol):
         raise HarmonicError(f"relative residual {residual.max():.3e} above {tol:.1e}")
     return x.reshape(rhs.shape), residual
@@ -155,11 +186,12 @@ def solve(system, jumps, tol=1e-10):
 
 
 def solve_elementary(system, tol=1e-10):
-    """The 4g elementary harmonic differentials as one block solve: a
-    Differential of real (F, 4g) stacks whose column j has the j-th unit
-    period vector in PeriodData.flat order (a black, b black, a white,
-    b white).  Closedness and periods are left to the caller."""
-    jumps = PeriodData.from_flat(np.eye(4 * system.basis.genus))
+    """The 2g harmonic differentials with unit black periods and zero
+    white periods as one block solve: a Differential of real (F, 2g)
+    stacks whose column j has the j-th unit black period vector (a
+    black, then b black).  Closedness and periods are left to the
+    caller."""
+    jumps = PeriodData.from_flat(np.eye(4 * system.basis.genus, 2 * system.basis.genus))
     x, _ = _potentials(system, jumps, tol)
     return dec.exterior_derivative(system.graph, x, system.basis, jumps)
 

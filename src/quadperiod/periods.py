@@ -1,19 +1,23 @@
 """Holomorphic differentials, period matrices, energy forms and Abelian
 integrals.
 
-The canonical differentials are assembled from harmonic solves for the
-elementary real period vectors: adding i times the dual rotation of a
-harmonic differential is holomorphic, and a real linear system matches
-the prescribed complex a-periods.  The period matrix collects b-periods
-split by diagonal color into four blocks; their average is the discrete
-counterpart of the classical period matrix.
+The canonical differentials are complex combinations of the lifts
+eta + i * star(eta) of the 2g harmonic differentials eta with unit black
+periods and zero white periods, and a complex linear system matches the
+prescribed a-periods.  These lifts span every discrete holomorphic form
+over C: i times a lift is the lift of -star(eta), and if
+theta = star(phi) for combinations theta, phi of the eta, the lift
+theta - i phi of theta has no white periods, hence zero energy by the
+bilinear identity, so theta = phi = 0.  The period matrix collects b-periods split by diagonal color into four
+blocks; their average is the discrete counterpart of the classical
+period matrix.
 
-The canonical stage lifts the 4g elementary solutions, real (F, 4g)
+The canonical stage lifts the 2g black-period solutions, real (F, 2g)
 stacks from one block solve, to holomorphic stacks behind one
-harmonicity gate, reads their period match and a-period system from one
-period-operator product per color and builds the 3g canonical forms with
-one dense product.  Single forms go through dec.measure_periods, which
-keeps the non-closed warning.
+harmonicity gate, reads their period match and complex 2g x 2g a-period
+system from one period-operator product per color and builds the 3g
+canonical forms with one dense product.  Single forms go through
+dec.measure_periods, which keeps the non-closed warning.
 """
 
 from __future__ import annotations
@@ -69,39 +73,32 @@ class CanonicalBasis:
     period_error: float  # elementary solutions' periods against their unit vectors
 
 
-def _a_period_system(g, black, white):
-    """Real (4g, m) a-periods (Re black, Im black, Re white, Im white) of
-    m forms from their black and white periods (dec.color_periods)."""
-    return np.concatenate([black[:g].real, black[:g].imag,
-                           white[:g].real, white[:g].imag])
-
-
 def canonical_differentials(graph, basis, system=None, tol=1e-10):
-    """Solve the 4g real harmonic problems as one block and combine them
-    into the canonical bases; achieved a-periods are re-measured and
-    reported."""
+    """Solve the 2g black-period harmonic problems as one block and
+    combine their lifts into the canonical bases; achieved a-periods are
+    re-measured and reported."""
     g = basis.genus
     system = system or assemble(graph, basis)
-    # columns: the holomorphic forms, in solve_elementary's order
+    # columns: the holomorphic lifts, in solve_elementary's order
     H = holomorphic_from_harmonic(graph, solve_elementary(system, tol))
     black, white = dec.color_periods(basis, H.wb, H.ww)
-    # real parts: the elementary periods, the identity in flat order
-    perr = float(np.max(np.abs(np.concatenate([black, white]).real - np.eye(4 * g))))
-    M = _a_period_system(g, black, white)
+    # real parts: the unit black periods and zero white periods
+    perr = float(np.max(np.abs(np.concatenate([black, white]).real - np.eye(4 * g, 2 * g))))
+    # rows: black a-periods, then white a-periods
+    M = np.concatenate([black[:g], white[:g]])
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e12:
         raise PeriodsError(f"a-period system is numerically singular (cond {cond:.3g})")
-    # columns: black normalized, white normalized, equal black and white
-    # a-periods; rows as in _a_period_system (all imaginary parts zero)
+    # columns: black normalized, white normalized, equal black and white a-periods
     eye, zero = np.eye(g), np.zeros((g, g))
-    T = np.block([[eye, zero, eye], [zero, zero, zero],
-                  [zero, eye, eye], [zero, zero, zero]])
+    T = np.block([[eye, zero, eye], [zero, eye, eye]])
     C = np.linalg.solve(M, T)
-    # rows: the canonical forms; einsum adds the 4g scaled columns in
+    # rows: the canonical forms; einsum adds the 2g scaled columns in
     # order, where a BLAS product would reassociate the sums
     Fb, Fw = (np.einsum("fj,jk->kf", X, C) for X in (H.wb, H.ww))
     del H
-    err = float(np.max(np.abs(_a_period_system(g, *dec.color_periods(basis, Fb.T, Fw.T)) - T)))
+    black, white = dec.color_periods(basis, Fb.T, Fw.T)
+    err = float(np.max(np.abs(np.concatenate([black[:g], white[:g]]) - T)))
     forms = [Differential(wb, ww) for wb, ww in zip(Fb, Fw)]
     return CanonicalBasis(black_normalized=forms[:g], white_normalized=forms[g:2 * g],
                           equal_split=forms[2 * g:], condition=cond, aperiod_error=err,
@@ -172,6 +169,16 @@ def structural_diagnostics(pm):
         np.linalg.norm(pm.block_bb.imag), np.linalg.norm(pm.block_ww.imag),
     ) / max(nf, 1e-300))
     return d
+
+
+def diagnostic_bounds(pi, tol):
+    """Upper bounds of the diagnostics that the `check` and `periods`
+    commands both judge: pi equals the block average exactly, so their
+    gap is roundoff that grows with |pi|, and the a-period error follows
+    the solver tolerance."""
+    return {"full_symmetry": 1e-7, "pi_symmetry": 1e-7,
+            "block_average_gap": 1e-8 * max(1.0, float(np.linalg.norm(pi))),
+            "aperiod_error": 100 * tol}
 
 
 def block_mean_psd_gap(im_full):

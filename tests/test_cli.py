@@ -107,6 +107,28 @@ def test_periods_command(torus_doc, tmp_path, capsys):
     assert abs(re) < 1e-9 and abs(im - 1) < 1e-9
 
 
+def test_check_and_periods_report_the_same_bounds(lshape_doc, tmp_path, capsys):
+    """Both commands judge the shared diagnostics against one table, so
+    their bounds agree for one mesh and tol: here |pi| > 1 scales the
+    block-average bound and --tol 1e-9 the a-period bound."""
+    args = ["--out", str(tmp_path), "--tol", "1e-9"]
+    assert main(args + ["check", lshape_doc, "--cell", "0.5"]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("CHECK "):
+            fields = dict(f.split("=") for f in line.split()[2:4])
+            printed[line.split()[1]] = fields["bound"]
+    assert main(args + ["periods", lshape_doc, "--cell", "0.5"]) == 0
+    diagnostics = json.loads((tmp_path / "periods.json").read_text())["diagnostics"]
+    names = {"full_symmetry": "periods_full_symmetry", "pi_symmetry": "periods_pi_symmetry",
+             "block_average_gap": "periods_block_average",
+             "aperiod_error": "periods_aperiod_error"}
+    for key, name in names.items():
+        assert printed[name] == f"{diagnostics[key]['bound']:.3e}", key
+    assert diagnostics["aperiod_error"]["bound"] == pytest.approx(100 * 1e-9)
+    assert diagnostics["block_average_gap"]["bound"] > 1e-8
+
+
 def test_periods_dump_differentials(lshape_doc, tmp_path, capsys):
     # one CSV per equal-split canonical form, read back exactly
     dump = tmp_path / "forms"

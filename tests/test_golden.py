@@ -46,6 +46,17 @@ def _block_torus():
     return build_quad_graph(PolyhedralSurface(polygons=polys, gluings=gluings), 0.5)
 
 
+def _sheared_origami_8():
+    """The conftest fixture sheared_origami_8: the four-square two-cone
+    origami under (x, y) -> (x + 0.35 y, 0.8 y) at cell 1/8, genus 2 with
+    w12 != 0 on every quad."""
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ [[1, 0], [0.35, 0.8]]
+    polys = [sq + [i, 0] for i in range(4)]
+    gluings = [g for i, (h, v) in enumerate(zip((0, 1, 3, 2), (2, 3, 0, 1)))
+               for g in (((i, 1), (h, 3)), ((i, 2), (v, 0)))]
+    return build_quad_graph(PolyhedralSurface(polygons=polys, gluings=gluings), 1 / 8)
+
+
 CORPUS = {
     "torus-i-4": lambda: generate_torus(1j, 4),
     "torus-skew-4": lambda: generate_torus(0.5 + 0.8j, 4),
@@ -59,6 +70,7 @@ CORPUS = {
     # tree-cotree basis and pins the spanning trees
     "lshape-4-raw": lambda: graph_from_doc(graph_to_doc(
         build_quad_graph(l_shape_surface(), 1 / 4))),
+    "sheared-origami-8": _sheared_origami_8,
 }
 
 

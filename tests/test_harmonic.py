@@ -6,11 +6,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from quadperiod.surface import BLACK, WHITE, generate_torus
-from quadperiod import dec
+from quadperiod import dec, harmonic
 from quadperiod.dec import PeriodData
 from quadperiod.harmonic import (REFINE_STEPS, REFINE_TARGET, HarmonicError, assemble,
                                  solve, solve_elementary, verify_minimality)
 from quadperiod.homology import homology_basis
+from quadperiod.periods import canonical_differentials
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +120,9 @@ def test_minimality(torus_sys):
 
 def test_elementary_solutions_period_matrix(torus_sys):
     sols = solve_elementary(torus_sys)
-    assert sols.wb.shape == sols.ww.shape == (torus_sys.graph.n_quads, 4)
+    assert sols.wb.shape == sols.ww.shape == (torus_sys.graph.n_quads, 2)
     assert not np.iscomplexobj(sols.wb)
-    for i in range(4):
+    for i in range(2):
         flat = np.zeros(4)
         flat[i] = 1.0
         want = PeriodData.from_flat(flat)
@@ -137,12 +138,14 @@ def _elementary_column(sols, j):
 
 @pytest.mark.parametrize("mesh", ["lshape_mesh_4", "torus_skew_4", "sheared_origami_8"])
 def test_elementary_columns_match_single_solves(mesh, request):
-    """Each elementary solution is the single solve of its unit period
-    vector, in PeriodData.flat order."""
+    """Each elementary solution is the single solve of its unit black
+    period vector, in PeriodData.flat order."""
     graph = request.getfixturevalue(mesh)
     system = assemble(graph, homology_basis(graph))
     sols = solve_elementary(system)
-    for j, e in enumerate(np.eye(4 * system.basis.genus)):
+    g = system.basis.genus
+    assert sols.wb.shape == (graph.n_quads, 2 * g)
+    for j, e in enumerate(np.eye(4 * g)[:2 * g]):
         want = solve(system, PeriodData.from_flat(e)).differential
         got = _elementary_column(sols, j)
         assert (got - want).norm() <= 1e-12 * want.norm()
@@ -169,9 +172,13 @@ class _ScaledFactor:
 
 
 def _with_factor(system, gain, bad, column=None):
-    factor, _ = system.factorized()
-    scaled = _ScaledFactor(factor, gain, bad, column)
-    return dataclasses.replace(system, _factor=scaled), scaled
+    """A copy of system whose every component factor is a _ScaledFactor;
+    returns the copy and the stand-ins, black component first."""
+    scaled = [_ScaledFactor(system.factorized(c)[0], gain, bad, column)
+              for c in range(len(system.parts))]
+    colors = [system.graph.color[rows[0]] for rows in system.parts]
+    return (dataclasses.replace(system, _factor=scaled),
+            [f for _, f in sorted(zip(colors, scaled), key=lambda cf: cf[0])])
 
 
 _PERIODS = PeriodData(a_black=[1.0, 0.0], b_black=[0.0, -2.0],
@@ -179,16 +186,16 @@ _PERIODS = PeriodData(a_black=[1.0, 0.0], b_black=[0.0, -2.0],
 
 
 def test_accurate_factor_solves_once(lshape_sys):
-    system, factor = _with_factor(lshape_sys, 1.0, 0)
+    system, factors = _with_factor(lshape_sys, 1.0, 0)
     sol = solve(system, _PERIODS)
-    assert factor.calls == 1
+    assert [f.calls for f in factors] == [1, 1]
     assert sol.residual <= REFINE_TARGET
 
 
 def test_perturbed_first_pass_is_refined(lshape_sys):
-    system, factor = _with_factor(lshape_sys, 1.0 + 1e-6, 1)
+    system, factors = _with_factor(lshape_sys, 1.0 + 1e-6, 1)
     sol = solve(system, _PERIODS)
-    assert 2 <= factor.calls <= 1 + REFINE_STEPS
+    assert all(2 <= f.calls <= 1 + REFINE_STEPS for f in factors)
     assert sol.residual <= REFINE_TARGET
     ref = solve(lshape_sys, _PERIODS).differential
     assert (sol.differential - ref).norm() < 1e-12 * ref.norm()
@@ -197,28 +204,32 @@ def test_perturbed_first_pass_is_refined(lshape_sys):
 def test_factor_short_of_tol_raises(lshape_sys):
     """Each pass halves the error: three passes leave a relative residual
     of 1/8, far above tol."""
-    system, factor = _with_factor(lshape_sys, 0.5, np.inf)
+    system, factors = _with_factor(lshape_sys, 0.5, np.inf)
     with pytest.raises(HarmonicError, match="relative residual"):
         solve(system, _PERIODS)
-    assert factor.calls == 1 + REFINE_STEPS
+    assert [f.calls for f in factors] == [1 + REFINE_STEPS] * 2
 
 
 def test_accurate_factor_solves_elementary_block_once(lshape_sys):
-    system, factor = _with_factor(lshape_sys, 1.0, 0)
+    """The 2g = 4 black-period columns are one block on the black
+    component; the white component is never solved."""
+    system, (black, white) = _with_factor(lshape_sys, 1.0, 0)
     solve_elementary(system)
-    assert factor.calls == 1 and factor.widths == [8]
+    assert black.calls == 1 and black.widths == [4]
+    assert white.calls == 0
 
 
 def test_perturbed_column_alone_is_refined(lshape_sys):
     """One column of the first block pass is off by 1e-6: only that
     column goes through refinement, and it ends where a clean solve does;
     the other columns are the clean solve's, bit for bit."""
-    system, factor = _with_factor(lshape_sys, 1.0 + 1e-6, 1, column=3)
+    system, (factor, white) = _with_factor(lshape_sys, 1.0 + 1e-6, 1, column=3)
     sols = solve_elementary(system)
     assert 2 <= factor.calls <= 1 + REFINE_STEPS
-    assert factor.widths == [8] + [1] * (factor.calls - 1)
+    assert factor.widths == [4] + [1] * (factor.calls - 1)
+    assert white.calls == 0
     ref = solve_elementary(lshape_sys)
-    for j in range(8):
+    for j in range(4):
         got, want = _elementary_column(sols, j), _elementary_column(ref, j)
         if j == 3:
             assert (got - want).norm() < 1e-12 * want.norm()
@@ -227,10 +238,10 @@ def test_perturbed_column_alone_is_refined(lshape_sys):
 
 
 def test_elementary_factor_short_of_tol_raises(lshape_sys):
-    system, factor = _with_factor(lshape_sys, 0.5, np.inf)
+    system, (black, white) = _with_factor(lshape_sys, 0.5, np.inf)
     with pytest.raises(HarmonicError, match="relative residual"):
         solve_elementary(system)
-    assert factor.calls == 1 + REFINE_STEPS
+    assert black.calls == 1 + REFINE_STEPS and white.calls == 0
 
 
 def test_two_column_solve_matches_single_solves(lshape_sys):
@@ -251,12 +262,39 @@ def test_two_column_solve_matches_single_solves(lshape_sys):
 
 def test_factorized_drops_explicit_zeros(lshape_sys):
     """The L-shape mesh is orthodiagonal, so every w12 entry is a stored
-    zero unless dropped; the symmetric factor pivots on the diagonal."""
+    zero unless dropped; each component's symmetric factor pivots on the
+    diagonal."""
     assert np.all(lshape_sys.w12 == 0)
     assert np.all(lshape_sys.matrix.data != 0)
-    factor, free = lshape_sys.factorized()
-    dense = sp.csc_matrix(lshape_sys.matrix.toarray()[np.ix_(free, free)])
-    ref = spla.splu(dense, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-    assert factor.L.nnz + factor.U.nnz == ref.L.nnz + ref.U.nnz
-    assert np.array_equal(factor.perm_r, factor.perm_c)
+    for part in range(len(lshape_sys.parts)):
+        factor, rows = lshape_sys.factorized(part)
+        dense = sp.csc_matrix(lshape_sys.matrix.toarray()[np.ix_(rows, rows)])
+        ref = spla.splu(dense, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        assert factor.L.nnz + factor.U.nnz == ref.L.nnz + ref.U.nnz
+        assert np.array_equal(factor.perm_r, factor.perm_c)
+
+
+def test_lshape_black_periods_factor_one_component(lshape_mesh_8):
+    """On the orthodiagonal L-shape the pinned matrix splits into the
+    black and the white vertices.  The canonical stage loads only the
+    black component, whose factor is the only one made, and the white
+    potentials stay exactly zero; white periods factor the other."""
+    graph = lshape_mesh_8
+    system = assemble(graph, homology_basis(graph))
+    assert [set(graph.color[rows]) for rows in system.parts] == [{BLACK}, {WHITE}]
+    assert system._factor is None
+    canonical_differentials(graph, system.basis, system)
+    assert [f is not None for f in system._factor] == [True, False]
+    x, _ = harmonic._potentials(system, PeriodData.from_flat(np.eye(8, 4)), 1e-10)
+    assert np.all(x[graph.color == WHITE] == 0)
+    solve(system, _PERIODS)
+    assert [f is not None for f in system._factor] == [True, True]
+
+
+@pytest.mark.parametrize("mesh", ["torus_skew_4", "sheared_origami_8"])
+def test_non_orthodiagonal_meshes_have_one_component(mesh, request):
+    graph = request.getfixturevalue(mesh)
+    system = assemble(graph, homology_basis(graph))
+    free = np.setdiff1d(np.arange(graph.n_vertices), system.pinned)
+    assert len(system.parts) == 1 and np.array_equal(system.parts[0], free)

@@ -73,8 +73,8 @@ def test_holomorphic_stack_is_columnwise_and_gated_per_form(lshape_pack):
         one = holomorphic_from_harmonic(g, dec.Differential(eta.wb[:, j], eta.ww[:, j]))
         assert np.array_equal(omega.wb[:, j], one.wb)
         assert np.array_equal(omega.ww[:, j], one.ww)
-    eta.ww[len(eta.ww) // 3, 5] += 0.1
-    with pytest.raises(PeriodsError, match="form 5"):
+    eta.ww[len(eta.ww) // 3, 3] += 0.1
+    with pytest.raises(PeriodsError, match="form 3"):
         holomorphic_from_harmonic(g, eta)
 
 
@@ -84,7 +84,7 @@ def test_canonical_reports_elementary_period_match(lshape_pack):
     eta = solve_elementary(system)
     want = max(np.max(np.abs(dec.measure_periods(
         g, dec.Differential(eta.wb[:, j], eta.ww[:, j]), basis).flat() - e))
-        for j, e in enumerate(np.eye(8)))
+        for j, e in enumerate(np.eye(8)[:4]))
     assert cb.period_error < 1e-12 and abs(cb.period_error - want) < 1e-14
 
 

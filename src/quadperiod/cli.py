@@ -516,8 +516,7 @@ def _run(args):
         graph = _load(args.surface, args.cell)
         omega, vals = run_integrate(graph, args.a_periods, args.tol)
         # each vertex at its first corner in the quad table
-        _, first = np.unique(graph.quads, return_index=True)
-        position = graph.corners.ravel()[first]
+        position = graph.corners.ravel()[graph.first_corners()]
         rows = []
         for v in range(graph.n_vertices):
             pos = position[v]

@@ -38,11 +38,6 @@ def read_surface(path):
     return load_surface(doc)
 
 
-def write_surface(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-
-
 def graph_to_doc(graph):
     """Raw quad-graph document: vertex table (id, color), quad table
     (4 vertex ids + 8 chart floats), edge table (4 edge ids per quad,
@@ -98,7 +93,8 @@ def graph_from_doc(doc):
 
 
 def write_graph(path, graph):
-    write_surface(path, graph_to_doc(graph))
+    with open(path, "w") as f:
+        json.dump(graph_to_doc(graph), f, indent=1)
 
 
 def read_graph(path):

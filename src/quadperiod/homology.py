@@ -92,9 +92,8 @@ def tree_cotree(graph):
     # dual arcs are the darts d = 4q + s, from quad q across its side s, so
     # each quad meets its neighbours in its own side order
     dart_edge = graph.dart_edge.ravel()
-    pairs = np.argsort(dart_edge, kind="stable").reshape(E, 2)
     across = np.empty(4 * F, dtype=np.int64)
-    across[pairs] = pairs[:, ::-1] // 4
+    across[graph.edge_occ] = graph.edge_occ[:, ::-1] // 4
     dual = spanning_tree(F, np.arange(4 * F) // 4, across, ~in_tree[dart_edge],
                          directed=True)
     if np.any(dual.depth < 0):

@@ -61,16 +61,22 @@ def holomorphic_from_harmonic(graph, eta):
 
 @dataclass
 class CanonicalBasis:
-    """Canonical holomorphic differentials: black_normalized[k] has black
-    a_j-period delta_jk and vanishing white a-periods; white_normalized
-    dually; equal_split[k] has black = white a-periods delta_jk."""
+    """Canonical holomorphic differentials as one (F, 3g) stack, forms:
+    black_normalized[k] has black a_j-period delta_jk and vanishing white
+    a-periods; white_normalized dually; equal_split[k] has black = white
+    a-periods delta_jk.  The three lists are views of the stack's columns."""
 
-    black_normalized: list
-    white_normalized: list
-    equal_split: list
+    forms: Differential
     condition: float
     aperiod_error: float
     period_error: float  # elementary solutions' periods against their unit vectors
+
+    def _part(self, i):
+        wb, ww = (np.split(w.T, 3)[i] for w in (self.forms.wb, self.forms.ww))
+        return [Differential(*w) for w in zip(wb, ww)]
+
+    black_normalized, white_normalized, equal_split = (
+        property(lambda self, i=i: self._part(i)) for i in range(3))
 
 
 def canonical_differentials(graph, basis, system=None, tol=1e-10):
@@ -97,12 +103,10 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
     # order, where a BLAS product would reassociate the sums
     Fb, Fw = (np.einsum("fj,jk->kf", X, C) for X in (H.wb, H.ww))
     del H
-    black, white = dec.color_periods(basis, Fb.T, Fw.T)
+    forms = Differential(Fb.T, Fw.T)
+    black, white = dec.color_periods(basis, forms.wb, forms.ww)
     err = float(np.max(np.abs(np.concatenate([black[:g], white[:g]]) - T)))
-    forms = [Differential(wb, ww) for wb, ww in zip(Fb, Fw)]
-    return CanonicalBasis(black_normalized=forms[:g], white_normalized=forms[g:2 * g],
-                          equal_split=forms[2 * g:], condition=cond, aperiod_error=err,
-                          period_error=perr)
+    return CanonicalBasis(forms=forms, condition=cond, aperiod_error=err, period_error=perr)
 
 
 @dataclass
@@ -131,13 +135,11 @@ class PeriodMatrices:
 
 
 def period_matrices(graph, basis, cb=None):
-    """Assemble the period matrix blocks from one product over cb's forms,
-    measured afresh, and run the structural checks."""
+    """Assemble the period matrix blocks from one product over cb's form
+    stack, measured afresh, and run the structural checks."""
     cb = cb or canonical_differentials(graph, basis)
     g = basis.genus
-    forms = cb.black_normalized + cb.white_normalized + cb.equal_split
-    black, white = dec.color_periods(basis, np.column_stack([w.wb for w in forms]),
-                                     np.column_stack([w.ww for w in forms]))
+    black, white = dec.color_periods(basis, cb.forms.wb, cb.forms.ww)
     # columns: black normalized, white normalized, equal split
     bb, bw, pb = np.split(black[g:], 3, axis=1)
     wb, ww, pw = np.split(white[g:], 3, axis=1)

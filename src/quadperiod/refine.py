@@ -25,6 +25,7 @@ import numpy as np
 from .surface import (
     _CORNER_X,
     _CORNER_Y,
+    _TURN,
     QuadGraph,
     SurfaceError,
     _attach_cones,
@@ -33,7 +34,6 @@ from .surface import (
     _lattice_codes,
     _positions,
     _reference_loops,
-    _rotate_to_black,
     _square_tiled_data,
     build_quad_graph,
     mesh_stats,
@@ -213,14 +213,14 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     order, quads, corners, darts = (list(part) for part in zip(*patches))
 
     # the uniform grid outside the patches, numbered after them
-    _, corner_codes, mid_codes, pos = _grid_cells(
+    grid_codes, grid_quads, mid_codes, pos = _grid_cells(
         surface, k, _kept_cells(surface, k), frame)
-    vertex_codes, _ = _first_appearance(np.concatenate(order + [corner_codes.ravel()]))
-    quads = _positions(vertex_codes, np.concatenate(quads + [corner_codes]))
+    vertex_codes, _ = _first_appearance(np.concatenate(order + [grid_codes]))
+    quads = _positions(vertex_codes, np.concatenate(quads + [grid_codes[grid_quads]]))
     colors = _bipartite_colors(len(vertex_codes), quads)
-    quads, corners, codes = _rotate_to_black(
-        colors[quads[:, 0]], quads, np.concatenate(corners + [pos]),
-        np.concatenate(darts + [mid_codes]))
+    turn = _TURN[colors[quads[:, 0]]]   # patch quads may start at a white vertex
+    quads, corners, codes = (np.take_along_axis(t, turn, axis=1) for t in (
+        quads, np.concatenate(corners + [pos]), np.concatenate(darts + [mid_codes])))
     meta = {"kind": "square_tiled", "k": k, "adapted": True,
             "loops": _reference_loops(surface, k, vertex_codes),
             "vertex_codes": vertex_codes, "surface": surface}

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, csgraph
+from scipy.sparse import coo_matrix, csr_matrix, csgraph
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,11 +276,13 @@ class QuadGraph:
             raise SurfaceError("quads/corners shape mismatch")
         if np.any((q < 0) | (q >= V)):
             raise SurfaceError(f"quad vertex id out of range [0, {V})")
-        if np.any(self.color[q[:, 0]] != BLACK) or np.any(self.color[q[:, 2]] != BLACK) \
-                or np.any(self.color[q[:, 1]] != WHITE) or np.any(self.color[q[:, 3]] != WHITE):
+        if np.any(self.color[q] != [BLACK, WHITE, BLACK, WHITE]):
             raise SurfaceError("vertex coloring does not alternate around a quad")
         c = self.corners
-        scale = np.max(np.abs(c - np.roll(c, 1, axis=1)), axis=1)
+        length = np.abs(c[:, [1, 2, 3, 0]] - c)   # side s from corner s to s + 1
+        # pairwise: a maximum along rows of four is ten times slower
+        scale = np.maximum(np.maximum(length[:, 0], length[:, 1]),
+                           np.maximum(length[:, 2], length[:, 3]))
         self.black_diag = c[:, 2] - c[:, 0]
         if np.any(np.abs(self.black_diag) < GEOM_TOL * scale):
             raise SurfaceError("degenerate black diagonal")
@@ -309,7 +311,7 @@ class QuadGraph:
             raise SurfaceError("diagonal ratio with nonpositive real part")
         if not self.closed:
             return
-        self._build_edges()
+        self._build_edges(length.ravel())
         self._check_connected()
         g = self.genus()
         if self.cones:
@@ -319,7 +321,7 @@ class QuadGraph:
             if abs(defect - TWO_PI * (2 - 2 * g)) > 1e-6:
                 raise SurfaceError("cone angles inconsistent with Euler genus")
 
-    def _build_edges(self):
+    def _build_edges(self, length):
         """Index undirected edges in order of first appearance in the quad
         table; check the complex is a closed oriented manifold (each edge
         in exactly two quads, opposite directions, equal chart lengths).
@@ -331,46 +333,50 @@ class QuadGraph:
         """
         F, V = self.n_quads, self.n_vertices
         tail = self.quads.ravel()
-        head = np.roll(self.quads, -1, axis=1).ravel()
-        self._edge_codes, dart_edge = _first_appearance(
-            _dart_codes(self.dart_keys, tail, head, V, F))
-        count = np.bincount(dart_edge)
-        # darts grouped by edge, each group in quad-table order
-        darts = np.argsort(dart_edge, kind="stable")
-        lo = np.cumsum(count) - count
-        d1, d2 = darts[lo], darts[np.minimum(lo + 1, 4 * F - 1)]
-        z = self.corners.ravel()
-        length = np.abs(np.roll(self.corners, -1, axis=1).ravel() - z)
+        head = self.quads[:, [1, 2, 3, 0]].ravel()
+        codes = _dart_codes(self.dart_keys, tail, head, V, F)
+        # edges in key order: the g-th has id edge[g] and the darts
+        # darts[start[g]:start[g + 1]], in quad-table order
+        darts, start, edge = _groups(codes)
+        count = np.diff(start, append=4 * F)
+        d1, d2 = darts[start], darts[np.minimum(start + 1, 4 * F - 1)]
         l1, l2 = length[d1], length[d2]
         paired = count == 2
         same_way = paired & ((tail[d1] != head[d2]) | (head[d1] != tail[d2]))
         stretched = paired & ~same_way & (np.abs(l1 - l2) > GEOM_TOL * np.maximum(1.0, l1))
         bad = np.flatnonzero(~paired | same_way | stretched)
         if len(bad):
-            e = int(bad[0])
-            if not paired[e]:
-                if self.dart_keys is None and count[e] > 2:
+            g = bad[np.argmin(edge[bad])]   # the smallest edge id
+            e = int(edge[g])
+            if not paired[g]:
+                if self.dart_keys is None and count[g] > 2:
                     raise SurfaceError(
                         "parallel edges between the same vertices; the quad "
                         "table is ambiguous without explicit edge keys")
                 raise SurfaceError(
-                    f"edge {e} lies in {count[e]} quads (not a closed surface)")
-            if same_way[e]:
+                    f"edge {e} lies in {count[g]} quads (not a closed surface)")
+            if same_way[g]:
                 raise SurfaceError(
                     f"edge {e} not traversed in opposite directions by its two quads")
             raise SurfaceError(
-                f"edge {e} has mismatched chart lengths {float(l1[e])} vs {float(l2[e])}")
-        self.edge_list = np.sort(np.stack([tail[d1], head[d1]], axis=1), axis=1)
+                f"edge {e} has mismatched chart lengths {float(l1[g])} vs {float(l2[g])}")
+        dart_edge = np.empty(4 * F, dtype=np.int64)
+        dart_edge[darts] = np.repeat(edge, 2)   # every edge has two darts now
         self.dart_edge = dart_edge.reshape(F, 4)
-        self.edge_occ = np.stack([d1, d2], axis=1)   # darts 4 * quad + side
+        # per edge: its two darts (4 * quad + side), which leave its two ends, and its key
+        occ = np.empty((3, len(edge)), dtype=np.int64)
+        occ[0, edge], occ[1, edge], occ[2, edge] = d1, d2, codes[d1]
+        self.edge_occ, self._edge_codes = occ[:2].T, occ[2]
+        a, b = tail[occ[:2]]
+        self.edge_list = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
     def edge_ids(self, keys):
         """Edge ids of a sequence of edge keys, as given in dart_keys."""
         return _positions(self._edge_codes, keys)
 
     def _check_connected(self):
-        a, b = self.edge_list.T
-        if np.any(spanning_tree(self.n_vertices, a, b).depth < 0):
+        (a, b), V = self.edge_list.T, self.n_vertices
+        if csgraph.connected_components(coo_matrix((np.ones(len(a)), (a, b)), (V, V)))[0] > 1:
             raise SurfaceError("quad-graph is disconnected")
 
     def n_edges(self):
@@ -398,22 +404,26 @@ class QuadGraph:
         tail = self.quads.ravel()
         twin = np.empty(D, dtype=np.int64)
         twin[self.edge_occ] = self.edge_occ[:, ::-1]
-        d = np.arange(D)
         # the next dart counterclockwise around tail[d] leaves along the
         # edge that enters tail[d] in the same quad
-        nxt = twin[d - d % 4 + (d + 3) % 4]
+        nxt = twin.reshape(-1, 4)[:, [3, 0, 1, 2]].ravel()
         broken = tail[nxt] != tail
         if np.any(broken):
             raise SurfaceError(f"broken rotation at vertex {tail[broken].min()}")
         # walk around all vertices at once, from each one's first corner
-        _, first = np.unique(tail, return_index=True)
-        walk, offsets = _walk(nxt, first, np.bincount(tail, minlength=V))
+        walk, offsets = _walk(nxt, self.first_corners(), np.bincount(tail, minlength=V))
         missed = np.bincount(walk, minlength=D) == 0
         if np.any(missed):
             raise SurfaceError(f"vertex {tail[missed].min()} has a disconnected link")
         rot = Ragged(self.dart_edge.ravel()[walk], offsets)
         self._cache["rotation"] = (rot, Ragged(walk // 4, offsets))
         return self._cache["rotation"]
+
+    def first_corners(self):
+        """Flat index 4 * quad + corner of each vertex's first corner."""
+        first = np.full(self.n_vertices, self.quads.size)
+        np.minimum.at(first, self.quads.ravel(), np.arange(self.quads.size))
+        return first
 
     def diagonal_ends(self, color):
         """Start and end vertex arrays of every quad's diagonal of the given
@@ -444,7 +454,7 @@ def _dart_codes(dart_keys, tail, head, V, F):
         codes = None
     if codes is None or codes.shape != (F, 4) or codes.dtype.kind not in "iu":
         raise SurfaceError("edge table must list 4 integer edge keys per quad")
-    return codes.ravel().astype(np.int64)
+    return codes.ravel().astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -524,20 +534,13 @@ def mesh_stats(graph):
 
 def _mesh_stats(graph):
     c = graph.corners
-    h = 0.0
-    phi = math.inf
-    for s in range(4):
-        e = c[:, (s + 1) % 4] - c[:, s]
-        h = max(h, float(np.max(np.abs(e))))
-        u = c[:, (s - 1) % 4] - c[:, s]
-        v = c[:, (s + 1) % 4] - c[:, s]
-        ang = np.angle(np.conj(v) * u) % TWO_PI  # interior angle, ccw quads
-        phi = min(phi, float(np.min(ang)))
+    side = c[:, [1, 2, 3, 0]] - c
+    # interior angles of ccw quads, from the side to corner s + 1 to the one to s - 1
+    angle = np.angle(np.conj(side) * -side[:, [3, 0, 1, 2]]) % TWO_PI
     margin = 0.5 * math.pi - np.abs(np.angle(graph.diagonal_ratio))
-    phi = min(phi, float(np.min(margin)))
     return MeshStats(
-        h=h,
-        phi_min=phi,
+        h=float(np.max(np.abs(side))),
+        phi_min=min(float(np.min(angle)), float(np.min(margin))),
         n_quads=graph.n_quads,
         n_vertices=graph.n_vertices,
         genus=graph.genus(),
@@ -581,13 +584,6 @@ def generate_torus(tau, n):
     return build_quad_graph(surface, 1 / n)
 
 
-def _rotate_to_black(first_color, *tables):
-    """Rotate the (F, 4) tables one step left on the rows whose first
-    vertex is white, so every quad starts at a black vertex."""
-    cols = (np.arange(4) + (first_color != BLACK)[:, None]) % 4
-    return [np.take_along_axis(t, cols, axis=1) for t in tables]
-
-
 def _square_tiled_data(surface):
     """Frame (ex, ey) of a parallelogram-tiled surface, as complex numbers:
     the sides of polygon 0 leaving its first vertex.  Checks that every
@@ -618,12 +614,10 @@ def build_quad_graph(surface, cell_size):
     k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0   # 0 for nan too
     if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
         raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
-    (_, i, j), corner_codes, mid_codes, pos = _grid_cells(
+    vertex_codes, quads, dart_keys, pos = _grid_cells(
         surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
-    vertex_codes, quads = _first_appearance(corner_codes)
     colors = np.zeros(len(vertex_codes), dtype=np.int8)
-    colors[quads] = (i + _CORNER_X + j + _CORNER_Y) % 2
-    quads, pos, dart_keys = _rotate_to_black(colors[quads[:, 0]], quads, pos, mid_codes)
+    colors[quads[:, 1::2]] = WHITE
 
     meta = {"kind": "square_tiled", "k": k,
             "loops": _reference_loops(surface, k, vertex_codes),
@@ -650,6 +644,8 @@ def _lattice_table(surface):
 
 _CORNER_X = np.array([0, 1, 1, 0])
 _CORNER_Y = np.array([0, 0, 1, 1])
+# the corners of a quad from the first black one, by its first corner's color
+_TURN = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
 
 
 def _lattice_codes(surface, p, x, y, L):
@@ -683,37 +679,65 @@ def _code(p, x, y, L):
 
 def _grid_cells(surface, k, keep, frame):
     """Cells (p, i, j) of the k x k grids, in row-major order, where the
-    (P, k, k) mask keep is true: their indices as (n, 1) columns, the
-    lattice codes (2k lattice) of their corners, ccw from the first, and
-    of the midpoints of the sides leaving them, and their charts in the
-    frame (ex, ey)."""
-    p, i, j = np.argwhere(keep).T[..., None]
+    (P, k, k) mask keep is true: the lattice codes (2k lattice) of their
+    vertices, in order of first appearance in the cell corners ccw from
+    (i, j), and per cell, ccw from its first black corner, corner
+    (i + j) % 2: its corners' indices in those codes, its sides' midpoint
+    codes and its chart in the frame (ex, ey)."""
+    P, L, s = len(surface.polygons), 2 * k, 1.0 / k
+    # every lattice point's code by its own: only side points have smaller images
+    table = np.arange(P * (L + 1) ** 2)
+    t, o = np.arange(L + 1), np.zeros(L + 1, dtype=np.int64)
+    p, x, y = np.arange(P)[:, None], np.r_[t, t, o, o + L], np.r_[o, o + L, t, t]
+    table[_code(p, x, y, L)] = _lattice_codes(surface, p, x, y, L)
+    p, i, j = np.nonzero(keep)
+    n, turn = len(p), _TURN[(i + j) % 2]
+    base = _code(p, 2 * i, 2 * j, L)[:, None]
+    corner_codes = table[base + _code(0, 2 * _CORNER_X, 2 * _CORNER_Y, L)[turn]]
+    mid_codes = table[base + _code(0, np.array([1, 2, 1, 0]), np.array([0, 1, 2, 1]), L)[turn]]
     ex, ey = frame
-    L, s = 2 * k, 1.0 / k
-    corner_codes = _lattice_codes(surface, p, 2 * (i + _CORNER_X), 2 * (j + _CORNER_Y), L)
-    mid_codes = _lattice_codes(surface, p, 2 * i + [1, 2, 1, 0], 2 * j + [0, 1, 2, 1], L)
-    origin = np.array([complex(*poly[0]) for poly in surface.polygons])[p]
-    z = origin + i * s * ex + j * s * ey
+    z = np.array([complex(*poly[0]) for poly in surface.polygons])[p] + i * s * ex + j * s * ey
     # offsets last: square-tiled charts round exactly as x + s, y + s
-    pos = z + s * np.array([0, ex, ex + ey, ey])
-    return (p, i, j), corner_codes, mid_codes, pos
+    pos = z[:, None] + (s * np.array([0, ex, ex + ey, ey]))[turn]
+    # the codes by first position in the corners ccw from (i, j), and each one's place
+    table[:] = 4 * n
+    np.minimum.at(table, corner_codes.ravel(), (4 * np.arange(n)[:, None] + turn).ravel())
+    codes = np.flatnonzero(table < 4 * n)
+    by_position = np.full(4 * n, -1)
+    by_position[table[codes]] = codes
+    codes = by_position[by_position >= 0]
+    table[codes] = np.arange(len(codes))
+    return codes, table[corner_codes], mid_codes, pos
+
+
+def _groups(codes):
+    """Equal entries of the flat array codes grouped by one stable sort:
+    perm lists them by code, group g from perm[start[g]] in array order;
+    rank[g] is the place of its code in order of first appearance."""
+    perm = np.argsort(codes, kind="stable")
+    start = np.flatnonzero(np.r_[True, np.diff(codes[perm]) != 0][:len(codes)])
+    first = np.zeros(len(codes), dtype=bool)
+    first[perm[start]] = True
+    return perm, start, np.cumsum(first)[perm[start]] - 1
 
 
 def _first_appearance(codes):
     """Distinct codes in order of first appearance, and the index of each
     entry's code in that order."""
-    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    return uniq[order], rank[inv].reshape(np.shape(codes))
+    codes = np.asarray(codes)
+    perm, start, rank = _groups(codes.ravel())
+    distinct = np.empty(len(start), dtype=codes.dtype)
+    distinct[rank] = codes.ravel()[perm[start]]
+    index = np.empty(codes.size, dtype=np.int64)
+    index[perm] = np.repeat(rank, np.diff(start, append=codes.size))
+    return distinct, index.reshape(codes.shape)
 
 
 def _positions(distinct, codes):
     """Index of each code in the array of distinct codes; KeyError for a
     code that is not there."""
     codes = np.asarray(codes, dtype=np.int64)
-    by_code = np.argsort(distinct)
+    by_code = np.argsort(distinct, kind="stable")   # linear on sorted runs
     at = np.searchsorted(distinct, codes, sorter=by_code)
     at = by_code[np.minimum(at, len(distinct) - 1)]
     missing = np.flatnonzero(distinct[at] != codes)

@@ -386,3 +386,15 @@ def test_period_matrices_measure_the_forms_they_are_given(lshape_pack):
     pi = period_matrices(g, basis, cb).pi
     assert np.allclose(pi[:, 0], pm.pi[:, 0] + 0.5 * white, atol=1e-13)
     assert np.array_equal(pi[:, 1:], pm.pi[:, 1:])
+
+
+def test_canonical_lists_are_views_of_the_stack(lshape_pack):
+    """The three lists of canonical forms are the columns of the one
+    (F, 3g) stack, in order, and share its memory."""
+    g, _, _, cb, _ = lshape_pack
+    forms = cb.black_normalized + cb.white_normalized + cb.equal_split
+    assert cb.forms.wb.shape == (g.n_quads, len(forms)) == cb.forms.ww.shape
+    for k, w in enumerate(forms):
+        assert np.array_equal(w.wb, cb.forms.wb[:, k])
+        assert np.array_equal(w.ww, cb.forms.ww[:, k])
+        assert np.shares_memory(w.wb, cb.forms.wb) and np.shares_memory(w.ww, cb.forms.ww)

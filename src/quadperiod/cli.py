@@ -27,13 +27,22 @@ from .periods import (
     bilinear_identity_residual,
     canonical_differentials,
     convergence_diagnostics,
-    diagnostic_bounds,
     energy_identity_residual,
     holomorphic_from_harmonic,
+    judged_diagnostics,
     period_matrices,
 )
 from .refine import sweep
 from .surface import QuadGraph, SurfaceError, build_quad_graph, mesh_stats
+
+
+def _pipeline(graph, tol):
+    """Homology basis, energy system, canonical basis and period matrices
+    of one mesh, each stage looked up in this module when called."""
+    basis = homology_basis(graph)
+    system = assemble(graph, basis)
+    cb = canonical_differentials(graph, basis, system, tol)
+    return basis, system, cb, period_matrices(graph, basis, cb)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +60,7 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
 
     st = mesh_stats(graph)
     check("mesh_phi_min_positive", -st.phi_min, 0.0)
-    basis = homology_basis(graph)
+    basis, system, cb, pm = _pipeline(graph, tol)
     g = basis.genus
 
     # homology contracts
@@ -101,7 +110,6 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
     check("dec_holomorphy_equivalence", 0.0 if agree else 1.0, 0.0)
 
     # harmonic solver contracts
-    system = assemble(graph, basis)
     p = PeriodData.from_flat(rng.normal(size=4 * g))
     sol = solve(system, p, tol)
     n = max(sol.differential.norm(), 1e-300)
@@ -113,27 +121,22 @@ def run_check(graph, tol=1e-10, seed=0, inject=None):
     check("harmonic_orthogonality", mini["orthogonality"], 1e-9)
 
     # period matrices
-    cb = canonical_differentials(graph, basis, system, tol)
     if inject == "holomorphicity":
         bad = cb.equal_split[0]
         bad.ww[len(bad.ww) // 2] += 0.37
+        pm = period_matrices(graph, basis, cb)
     worst_holo = 0.0
     for w in cb.black_normalized + cb.white_normalized + cb.equal_split:
         res = np.max(np.abs(dec.holomorphy_residual(graph, w)))
         worst_holo = max(worst_holo, res / max(w.norm(), 1e-300))
     check("periods_holomorphicity", worst_holo, 100 * tol)
-    pm = period_matrices(graph, basis, cb)
-    d, bounds = pm.diagnostics, diagnostic_bounds(pm.pi, tol)
-    check("periods_full_symmetry", d["full_symmetry"], bounds["full_symmetry"])
-    check("periods_pi_symmetry", d["pi_symmetry"], bounds["pi_symmetry"])
-    check("periods_im_positive_full", -d["full_im_min_eig"], 0.0)
-    check("periods_im_positive_pi", -d["pi_im_min_eig"], 0.0)
-    check("periods_block_average", d["block_average_gap"], bounds["block_average_gap"])
-    check("periods_psd_diagnostic", -d["psd_gap"], 1e-10)
-    check("periods_aperiod_error", d["aperiod_error"], bounds["aperiod_error"])
-    orthodiagonal = bool(np.max(np.abs(graph.diagonal_ratio.imag)) < 1e-12)
-    if orthodiagonal:
-        check("periods_orthodiagonal_blocks", d["orthodiagonal_structure"], 1e-8)
+    names = {"full_symmetry": "full_symmetry", "pi_symmetry": "pi_symmetry",
+             "full_im_min_eig": "im_positive_full", "pi_im_min_eig": "im_positive_pi",
+             "block_average_gap": "block_average", "psd_gap": "psd_diagnostic",
+             "aperiod_error": "aperiod_error", "orthodiagonal_structure": "orthodiagonal_blocks"}
+    for key, (value, bound, ok, sign) in judged_diagnostics(graph, pm, tol).items():
+        # a CHECK line reads measured <= bound, so lower bounds print negated
+        out.append((f"periods_{names[key]}", sign * value, 0.0 + sign * bound, ok))
     echeck = 0.0
     for _ in range(5):
         pr = PeriodData.from_flat(rng.normal(size=4 * g))
@@ -187,13 +190,11 @@ def run_converge(surface, levels=5, adapted=False, base_cell=0.5,
     pms = []
     energies = []
     for lv in fam:
-        basis = homology_basis(lv.graph)
-        system = assemble(lv.graph, basis)
-        cb = canonical_differentials(lv.graph, basis, system, tol)
-        pms.append(period_matrices(lv.graph, basis, cb))
+        _, system, _, pm = _pipeline(lv.graph, tol)
+        pms.append(pm)
         eta = solve(system, p_fixed, tol).differential
-        energies.append(dec.energy(lv.graph,
-                                   holomorphic_from_harmonic(lv.graph, eta)))
+        del system   # this level's factor, before the next level factors its own
+        energies.append(dec.energy(lv.graph, holomorphic_from_harmonic(lv.graph, eta)))
     e_ref = energies[-1]
     if reference is None:
         ref = pms[-1].pi
@@ -258,12 +259,11 @@ def run_converge(surface, levels=5, adapted=False, base_cell=0.5,
 def run_integrate(graph, a_periods, tol=1e-10):
     """Canonical holomorphic differential with the prescribed equal black
     and white a-periods; Abelian integral values per vertex."""
-    basis = homology_basis(graph)
-    g = basis.genus
+    g = graph.genus()
     a = np.asarray(a_periods, dtype=complex)
     if len(a) != g:
         raise PeriodsError(f"need {g} a-periods, got {len(a)}")
-    cb = canonical_differentials(graph, basis, assemble(graph, basis), tol)
+    _, _, cb, _ = _pipeline(graph, tol)
     wb = sum(a[k] * cb.equal_split[k].wb for k in range(g))
     ww = sum(a[k] * cb.equal_split[k].ww for k in range(g))
     omega = dec.Differential(wb, ww)
@@ -364,7 +364,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return _run(args)
-    except (SurfaceError, HomologyError, PeriodsError, HarmonicError) as exc:
+    except (SurfaceError, HomologyError, PeriodsError, HarmonicError, OSError) as exc:
         print(f"quadperiod: error: {exc}", file=sys.stderr)
         return 2
 
@@ -432,10 +432,7 @@ def _run(args):
             print(f"wrote {args.dump}")
     elif args.command == "periods":
         graph = _load(args.surface, args.cell)
-        basis = homology_basis(graph)
-        system = assemble(graph, basis)
-        cb = canonical_differentials(graph, basis, system, args.tol)
-        pm = period_matrices(graph, basis, cb)
+        _, _, cb, pm = _pipeline(graph, args.tol)
         if args.dump_differentials:
             os.makedirs(args.dump_differentials, exist_ok=True)
             for k, w in enumerate(cb.equal_split):
@@ -443,30 +440,17 @@ def _run(args):
                     os.path.join(args.dump_differentials, f"canonical{k}.csv"), w)
         doc = {
             "format": 1,
-            "genus": basis.genus,
-            "pi": formats.matrix_to_pairs(pm.pi),
-            "block_bw": formats.matrix_to_pairs(pm.block_bw),
-            "block_bb": formats.matrix_to_pairs(pm.block_bb),
-            "block_ww": formats.matrix_to_pairs(pm.block_ww),
-            "block_wb": formats.matrix_to_pairs(pm.block_wb),
+            "genus": pm.genus,
+            **{key: formats.matrix_to_pairs(getattr(pm, key))
+               for key in ("pi", "block_bw", "block_bb", "block_ww", "block_wb")},
             "diagnostics": {},
         }
-        ok = True
-        d, bounds = pm.diagnostics, diagnostic_bounds(pm.pi, args.tol)
-        for key, val in d.items():
-            entry = {"value": float(np.real(val))}
-            if key in bounds:
-                entry["bound"] = bounds[key]
-                entry["passed"] = bool(val <= bounds[key])
-            elif key in ("full_im_min_eig", "pi_im_min_eig"):
-                entry["bound"] = 0.0
-                entry["passed"] = bool(val > 0)
-            elif key == "psd_gap":
-                entry["bound"] = -1e-10
-                entry["passed"] = bool(val >= -1e-10)
-            if not entry.get("passed", True):
-                ok = False
-            doc["diagnostics"][key] = entry
+        rows = judged_diagnostics(graph, pm, args.tol)
+        for key, val in pm.diagnostics.items():
+            entry = doc["diagnostics"][key] = {"value": float(np.real(val))}
+            if key in rows:
+                entry["bound"], entry["passed"] = rows[key][1:3]
+        ok = all(row[2] for row in rows.values())
         path = os.path.join(args.out, "periods.json")
         with open(path, "w") as f:
             json.dump(doc, f, indent=1)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dec import difference_operators
-from .surface import BLACK, WHITE, spanning_tree
+from .surface import BLACK, WHITE, _walk, spanning_tree
 
 
 class HomologyError(ValueError):
@@ -66,14 +66,24 @@ def cycle_from_vertices(graph, walk):
     """Resolve a closed vertex walk {"verts", "edge_keys"}, a reference
     loop of a generated mesh, to a Cycle.  The edge keys (dart_keys
     values) name the edge of every step, so parallel edges resolve."""
-    walk, eids = walk["verts"], graph.edge_ids(walk["edge_keys"]).tolist()
-    cyc = Cycle(list(walk), eids)
-    steps = np.sort(np.stack([walk, np.roll(walk, -1)], axis=1), axis=1)
-    wrong = np.flatnonzero(np.any(steps != graph.edge_list[eids].reshape(-1, 2), axis=1))
-    if len(wrong):
-        i = int(wrong[0])
-        raise HomologyError(f"edge {cyc.eids[i]} does not join walk step {i}")
-    return cyc
+    return _cycles_from_vertices(graph, [walk])[0]
+
+
+def _cycles_from_vertices(graph, walks):
+    """cycle_from_vertices of every walk, with one edge-key lookup."""
+    if not walks:
+        return []
+    ids = graph.edge_ids([key for w in walks for key in w["edge_keys"]])
+    cuts = np.cumsum([len(w["edge_keys"]) for w in walks[:-1]], dtype=np.int64)
+    out = []
+    for w, eids in zip(walks, np.split(ids, cuts)):
+        walk, eids = w["verts"], eids.tolist()
+        steps = np.sort(np.stack([walk, np.roll(walk, -1)], axis=1), axis=1)
+        wrong = np.flatnonzero(np.any(steps != graph.edge_list[eids].reshape(-1, 2), axis=1))
+        if len(wrong):
+            raise HomologyError(f"edge {eids[wrong[0]]} does not join walk step {wrong[0]}")
+        out.append(Cycle(list(walk), eids))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +123,25 @@ def tree_cotree(graph):
     }
 
 
-def _tree_path(tc, v, u):
-    """Vertex/edge path from v to u through the spanning tree: climb from
-    the deeper end until the two walks meet."""
-    parent, pedge, depth = tc["parent"], tc["parent_edge"], tc["depth"]
-    up, down = [v], [u]
-    while up[-1] != down[-1]:
-        if depth[up[-1]] >= depth[down[-1]]:
-            up.append(int(parent[up[-1]]))
-        else:
-            down.append(int(parent[down[-1]]))
-    down = down[-2::-1]
-    return up + down, [int(pedge[x]) for x in up[:-1] + down]
-
-
 def basis_cycles(graph):
-    """One cycle per leftover edge: the edge plus its tree path."""
+    """One cycle per leftover edge a -- b: the edge, then the tree path
+    from b back to a.  Both ends of every edge climb to the root in one
+    walk; two climbs agree from the vertex where they meet upwards, and
+    that common part is dropped."""
     tc = tree_cotree(graph)
+    ends = graph.edge_list[tc["leftover"]]
+    starts = ends[:, ::-1].ravel()   # b, a of every edge
+    walk, offsets = _walk(tc["parent"], starts, tc["depth"][starts] + 1)
+    climbs = np.split(walk, offsets[1:-1])
     out = []
-    for e, (a, b) in zip(tc["leftover"].tolist(), graph.edge_list[tc["leftover"]].tolist()):
-        verts, eids = _tree_path(tc, b, a)  # b ... a through the tree
-        out.append(Cycle([a] + verts[:-1], [e] + eids))
+    for e, a, up, down in zip(tc["leftover"].tolist(), ends[:, 0].tolist(),
+                              climbs[::2], climbs[1::2]):
+        common = len(np.intersect1d(up, down, assume_unique=True))
+        # b up to the meeting vertex, then down to a
+        up, down = up[:len(up) - common + 1], down[:len(down) - common][::-1]
+        path = np.concatenate([up, down])
+        eids = tc["parent_edge"][np.concatenate([up[:-1], down])]
+        out.append(Cycle([a] + path[:-1].tolist(), [e] + eids.tolist()))
     return out
 
 
@@ -420,8 +428,7 @@ def homology_basis(graph):
     otherwise cycles come from a tree-cotree split."""
     loops = (graph.meta or {}).get("loops")
     if loops:
-        cycles = [cycle_from_vertices(graph, w) for w in loops["a"]]
-        cycles += [cycle_from_vertices(graph, w) for w in loops["b"]]
+        cycles = _cycles_from_vertices(graph, loops["a"] + loops["b"])
         P = _projections(graph, cycles)
         rank = 2 * graph.genus()
         if len(cycles) != rank or len(_independent_rows((P[0] @ P[1].T).toarray())) != rank:

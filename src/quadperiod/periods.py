@@ -22,6 +22,7 @@ dec.measure_periods, which keeps the non-closed warning.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,14 +174,23 @@ def structural_diagnostics(pm):
     return d
 
 
-def diagnostic_bounds(pi, tol):
-    """Upper bounds of the diagnostics that the `check` and `periods`
-    commands both judge: pi equals the block average exactly, so their
-    gap is roundoff that grows with |pi|, and the a-period error follows
-    the solver tolerance."""
-    return {"full_symmetry": 1e-7, "pi_symmetry": 1e-7,
-            "block_average_gap": 1e-8 * max(1.0, float(np.linalg.norm(pi))),
-            "aperiod_error": 100 * tol}
+def judged_diagnostics(graph, pm, tol):
+    """The period diagnostics that `check` and `periods` both judge, as
+    {key: (value, bound, passed, sign)}, sign -1 for a lower bound; the
+    Im eigenvalues must be strictly positive.  pi equals the block
+    average exactly, so their gap is roundoff that grows with |pi|; the
+    a-period error follows the solver tolerance; the block structure is
+    judged on orthodiagonal meshes only."""
+    le, gt, ge = operator.le, operator.gt, operator.ge
+    rows = [("full_symmetry", le, 1e-7), ("pi_symmetry", le, 1e-7),
+            ("full_im_min_eig", gt, 0.0), ("pi_im_min_eig", gt, 0.0),
+            ("block_average_gap", le, 1e-8 * max(1.0, float(np.linalg.norm(pm.pi)))),
+            ("psd_gap", ge, -1e-10), ("aperiod_error", le, 100 * tol)]
+    if np.max(np.abs(graph.diagonal_ratio.imag)) < 1e-12:
+        rows.append(("orthodiagonal_structure", le, 1e-8))
+    d = pm.diagnostics
+    return {key: (d[key], bound, bool(op(d[key], bound)), 1 if op is le else -1)
+            for key, op, bound in rows}
 
 
 def block_mean_psd_gap(im_full):

@@ -67,7 +67,7 @@ def subdivide(graph):
     half of edge e at its endpoint h (0 for the smaller vertex id), 2E +
     4q + s for the spoke from the midpoint of side s of quad q to its
     center."""
-    from .homology import cycle_from_vertices
+    from .homology import _cycles_from_vertices
 
     V, E, F = graph.n_vertices, graph.n_edges(), graph.n_quads
     colors = np.concatenate([
@@ -90,19 +90,18 @@ def subdivide(graph):
     ends = graph.edge_list[:, 0]
     dart_keys = np.stack([2 * e_out + (vids != ends[e_out]), spoke + side, spoke + prev,
                           2 * e_in + (vids != ends[e_in])], axis=2).reshape(-1, 4)
-    new_loops = {}
-    for kind, walks in (graph.meta.get("loops") or {}).items():
-        new_loops[kind] = []
-        for w in walks:
-            cyc = cycle_from_vertices(graph, w)
-            u, e = np.array(cyc.verts), np.array(cyc.eids)
-            halves = [2 * e + (u != ends[e]), 2 * e + (np.roll(u, -1) != ends[e])]
-            new_loops[kind].append({
-                "verts": np.stack([u, V + e], axis=1).ravel().tolist(),
-                "edge_keys": np.stack(halves, axis=1).ravel().tolist()})
+
+    def lift(cyc):
+        u, e = np.array(cyc.verts), np.array(cyc.eids)
+        halves = [2 * e + (u != ends[e]), 2 * e + (np.roll(u, -1) != ends[e])]
+        return {"verts": np.stack([u, V + e], axis=1).ravel().tolist(),
+                "edge_keys": np.stack(halves, axis=1).ravel().tolist()}
+
+    loops = graph.meta.get("loops") or {}
+    lifted = map(lift, _cycles_from_vertices(graph, [w for ws in loops.values() for w in ws]))
     meta = dict(graph.meta)
-    if new_loops:
-        meta["loops"] = new_loops
+    if loops:
+        meta["loops"] = {kind: [next(lifted) for _ in walks] for kind, walks in loops.items()}
     for key in ("k", "vertex_codes"):   # the 2k lattice is gone
         meta.pop(key, None)
     return QuadGraph(colors, quads, corners, cones=graph.cones, meta=meta,

@@ -9,7 +9,8 @@ from quadperiod import dec, formats
 from quadperiod.cli import main, run_check, run_converge, run_integrate
 from quadperiod.harmonic import assemble
 from quadperiod.homology import homology_basis
-from quadperiod.periods import canonical_differentials, period_matrices
+from quadperiod.periods import (PeriodMatrices, canonical_differentials, judged_diagnostics,
+                                period_matrices)
 from quadperiod.surface import build_quad_graph, generate_torus, l_shape_surface, mesh_stats
 
 
@@ -107,26 +108,72 @@ def test_periods_command(torus_doc, tmp_path, capsys):
     assert abs(re) < 1e-9 and abs(im - 1) < 1e-9
 
 
-def test_check_and_periods_report_the_same_bounds(lshape_doc, tmp_path, capsys):
-    """Both commands judge the shared diagnostics against one table, so
-    their bounds agree for one mesh and tol: here |pi| > 1 scales the
-    block-average bound and --tol 1e-9 the a-period bound."""
-    args = ["--out", str(tmp_path), "--tol", "1e-9"]
-    assert main(args + ["check", lshape_doc, "--cell", "0.5"]) == 0
-    printed = {}
-    for line in capsys.readouterr().out.splitlines():
-        if line.startswith("CHECK "):
-            fields = dict(f.split("=") for f in line.split()[2:4])
-            printed[line.split()[1]] = fields["bound"]
-    assert main(args + ["periods", lshape_doc, "--cell", "0.5"]) == 0
+# the CHECK line of every judged diagnostic, and the sign its value and
+# bound carry there (a CHECK line reads measured <= bound)
+CHECK_LINES = {"full_symmetry": ("periods_full_symmetry", 1),
+               "pi_symmetry": ("periods_pi_symmetry", 1),
+               "full_im_min_eig": ("periods_im_positive_full", -1),
+               "pi_im_min_eig": ("periods_im_positive_pi", -1),
+               "block_average_gap": ("periods_block_average", 1),
+               "psd_gap": ("periods_psd_diagnostic", -1),
+               "aperiod_error": ("periods_aperiod_error", 1),
+               "orthodiagonal_structure": ("periods_orthodiagonal_blocks", 1)}
+
+
+def test_check_and_periods_report_the_same_bounds(tmp_path, capsys):
+    """Both commands judge the shared diagnostics from one table, so every
+    row's bound and verdict agree for one mesh and tol: on the L-shape
+    |pi| > 1 scales the block-average bound, --tol 1e-9 sets the
+    a-period bound, and only the orthodiagonal L-shape, not the skew
+    torus, judges the block structure."""
+    for generator, cell, orthodiagonal in (({"kind": "l_shape"}, "0.5", True),
+                                           ({"kind": "torus", "tau": [0.5, 0.8]}, "0.25", False)):
+        doc = tmp_path / f"{generator['kind']}.json"
+        doc.write_text(json.dumps({"format": 1, "generator": generator}))
+        args = ["--out", str(tmp_path), "--tol", "1e-9"]
+        assert main(args + ["check", str(doc), "--cell", cell]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("CHECK "):
+                name, _, bound, verdict = line.split()[1:]
+                printed[name] = (bound.removeprefix("bound="), verdict == "PASS")
+        assert main(args + ["periods", str(doc), "--cell", cell]) == 0
+        diagnostics = json.loads((tmp_path / "periods.json").read_text())["diagnostics"]
+        judged = {key for key, entry in diagnostics.items() if "bound" in entry}
+        assert judged == set(CHECK_LINES) - (set() if orthodiagonal
+                                             else {"orthodiagonal_structure"})
+        assert ("periods_orthodiagonal_blocks" in printed) == orthodiagonal
+        for key in judged:
+            name, sign = CHECK_LINES[key]
+            entry = diagnostics[key]
+            assert printed[name] == (f"{0.0 + sign * entry['bound']:.3e}", entry["passed"]), key
+        assert diagnostics["aperiod_error"]["bound"] == pytest.approx(100 * 1e-9)
+        if generator["kind"] == "l_shape":
+            assert diagnostics["block_average_gap"]["bound"] > 1e-8
+
+
+def test_singular_im_pi_fails_both_positivity_rows(torus_i_4, monkeypatch, tmp_path, capsys):
+    """An Im eigenvalue of exactly 0 is not positive: both positivity rows
+    fail in the shared table, and the periods command reports them."""
+    import quadperiod.cli
+    blocks = {key: np.array([[0.5 + 0j]]) for key in ("block_bw", "block_bb",
+                                                    "block_ww", "block_wb")}
+    pm = PeriodMatrices(pi=np.array([[1.0 + 0j]]), **blocks)
+    assert np.linalg.eigvalsh(pm.combined.imag).min() == 0
+    pm.diagnostics = {"full_symmetry": 0.0, "pi_symmetry": 0.0, "full_im_min_eig": 0.0,
+                      "pi_im_min_eig": 0.0, "block_average_gap": 0.0, "psd_gap": 0.0,
+                      "orthodiagonal_structure": 0.0, "aperiod_error": 0.0, "condition": 1.0}
+    rows = judged_diagnostics(torus_i_4, pm, 1e-10)
+    assert [key for key, row in rows.items() if not row[2]] == ["full_im_min_eig",
+                                                                 "pi_im_min_eig"]
+    monkeypatch.setattr(quadperiod.cli, "period_matrices", lambda *args: pm)
+    doc = tmp_path / "torus.json"
+    doc.write_text(json.dumps({"format": 1, "generator": {"kind": "torus", "tau": [0, 1]}}))
+    assert main(["--out", str(tmp_path), "periods", str(doc), "--cell", "0.25"]) == 1
     diagnostics = json.loads((tmp_path / "periods.json").read_text())["diagnostics"]
-    names = {"full_symmetry": "periods_full_symmetry", "pi_symmetry": "periods_pi_symmetry",
-             "block_average_gap": "periods_block_average",
-             "aperiod_error": "periods_aperiod_error"}
-    for key, name in names.items():
-        assert printed[name] == f"{diagnostics[key]['bound']:.3e}", key
-    assert diagnostics["aperiod_error"]["bound"] == pytest.approx(100 * 1e-9)
-    assert diagnostics["block_average_gap"]["bound"] > 1e-8
+    assert [key for key, entry in diagnostics.items() if not entry.get("passed", True)] == [
+        "full_im_min_eig", "pi_im_min_eig"]
+    assert capsys.readouterr().out.splitlines()[-1].endswith("RESULT=FAIL")
 
 
 def test_periods_dump_differentials(lshape_doc, tmp_path, capsys):
@@ -332,6 +379,25 @@ def test_malformed_option_exits_2_with_one_line(torus_doc, tmp_path, capsys,
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {option}:" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out, command, options", [
+    ("{file}", "periods", []),                                        # FileExistsError
+    (".", "harmonic", ["--periods", "1,0,1,0", "--dump", "{missing}/x.csv"]),  # FileNotFoundError
+    (".", "periods", ["--dump-differentials", "{file}/sub"]),        # NotADirectoryError
+], ids=["out-is-a-file", "dump-in-missing-dir", "dump-dir-under-a-file"])
+def test_unwritable_output_exits_2_with_one_line(torus_doc, tmp_path, capsys, monkeypatch,
+                                                 out, command, options):
+    """An output path that cannot be written is invalid input, not a
+    failed check."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing"}
+    argv = ["--out", out.format(**paths), command, torus_doc, "--cell", "0.5"]
+    rc = main(argv + [option.format(**paths) for option in options])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
 
 
 def _raw_torus_doc(**changes):

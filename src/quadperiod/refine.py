@@ -13,6 +13,9 @@ Patches are keyed like the uniform grid (surface.py): the patch boundary
 lies on the 2k lattice and takes its codes, so it meets the ambient
 cells by equal codes.  Every other patch vertex and edge gets an integer
 code above the lattice range, in one block of codes per (cone, ring).
+Each patch colors its vertices by the lattice's checkerboard carried in
+ring by ring, and the uniform meshes' assembly (surface._lattice_mesh)
+numbers the patches together with the grid cells outside them.
 """
 
 from __future__ import annotations
@@ -23,21 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .surface import (
-    _CORNER_X,
-    _CORNER_Y,
-    _TURN,
     QuadGraph,
     SurfaceError,
-    _attach_cones,
-    _first_appearance,
-    _grid_cells,
-    _lattice_codes,
-    _positions,
-    _reference_loops,
+    _cell_count,
+    _corner_codes,
+    _lattice_mesh,
     _square_tiled_data,
     build_quad_graph,
     mesh_stats,
-    spanning_tree,
     validate_h_adapted,
 )
 
@@ -195,12 +191,12 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     frame = _square_tiled_data(surface)
     if not np.isclose(frame[1], 1j * frame[0]):
         raise RefineError("cone patches need square polygons (ey = i ex)")
-    k_f = 1.0 / h
-    k = int(round(k_f))
-    if abs(k - k_f) > 1e-9 or k < 4 or (k & (k - 1)) != 0:
-        raise RefineError(
-            f"adapted meshes need a power-of-two cell count >= 4, got 1/{h}")
+    k = _cell_count(h)
+    if k < 4 or k & (k - 1):
+        raise RefineError(f"cell size {h} is not 1/k for a power of two k >= 4")
     patches = []
+    keep = np.ones((len(surface.polygons), k, k), dtype=bool)
+    lo, hi = slice(0, k // 4), slice(k - k // 4, k)
     start = len(surface.polygons) * (2 * k + 1) ** 2   # first code above the 2k lattice
     for cid in surface.cone_classes:
         gamma = 2.0 * math.pi / surface.vertex_angles[cid]
@@ -209,22 +205,9 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
         rings, kinds = _with_parity(gamma, h, k // 4)
         patch, start = _cone_patch(surface, cid, rings, kinds, k, start)
         patches.append(patch)
-    order, quads, corners, darts = (list(part) for part in zip(*patches))
-
-    # the uniform grid outside the patches, numbered after them
-    grid_codes, grid_quads, mid_codes, pos = _grid_cells(
-        surface, k, _kept_cells(surface, k), frame)
-    vertex_codes, _ = _first_appearance(np.concatenate(order + [grid_codes]))
-    quads = _positions(vertex_codes, np.concatenate(quads + [grid_codes[grid_quads]]))
-    colors = _bipartite_colors(len(vertex_codes), quads)
-    turn = _TURN[colors[quads[:, 0]]]   # patch quads may start at a white vertex
-    quads, corners, codes = (np.take_along_axis(t, turn, axis=1) for t in (
-        quads, np.concatenate(corners + [pos]), np.concatenate(darts + [mid_codes])))
-    meta = {"kind": "square_tiled", "k": k, "adapted": True,
-            "loops": _reference_loops(surface, k, vertex_codes),
-            "vertex_codes": vertex_codes, "surface": surface}
-    g = QuadGraph(colors, quads, corners, cones=_attach_cones(surface, k, vertex_codes),
-                  meta=meta, dart_keys=codes)
+        for p, c in surface.vertex_links[cid]:   # the patch covers k/4 x k/4 cells per corner
+            keep[p, (lo, hi, hi, lo)[c], (lo, lo, hi, hi)[c]] = False
+    g = _lattice_mesh(surface, k, keep, frame, patches)
     st = mesh_stats(g)
     if st.phi_min < phi_floor - 1e-12:
         raise RefineError(f"angle floor violated: phi_min {st.phi_min:.4f}")
@@ -232,17 +215,6 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     if not rep["passed"]:
         raise RefineError(f"adapted mesh failed its own validation: {rep['violations']}")
     return g
-
-
-def _kept_cells(surface, k):
-    """(P, k, k) mask of the grid cells outside the cone patches: each
-    patch covers the k/4 x k/4 cells at every corner of its cone."""
-    keep = np.ones((len(surface.polygons), k, k), dtype=bool)
-    lo, hi = slice(0, k // 4), slice(k - k // 4, k)
-    for cid in surface.cone_classes:
-        for p, ci in surface.vertex_links[cid]:
-            keep[p, (lo, hi, hi, lo)[ci], (lo, lo, hi, hi)[ci]] = False
-    return keep
 
 
 # Each ring of a patch is cut into groups of quads that share one vertex
@@ -259,9 +231,6 @@ _ONE_QUAD = np.array([[0, 1, 2, 3]])
 _COARSEN_VERTICES = np.array([[5, 0, 1, 8], [8, 1, 2, 3], [8, 3, 4, 7], [8, 7, 6, 5]])
 _COARSEN_EDGES = np.array([[0, 1, 8, 10], [8, 2, 3, 9], [9, 4, 5, 11], [11, 7, 6, 10]])
 
-# unit steps along the sides leaving polygon corners 0..3
-_SIDE_X, _SIDE_Y = np.roll(_CORNER_X, -1) - _CORNER_X, np.roll(_CORNER_Y, -1) - _CORNER_Y
-
 
 def _cone_patch(surface, cid, rings, kinds, k, start):
     """Graded ring patch around cone class cid, on integer codes.
@@ -272,9 +241,13 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
     Every ring r gets the block of 3 T codes from its start, T = 2 p K
     its slot count: vertex and arc codes of its slots (unused at r = 0),
     then those of its mid vertices and of its radial edges inward (the
-    fan's at the innermost ring), then its spokes.  Returns (vertex codes
-    in numbering order, quad vertex codes, chart corners, dart edge codes)
-    and the first code after the patch."""
+    fan's at the innermost ring), then its spokes.
+
+    The colors follow the lattice's: the cone is black, the vertex at
+    slot u of ring r has color (jc + r + u) % 2 and the mid vertex of a
+    coarsening ring r has color (jc + r) % 2.  Returns (vertex codes in
+    numbering order, their colors, quad vertex codes, chart corners, dart
+    edge codes) and the first code after the patch."""
     link = surface.vertex_links[cid]
     K, L, jc = len(link), 2 * k, k // 4
     poly, corner = np.array(link).T
@@ -285,21 +258,14 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
     T = np.array([2 * p * K for _, p in rings])
     ring_start = start + np.cumsum(3 * T) - 3 * T
 
-    def lattice(sec, a, b):
-        """Codes of the points (a, b) of sectors sec, in units of 1/L
-        along the sector axes."""
-        c = corner[sec]
-        x = L * _CORNER_X[c] + a * _SIDE_X[c] + b * _SIDE_X[(c + 1) % 4]
-        y = L * _CORNER_Y[c] + a * _SIDE_Y[c] + b * _SIDE_Y[(c + 1) % 4]
-        return _lattice_codes(surface, poly[sec], x, y, L)
-
     def ring(r, s2):
         """Codes of ring r at half slots s2: vertices at even s2, the arcs
         between them at odd s2."""
         if r > 0:
             return ring_start[r] + s2 // 2 % T[r]
         sec, w = np.divmod(s2 % (2 * T[0]), 4 * jc)
-        return lattice(sec, np.where(w <= 2 * jc, 2 * jc, 4 * jc - w), np.minimum(w, 2 * jc))
+        return _corner_codes(surface, poly[sec], corner[sec],
+                             np.where(w <= 2 * jc, 2 * jc, 4 * jc - w), np.minimum(w, 2 * jc), L)
 
     def radial(r, s):
         """Codes in the middle third of ring r's block: the radial edges
@@ -313,8 +279,8 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
         y = np.where(rel <= p, rel * t / p, t)
         return x * ex[sec] + y * ey[sec]
 
-    cone = lattice(np.zeros(1, dtype=np.int64), 0, 0)
-    order, quads, corners, darts = [cone], [], [], []
+    cone = _corner_codes(surface, poly[:1], corner[:1], 0, 0, L)
+    order, colors, quads, corners, darts = [cone], [[0]], [], [], []
     for r, kind in enumerate(kinds):
         (t_out, p_out), (t_in, p_in) = rings[r], rings[r + 1]
         if kind == "plain":
@@ -322,6 +288,7 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
             sec, u = np.divmod(s, 2 * p_out)
             vt = np.stack([ring(r + 1, 2 * s), ring(r, 2 * s), ring(r, 2 * s + 2),
                            ring(r + 1, 2 * s + 2)], axis=1)
+            ct = (jc + r + s[:, None] + [1, 0, 1, 2]) % 2   # rings r + 1, r, r, r + 1
             zt = np.stack([chart(sec, t_in, p_in, u), chart(sec, t_out, p_out, u),
                            chart(sec, t_out, p_out, u + 1), chart(sec, t_in, p_in, u + 1)],
                           axis=1)
@@ -338,6 +305,7 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
             d = np.arange(5)
             vt = np.concatenate([ring(r, 8 * g + 2 * d), ring(r + 1, 4 * g + 2 * d[:3]),
                                  radial(r, g)], axis=1)
+            ct = np.broadcast_to((jc + r + np.r_[d, d[:3] + 1, 0]) % 2, vt.shape)
             zt = np.concatenate([chart(sec, t_out, p_out, 4 * gs + d),
                                  chart(sec, t_in, p_in, 2 * gs + d[:3]),
                                  chart(sec, t_mid, p_out, 4 * gs + 2)], axis=1)
@@ -346,6 +314,7 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
                                  ring_start[r] + 2 * T[r] + 4 * g + d[:4]], axis=1)
             vpat, epat = _COARSEN_VERTICES, _COARSEN_EDGES
         order.append(vt.ravel())
+        colors.append(ct.ravel())
         quads.append(vt[:, vpat].reshape(-1, 4))
         corners.append(zt[:, vpat].reshape(-1, 4))
         darts.append(et[:, epat].reshape(-1, 4))
@@ -358,27 +327,14 @@ def _cone_patch(surface, cid, rings, kinds, k, start):
     vt = np.stack([np.repeat(cone, K), ring(rM, 4 * i), ring(rM, 4 * i + 2),
                    ring(rM, 4 * i + 4)], axis=1)
     order.append(vt.ravel())
+    colors.append(np.tile(np.r_[0, (jc + rM + np.arange(3)) % 2], K))
     quads.append(vt)
     corners.append(np.stack([chart(i, 0.0, 1, 0), chart(i, t_M, 1, 0), chart(i, t_M, 1, 1),
                              chart(i, t_M, 1, 2)], axis=1))
     darts.append(np.stack([radial(rM, 2 * i), ring(rM, 4 * i + 1), ring(rM, 4 * i + 3),
                            radial(rM, 2 * i + 2)], axis=1))
-    patch = [np.concatenate(part) for part in (order, quads, corners, darts)]
+    patch = [np.concatenate(part) for part in (order, colors, quads, corners, darts)]
     return patch, int(ring_start[-1] + 3 * T[-1])
-
-
-def _bipartite_colors(n, quads):
-    """Two-coloring by breadth-first depth parity from vertex 0, the
-    first cone: a polygon corner, black as on uniform meshes (the cell
-    count is even)."""
-    a, b = np.ravel(quads), np.roll(quads, -1, axis=1).ravel()
-    colors = (spanning_tree(n, a, b).depth % 2).astype(np.int8)
-    odd = np.flatnonzero(colors[a] == colors[b])
-    if len(odd):
-        raise RefineError(
-            "vertex graph is not bipartite (odd cycle through "
-            f"vertices {a[odd[0]]} and {b[odd[0]]})")
-    return colors
 
 
 # ---------------------------------------------------------------------------

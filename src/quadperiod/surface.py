@@ -23,10 +23,13 @@ on a glued side takes its smallest image (a side point at parameter t
 maps to 2k - t on the partner side, a corner to the smallest corner of
 its vertex class).  The cone patches of adapted meshes (refine.py) put
 their boundary on the same lattice and key the rest of their vertices
-and edges by integers above its range.  Vertices and edges are numbered
-in order of first appearance; the mesh keeps the code of every vertex
-in meta["vertex_codes"], its one identity across levels
-(`lattice_vertex_ids`).
+and edges by integers above its range.  Uniform and adapted meshes go
+through one assembly (`_lattice_mesh`), which colors them by
+construction: lattice point (x, y) is black when (x + y) / 2 is even,
+and each patch gives the colors of its own vertices.  Vertices and edges
+are numbered in order of first appearance; the mesh keeps the code of
+every vertex in meta["vertex_codes"], on uniform meshes its one identity
+across levels (`lattice_vertex_ids`).
 """
 
 from __future__ import annotations
@@ -611,19 +614,16 @@ def build_quad_graph(surface, cell_size):
     that the checkerboard coloring closes up across translation gluings.
     Quad (p * k + i) * k + j is cell (i, j) of polygon p, i along ex."""
     frame = _square_tiled_data(surface)
+    k = _cell_count(cell_size)
+    return _lattice_mesh(surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
+
+
+def _cell_count(cell_size):
+    """The even cell count k >= 2 of a cell size 1 / k."""
     k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0   # 0 for nan too
     if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
         raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
-    vertex_codes, quads, dart_keys, pos = _grid_cells(
-        surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
-    colors = np.zeros(len(vertex_codes), dtype=np.int8)
-    colors[quads[:, 1::2]] = WHITE
-
-    meta = {"kind": "square_tiled", "k": k,
-            "loops": _reference_loops(surface, k, vertex_codes),
-            "vertex_codes": vertex_codes, "surface": surface}
-    return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, vertex_codes),
-                     meta=meta, dart_keys=dart_keys)
+    return k
 
 
 def _lattice_table(surface):
@@ -646,6 +646,8 @@ _CORNER_X = np.array([0, 1, 1, 0])
 _CORNER_Y = np.array([0, 0, 1, 1])
 # the corners of a quad from the first black one, by its first corner's color
 _TURN = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+# unit steps along the sides leaving corners 0..3
+_SIDE_X, _SIDE_Y = np.roll(_CORNER_X, -1) - _CORNER_X, np.roll(_CORNER_Y, -1) - _CORNER_Y
 
 
 def _lattice_codes(surface, p, x, y, L):
@@ -677,16 +679,30 @@ def _code(p, x, y, L):
     return (p * (L + 1) + x) * (L + 1) + y
 
 
-def _grid_cells(surface, k, keep, frame):
-    """Cells (p, i, j) of the k x k grids, in row-major order, where the
-    (P, k, k) mask keep is true: the lattice codes (2k lattice) of their
-    vertices, in order of first appearance in the cell corners ccw from
-    (i, j), and per cell, ccw from its first black corner, corner
-    (i + j) % 2: its corners' indices in those codes, its sides' midpoint
-    codes and its chart in the frame (ex, ey)."""
+def _corner_codes(surface, p, c, a, b, L):
+    """_lattice_codes of the points (a ex + b ey) / L from corner c of
+    polygons p, ex along the side leaving the corner, ey along the next."""
+    x = L * _CORNER_X[c] + a * _SIDE_X[c] + b * _SIDE_X[(c + 1) % 4]
+    y = L * _CORNER_Y[c] + a * _SIDE_Y[c] + b * _SIDE_Y[(c + 1) % 4]
+    return _lattice_codes(surface, p, x, y, L)
+
+
+def _lattice_mesh(surface, k, keep, frame, patches=()):
+    """Mesh of the 2k lattice: the quads of the cone patches (refine.py),
+    then the cells (p, i, j) of the k x k grids where the (P, k, k) mask
+    keep is true, in row-major order, charted in the frame (ex, ey).  A
+    patch lists its vertex codes in numbering order and their colors, and
+    per quad its vertex codes, chart corners and dart edge codes.
+
+    Vertices are numbered by first appearance, in the patch orders, then
+    in the cell corners ccw from (i, j).  Lattice point (x, y) is black
+    when (x + y) / 2 is even, so a cell starts at corner (i + j) % 2; a
+    patch quad turns to its first black corner by its patch's colors."""
     P, L, s = len(surface.polygons), 2 * k, 1.0 / k
-    # every lattice point's code by its own: only side points have smaller images
-    table = np.arange(P * (L + 1) ** 2)
+    patch = [np.concatenate(part) for part in zip(*patches)]
+    order = patch[0] if patches else np.zeros(0, dtype=np.int64)
+    # every code by its own: only lattice side points have smaller images
+    table = np.arange(max(P * (L + 1) ** 2, np.max(order, initial=-1) + 1))
     t, o = np.arange(L + 1), np.zeros(L + 1, dtype=np.int64)
     p, x, y = np.arange(P)[:, None], np.r_[t, t, o, o + L], np.r_[o, o + L, t, t]
     table[_code(p, x, y, L)] = _lattice_codes(surface, p, x, y, L)
@@ -694,20 +710,35 @@ def _grid_cells(surface, k, keep, frame):
     n, turn = len(p), _TURN[(i + j) % 2]
     base = _code(p, 2 * i, 2 * j, L)[:, None]
     corner_codes = table[base + _code(0, 2 * _CORNER_X, 2 * _CORNER_Y, L)[turn]]
-    mid_codes = table[base + _code(0, np.array([1, 2, 1, 0]), np.array([0, 1, 2, 1]), L)[turn]]
+    dart_keys = table[base + _code(0, np.array([1, 2, 1, 0]), np.array([0, 1, 2, 1]), L)[turn]]
     ex, ey = frame
     z = np.array([complex(*poly[0]) for poly in surface.polygons])[p] + i * s * ex + j * s * ey
     # offsets last: square-tiled charts round exactly as x + s, y + s
     pos = z[:, None] + (s * np.array([0, ex, ex + ey, ey]))[turn]
-    # the codes by first position in the corners ccw from (i, j), and each one's place
-    table[:] = 4 * n
-    np.minimum.at(table, corner_codes.ravel(), (4 * np.arange(n)[:, None] + turn).ravel())
-    codes = np.flatnonzero(table < 4 * n)
-    by_position = np.full(4 * n, -1)
+    # every code's first position, then the codes in that order and each one's place
+    m = len(order)
+    table[:] = m + 4 * n
+    np.minimum.at(table, order, np.arange(m))
+    np.minimum.at(table, corner_codes.ravel(), (m + 4 * np.arange(n)[:, None] + turn).ravel())
+    codes = np.flatnonzero(table < m + 4 * n)
+    by_position = np.full(m + 4 * n, -1)
     by_position[table[codes]] = codes
     codes = by_position[by_position >= 0]
     table[codes] = np.arange(len(codes))
-    return codes, table[corner_codes], mid_codes, pos
+    quads = table[corner_codes]
+    colors = np.zeros(len(codes), dtype=np.int8)
+    colors[quads[:, 1::2]] = WHITE
+    if patches:
+        colors[table[order]] = patch[1]
+        turn = _TURN[colors[table[patch[2][:, 0]]]]
+        quads, pos, dart_keys = (np.concatenate([np.take_along_axis(a, turn, axis=1), b]) for a, b
+                                 in zip((table[patch[2]], *patch[3:]), (quads, pos, dart_keys)))
+    # free the lattice tables: the QuadGraph checks set the mesh stage's peak memory
+    del table, by_position, corner_codes, base, turn, z, p, i, j
+    meta = {"kind": "square_tiled", "k": k, "adapted": bool(patches), "vertex_codes": codes,
+            "loops": _reference_loops(surface, k, codes), "surface": surface}
+    return QuadGraph(colors, quads, pos, cones=_attach_cones(surface, k, codes), meta=meta,
+                     dart_keys=dart_keys)
 
 
 def _groups(codes):
@@ -719,18 +750,6 @@ def _groups(codes):
     first = np.zeros(len(codes), dtype=bool)
     first[perm[start]] = True
     return perm, start, np.cumsum(first)[perm[start]] - 1
-
-
-def _first_appearance(codes):
-    """Distinct codes in order of first appearance, and the index of each
-    entry's code in that order."""
-    codes = np.asarray(codes)
-    perm, start, rank = _groups(codes.ravel())
-    distinct = np.empty(len(start), dtype=codes.dtype)
-    distinct[rank] = codes.ravel()[perm[start]]
-    index = np.empty(codes.size, dtype=np.int64)
-    index[perm] = np.repeat(rank, np.diff(start, append=codes.size))
-    return distinct, index.reshape(codes.shape)
 
 
 def _positions(distinct, codes):
@@ -749,6 +768,8 @@ def _positions(distinct, codes):
 def lattice_vertex_ids(coarse, fine):
     """Ids on the uniform mesh fine of the vertices of the uniform mesh
     coarse of the same surface, at cell sizes 1/(m k) and 1/k."""
+    if any(g.meta.get("adapted") or "vertex_codes" not in g.meta for g in (coarse, fine)):
+        raise SurfaceError("lattice vertex ids need uniform lattice meshes (build_quad_graph)")
     k, kf = coarse.meta["k"], fine.meta["k"]
     if kf % k:
         raise SurfaceError(f"cell count {kf} is not a multiple of {k}")
@@ -761,11 +782,10 @@ def lattice_vertex_ids(coarse, fine):
 def _attach_cones(surface, k, vertex_codes):
     """Cone points of a lattice mesh whose vertex v has the code
     vertex_codes[v] (its 2k-lattice code where it has one)."""
-    L = 2 * k
     cones = []
     for cid in surface.cone_classes:
         p, c = surface.vertex_links[cid][0]
-        corner = _lattice_codes(surface, p, L * _CORNER_X[c], L * _CORNER_Y[c], L)
+        corner = _corner_codes(surface, p, c, 0, 0, 2 * k)
         cones.append(ConePoint(vertex=int(_positions(vertex_codes, corner)),
                                angle=surface.vertex_angles[cid],
                                radius=surface.cone_radius(cid)))

@@ -365,6 +365,16 @@ def test_invalid_input_exits_2_with_one_line(torus_doc, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["mesh", "converge"])
+@pytest.mark.parametrize("cell", ["0", "nan", "inf", "-0.25", "0.3"])
+def test_adapted_bad_cell_size_exits_2_with_one_line(lshape_doc, tmp_path, capsys,
+                                                     command, cell):
+    rc = main(["--out", str(tmp_path), command, lshape_doc, "--adapted", "--cell", cell])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"quadperiod: error: cell size {float(cell)} is not 1/k for an even k >= 2\n"
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("harmonic", "--periods", "1,x"),
     ("integrate", "--a-periods", "1"),

@@ -1,6 +1,7 @@
 """The lattice mesher against its earlier, slower formulation.
 
-`build_quad_graph` reads the codes of the lattice once and lists the
+The lattice-mesh assembly behind `build_quad_graph` and
+`generate_adapted` reads the codes of the lattice once and lists the
 vertices by their first corner; the reference below computes the codes
 of every quad corner and edge midpoint with `_lattice_codes`, numbers the
 vertices by a `np.unique` pass over the corner table and then turns the
@@ -8,9 +9,11 @@ rows that start at a white vertex.  Both must give the same arrays, bit
 for bit, on random origamis, skew tori and (for the cell masks the
 adapted meshes use) random subsets of the cells.
 
-The grouping helper behind the vertex and edge numbering is checked
-against `np.unique` on wide-range int64 keys.
+The grouping helper behind the edge numbering is checked against
+`np.unique` on wide-range int64 keys.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies
@@ -120,20 +123,21 @@ def test_mesher_matches_reference(surface, k):
        seed=strategies.integers(0, 2**32 - 1))
 def test_grid_cells_match_reference_on_cell_subsets(surface, k, seed):
     """Any subset of the cells, as the adapted meshes keep: the same
-    vertex codes in the same order, and per cell the same corners, edge
-    midpoints and charts from its first black corner."""
+    vertex codes in the same order, and per cell the same colors,
+    corners, edge midpoints and charts from its first black corner.  A
+    subset need not close up into a surface, so the arrays are taken
+    where the assembly hands them to QuadGraph, with the reference loops
+    and the cones, which may lie outside the subset, left out."""
     keep = np.random.default_rng(seed).random((len(surface.polygons), k, k)) < 0.7
-    frame = S._square_tiled_data(surface)
-    codes, quads, mids, pos = S._grid_cells(surface, k, keep, frame)
-    (p, i, j), corner_codes, ref_mids, ref_pos = reference_grid_cells(surface, k, keep, frame)
-    ref_codes, ref_quads = reference_first_appearance(corner_codes)
-    # the first corner of a cell is black when i + j is even
-    turn = ((i + j) % 2).ravel()
-    ref_quads, ref_mids, ref_pos = reference_rotate_to_black(turn, ref_quads, ref_mids, ref_pos)
-    assert np.array_equal(codes, ref_codes)
-    assert np.array_equal(quads, ref_quads)
-    assert np.array_equal(mids, ref_mids)
-    assert np.array_equal(pos, ref_pos)
+
+    def arrays(colors, quads, corners, cones, meta, dart_keys):
+        return colors, quads, corners, dart_keys, meta["vertex_codes"]
+
+    with mock.patch.multiple(S, QuadGraph=arrays, _reference_loops=mock.DEFAULT,
+                             _attach_cones=mock.DEFAULT):
+        mesh = S._lattice_mesh(surface, k, keep, S._square_tiled_data(surface))
+    for got, want in zip(mesh, reference_mesh(surface, k, keep), strict=True):
+        assert np.array_equal(got, want)
 
 
 def _check_groups(codes):
@@ -145,10 +149,6 @@ def _check_groups(codes):
     assert np.array_equal(perm, np.argsort(codes, kind="stable"))
     assert np.array_equal(start, np.cumsum(counts) - counts)
     assert np.array_equal(np.argsort(rank), np.argsort(first))
-    distinct, index = S._first_appearance(codes)
-    ref_distinct, ref_index = reference_first_appearance(codes)
-    assert np.array_equal(distinct, ref_distinct)
-    assert np.array_equal(index, ref_index)
 
 
 int64s = strategies.integers(-2**63, 2**63 - 1)

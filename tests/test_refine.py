@@ -1,19 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from quadperiod.surface import (
+    SurfaceError,
     generate_torus,
     l_shape_surface,
     build_quad_graph,
     mesh_stats,
+    spanning_tree,
     validate_h_adapted,
     develop_cone_disk,
 )
+from quadperiod import refine
 from quadperiod.refine import (
     RefineError,
-    _bipartite_colors,
     generate_adapted,
     subdivide,
     sweep,
@@ -158,6 +161,17 @@ def test_adapted_requires_power_of_two(lshape):
         generate_adapted(lshape, 1.0 / 12)
 
 
+@pytest.mark.parametrize("h, error", [
+    (0, SurfaceError), (math.nan, SurfaceError), (math.inf, SurfaceError),
+    (-0.25, SurfaceError), (0.3, SurfaceError), (0.5, RefineError),
+])
+def test_adapted_bad_cell_size_is_a_typed_error_naming_it(lshape, h, error):
+    """The cell-size check of build_quad_graph, then the power-of-two
+    rule; each message names the cell size as given."""
+    with pytest.raises(error, match=f"^cell size {re.escape(str(h))} is not 1/k for an? "):
+        generate_adapted(lshape, h)
+
+
 def test_sweep_uniform(lshape):
     levels = sweep(lshape, 3, adapted=False, base_cell=0.5)
     hs = [l.stats.h for l in levels]
@@ -223,11 +237,44 @@ def test_cone_fan_must_close_up(four_square_origami):
         validate_h_adapted(g, 1 / 8)
 
 
-def test_bipartite_colors_rejects_odd_cycle():
-    """Quads (0,1,2,3) and (0,2,4,5) close the triangle 0-1-2."""
-    assert list(_bipartite_colors(6, [(0, 1, 2, 3)])[:4]) == [0, 1, 0, 1]
-    with pytest.raises(RefineError, match="not bipartite"):
-        _bipartite_colors(6, [(0, 1, 2, 3), (0, 2, 4, 5)])
+def _bfs_colors(n, quads):
+    """Reference two-coloring by breadth-first depth parity from vertex 0,
+    the first cone; the vertex graph must have no odd cycle."""
+    a, b = np.ravel(quads), np.roll(quads, -1, axis=1).ravel()
+    colors = spanning_tree(n, a, b).depth % 2
+    odd = np.flatnonzero(colors[a] == colors[b])
+    assert not len(odd), f"odd cycle through vertices {a[odd[0]]} and {b[odd[0]]}"
+    return colors
+
+
+ADAPTED_SURFACES = {"lshape": l_shape_surface, "two-cones": lambda: _two_cone_origami()}
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", sorted(ADAPTED_SURFACES))
+def test_adapted_colors_match_bfs_parity(name, k):
+    """The colors the lattice and the cone patches give their vertices
+    are the breadth-first depth parities from the first cone."""
+    g = generate_adapted(ADAPTED_SURFACES[name](), 1 / k)
+    assert g.cones[0].vertex == 0
+    assert np.array_equal(g.color, _bfs_colors(g.n_vertices, g.quads))
+
+
+def test_patch_vertex_with_wrong_color_is_rejected(lshape, monkeypatch):
+    """One vertex of the first ring inside the patch boundary, given the
+    wrong color by its patch, breaks the alternation QuadGraph.validate
+    checks around every quad."""
+    cone_patch = refine._cone_patch
+
+    def miscolored(*args):
+        (order, colors, *rest), end = cone_patch(*args)
+        inner = order == order[np.argmax(order >= args[-1])]   # args[-1]: first patch code
+        colors[inner] ^= 1
+        return [order, colors, *rest], end
+
+    monkeypatch.setattr(refine, "_cone_patch", miscolored)
+    with pytest.raises(SurfaceError, match="does not alternate"):
+        generate_adapted(lshape, 1 / 8)
 
 
 def _dfs_development(graph, cone):

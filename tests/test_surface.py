@@ -305,6 +305,18 @@ def test_lattice_vertex_ids_need_a_multiple_cell_count(lshape):
         lattice_vertex_ids(coarse, fine)
 
 
+def test_lattice_vertex_ids_need_uniform_meshes(lshape):
+    """Adapted meshes carry k and vertex codes, but their patch codes lie
+    above the lattice range, and subdivided meshes carry no codes."""
+    from quadperiod.refine import generate_adapted, subdivide
+    adapted = [generate_adapted(lshape, 1 / n) for n in (8, 16)]
+    uniform = [build_quad_graph(lshape, 1 / n) for n in (8, 16)]
+    for coarse, fine in (adapted, (uniform[0], adapted[1]), (adapted[0], uniform[1]),
+                         (subdivide(uniform[0]), uniform[1])):
+        with pytest.raises(SurfaceError, match="need uniform lattice meshes"):
+            lattice_vertex_ids(coarse, fine)
+
+
 def test_validate_h_adapted_torus_vacuous():
     g = generate_torus(1j, 4)
     rep = validate_h_adapted(g, 0.25)

@@ -3,8 +3,9 @@
 On the torus, integrating the canonical differential from a base edge
 recovers each vertex's chart position up to the period lattice.  On the
 genus-2 L-shape the primitive is genuinely multi-valued; evaluating it on
-quarter-square regions with chained branch constants gives values that
-stabilize under refinement.
+quarter-square regions, one tree per colour over copies of the regions
+joined at level-independent vertices, gives values that stabilize under
+refinement.
 """
 
 import numpy as np

@@ -18,6 +18,9 @@ harmonicity gate, reads their period match and complex 2g x 2g a-period
 system from one period-operator product per color and builds the 3g
 canonical forms with one dense product.  Single forms go through
 dec.measure_periods, which keeps the non-closed warning.
+
+Every Abelian integral sums diagonal steps along one tree per colour over
+copies of its regions' diagonal graphs, joined at shared vertices.
 """
 
 from __future__ import annotations
@@ -278,21 +281,26 @@ def convergence_diagnostics(pm, reference=None):
 # Abelian integrals
 # ---------------------------------------------------------------------------
 
-def _diagonal_primitive(graph, omega, color, root, mask=None):
-    """Sums of 2*s*omega along the breadth-first tree of one color's
-    diagonal graph (restricted to the quads where mask is true), s = +1
-    for a step along a diagonal's stored direction; 0 at root, nan off
-    the tree."""
-    field = omega.wb if color == BLACK else omega.ww
-    start, end = graph.diagonal_ends(color)
-    tree = spanning_tree(graph.n_vertices, start, end, mask, root)
-    child = np.flatnonzero(tree.parent_edge >= 0)
-    q = tree.parent_edge[child]
-    step = np.zeros(graph.n_vertices, dtype=complex)
-    step[child] = np.where(end[q] == child, 2.0, -2.0) * field[q]
-    vals = tree.prefix_sums(step)
-    vals[tree.depth < 0] = np.nan
-    return vals
+def _primitive(graph, omega, region, joins, roots):
+    """Sums of 2*s*omega along one breadth-first tree per colour over
+    disjoint copies of each region's diagonal graph, s = +1 for a step
+    along a diagonal's stored direction.  Node r*V + v is vertex v in
+    region r, region[q] the region of quad q; joins[c] is an (n, 2) int
+    array of colour-c node pairs that are the same vertex, joined with
+    step 0, and roots[c] gets value 0.  Returns an (R, V) array, nan off
+    each region and off the trees."""
+    V, R = graph.n_vertices, int(region.max()) + 1
+    vals = np.full(R * V, np.nan, dtype=complex)
+    for color, field, pairs, root in zip((BLACK, WHITE), (omega.wb, omega.ww), joins, roots):
+        start, end = graph.diagonal_ends(color)
+        heads, tails = np.r_[region * V + start, pairs[:, 0]], np.r_[region * V + end, pairs[:, 1]]
+        tree = spanning_tree(R * V, heads, tails, root=root)
+        child = np.flatnonzero(tree.parent_edge >= 0)
+        e = tree.parent_edge[child]
+        step = np.zeros(R * V, dtype=complex)
+        step[child] = np.where(tails[e] == child, 2.0, -2.0) * np.r_[field, np.zeros(len(pairs))][e]
+        np.copyto(vals, tree.prefix_sums(step), where=tree.depth >= 0)
+    return vals.reshape(R, V)
 
 
 def base_edge(graph):
@@ -314,10 +322,8 @@ def abelian_integral(graph, omega):
     branch of the multi-valued primitive reached through these two
     trees; any other branch differs from it by periods.
     """
-    vb, vw = base_edge(graph)
-    return np.where(graph.color == BLACK,
-                    _diagonal_primitive(graph, omega, BLACK, vb),
-                    _diagonal_primitive(graph, omega, WHITE, vw))
+    return _primitive(graph, omega, np.zeros(graph.n_quads, dtype=np.int64),
+                      np.empty((2, 0, 2), dtype=np.int64), base_edge(graph))[0]
 
 
 def abelian_integral_per_polygon(graph, omega):
@@ -329,12 +335,14 @@ def abelian_integral_per_polygon(graph, omega):
     glued (corners collapse, opposite sides may identify), so spanning
     trees on them pick up period ambiguities that vary between meshes.
     Quarter polygons stay disks under translation gluings, which pins the
-    branch; the per-region constants are chained along a breadth-first
-    tree of links through vertices at level-independent positions
-    (polygon centers and glued-edge midpoints for the black class, their
-    immediate neighbors for the white class) and anchored at the
-    polygon-0 origin corner.  Values at a surface point are then
-    comparable across refinement levels.
+    branch.  A breadth-first tree of links between regions, through
+    vertices at level-independent positions (polygon centers and
+    glued-edge midpoints for the black class, their immediate neighbors
+    for the white class), joins the copies of each region's diagonal
+    graphs into one tree per colour; black is anchored at the polygon-0
+    origin corner, white so that (0, k - 2, k) takes the black value of
+    the polygon-0 center.  Values at a surface point are then comparable
+    across refinement levels.
 
     Returns a dict: (polygon, qx, qy) -> {vertex id: value}.
     """
@@ -346,12 +354,12 @@ def abelian_integral_per_polygon(graph, omega):
         raise PeriodsError("per-region branches are defined on uniform meshes")
     if k % 4 != 0:
         raise PeriodsError("per-region branches need a cell count divisible by 4")
-    npoly = len(surface.polygons)
+    npoly, V = len(surface.polygons), graph.n_vertices
     # uniform meshes list their cells (p, i, j) in row-major order
     p, i, j = np.unravel_index(np.arange(graph.n_quads), (npoly, k, k))
     region = 4 * p + 2 * (i >= k // 2) + (j >= k // 2)
-    raw = np.array([_region_tree_values(graph, omega, region == r)
-                    for r in range(4 * npoly)])
+    inside = np.zeros((4 * npoly, V), dtype=bool)
+    inside[region[:, None], graph.quads] = True
 
     L = 2 * k
 
@@ -377,43 +385,23 @@ def abelian_integral_per_polygon(graph, omega):
         xb, xw = int(vid(p, *mids[e])), int(vid(p, *nearw[e]))
         for ra in 4 * p + np.array(touching[e]):
             for rb in 4 * q + np.array(touching[f]):
-                if not np.any(np.isnan(raw[[ra, rb]][:, [xb, xw]])):
+                if inside[[ra, rb]][:, [xb, xw]].all():
                     glued.append((ra, rb, xb, xw))
 
-    # resolve both color offsets along one spanning tree of links that
-    # carry a crossing vertex of each color: using separate trees per
-    # color would put the two classes on different branches of the
-    # multi-valued primitive
+    # each region's parent link joins its copies of both crossing
+    # vertices to the parent's: separate trees of links per colour would
+    # put the two classes on different branches of the primitive
     ra, rb, xb, xw = np.concatenate([seams, np.reshape(glued, (-1, 4)).T], axis=1)
-    tree = spanning_tree(len(raw), ra, rb)
-    if np.any(tree.depth < 0):
-        raise PeriodsError("quarter-polygon regions could not be chained")
+    tree = spanning_tree(4 * npoly, ra, rb)
     child = np.flatnonzero(tree.parent_edge >= 0)
-    x = np.stack([xb, xw], axis=1)[tree.parent_edge[child]]
-    step = np.zeros((len(raw), 2), dtype=complex)
-    step[child] = raw[tree.parent[child, None], x] - raw[child[:, None], x]
-    offb = -raw[0, vid(0, 0, 0)]
-    offw = raw[0, c[0]] + offb - raw[0, vid(0, k - 2, k)]
-    total = raw + (tree.prefix_sums(step) + [offb, offw])[:, graph.color]
+    e, parent = tree.parent_edge[child], tree.parent[child]
+    joins = [np.stack([parent * V + x[e], child * V + x[e]], axis=1) for x in (xb, xw)]
+    vals = _primitive(graph, omega, region, joins, (int(vid(0, 0, 0)), int(vid(0, k - 2, k))))
+    vals[:, graph.color == WHITE] += vals[0, c[0]]
+    if np.any(np.isnan(vals[inside])):
+        raise PeriodsError("quarter-polygon regions could not be chained")
     out = {}
-    for r, row in enumerate(total):
-        ids = np.flatnonzero(~np.isnan(raw[r]))
-        out[r // 4, r % 4 // 2, r % 2] = dict(zip(ids.tolist(), row[ids].tolist()))
+    for r, ids in enumerate(inside):
+        ids = np.flatnonzero(ids)
+        out[r // 4, r % 4 // 2, r % 2] = dict(zip(ids.tolist(), vals[r, ids].tolist()))
     return out
-
-
-def _region_tree_values(graph, omega, inside):
-    """Primitive on the vertices of the quads where inside is true, one
-    tree per color, roots at the smallest vertex of each color (value
-    0); nan at every other vertex."""
-    vals = np.full(graph.n_vertices, np.nan, dtype=complex)
-    for color in (BLACK, WHITE):
-        start, end = graph.diagonal_ends(color)
-        nodes = np.union1d(start[inside], end[inside])
-        if len(nodes) == 0:
-            continue
-        prim = _diagonal_primitive(graph, omega, color, nodes[0], inside)[nodes]
-        if np.any(np.isnan(prim)):
-            raise PeriodsError("diagonal graph disconnected inside a region")
-        vals[nodes] = prim
-    return vals

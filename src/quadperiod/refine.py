@@ -191,7 +191,7 @@ def generate_adapted(surface, h, phi_floor=math.pi / 12):
     frame = _square_tiled_data(surface)
     if not np.isclose(frame[1], 1j * frame[0]):
         raise RefineError("cone patches need square polygons (ey = i ex)")
-    k = _cell_count(h)
+    k = _cell_count(surface, h)
     if k < 4 or k & (k - 1):
         raise RefineError(f"cell size {h} is not 1/k for a power of two k >= 4")
     patches = []

@@ -614,14 +614,19 @@ def build_quad_graph(surface, cell_size):
     that the checkerboard coloring closes up across translation gluings.
     Quad (p * k + i) * k + j is cell (i, j) of polygon p, i along ex."""
     frame = _square_tiled_data(surface)
-    k = _cell_count(cell_size)
+    k = _cell_count(surface, cell_size)
     return _lattice_mesh(surface, k, np.ones((len(surface.polygons), k, k), dtype=bool), frame)
 
 
-def _cell_count(cell_size):
-    """The even cell count k >= 2 of a cell size 1 / k."""
-    k = int(round(1.0 / cell_size)) if 0 < cell_size <= 0.5 else 0   # 0 for nan too
-    if k == 0 or abs(k - 1.0 / cell_size) > 1e-9 or k % 2 != 0:
+def _cell_count(surface, cell_size):
+    """The even cell count k >= 2 of a cell size 1 / k, checked before any
+    array is allocated: the P (2k + 1)^2 codes of the 2k lattice must fit
+    int64."""
+    inv = 1.0 / cell_size if 0 < cell_size <= 0.5 else 0.0   # 0 for nan too
+    k = int(round(inv)) if math.isfinite(inv) else -1
+    if k < 0 or len(surface.polygons) * (2 * k + 1) ** 2 > np.iinfo(np.int64).max:
+        raise SurfaceError(f"cell size {cell_size} is too small: its lattice codes overflow int64")
+    if k == 0 or abs(k - inv) > 1e-9 or k % 2 != 0:
         raise SurfaceError(f"cell size {cell_size} is not 1/k for an even k >= 2")
     return k
 

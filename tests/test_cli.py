@@ -375,6 +375,22 @@ def test_adapted_bad_cell_size_exits_2_with_one_line(lshape_doc, tmp_path, capsy
     assert err == f"quadperiod: error: cell size {float(cell)} is not 1/k for an even k >= 2\n"
 
 
+@pytest.mark.parametrize("command, options", [
+    ("check", ["--cell", "1e-300"]),
+    ("check", ["--cell", "1e-320"]),    # 1 / cell is inf
+    ("check", ["--cell", "1e-10"]),
+    ("mesh", ["--adapted", "--cell", repr(2.0 ** -1000)]),
+])
+def test_tiny_cell_size_exits_2_with_one_line(lshape_doc, tmp_path, capsys, command, options):
+    """Cells whose 2k lattice codes overflow int64 are refused before any
+    array is allocated."""
+    rc = main(["--out", str(tmp_path), command, lshape_doc] + options)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"quadperiod: error: cell size {float(options[-1])} is too small: "
+                   "its lattice codes overflow int64\n")
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("harmonic", "--periods", "1,x"),
     ("integrate", "--a-periods", "1"),

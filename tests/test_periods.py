@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quadperiod.surface import BLACK, WHITE, generate_torus, lattice_vertex_ids
+from quadperiod.refine import generate_adapted, subdivide
+from quadperiod.surface import BLACK, WHITE, build_quad_graph, generate_torus, lattice_vertex_ids
 from quadperiod import dec
 from quadperiod.dec import PeriodData
 from quadperiod.harmonic import assemble, solve
@@ -302,6 +303,24 @@ def test_abelian_per_polygon_levels_agree(lshape, rng):
     # coarse pair of meshes: sanity scale only; the acceptance suite
     # checks that this difference decreases over four level pairs
     assert worst < 0.4
+
+
+def _raw_graph(lshape):
+    from quadperiod.formats import graph_from_doc, graph_to_doc
+    return graph_from_doc(graph_to_doc(build_quad_graph(lshape, 1 / 8)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (_raw_graph, "does not carry polygon provenance"),
+    (lambda s: subdivide(build_quad_graph(s, 1 / 4)), "does not carry polygon provenance"),
+    (lambda s: generate_adapted(s, 1 / 8), "defined on uniform meshes"),
+    (lambda s: build_quad_graph(s, 1 / 2), "cell count divisible by 4"),
+    (lambda s: build_quad_graph(s, 1 / 6), "cell count divisible by 4"),
+], ids=["raw-document", "subdivided", "adapted", "k-2", "k-6"])
+def test_abelian_per_polygon_refuses_meshes_without_quarter_regions(lshape, make, message):
+    graph = make(lshape)
+    with pytest.raises(PeriodsError, match=message):
+        abelian_integral_per_polygon(graph, dec.chart_dz(graph))
 
 
 def test_imaginary_periods_come_from_star(torus_pack):

@@ -7,18 +7,22 @@ D holding the two diagonal vectors; the assembled matrix is positive
 semidefinite with the black-constant and white-constant functions as its
 kernel, removed by pinning one vertex of each color.
 
-The pinned matrix is symmetric positive definite, so SuperLU factors it
-in symmetric mode: a minimum-degree ordering of A + A^T and diagonal
-pivots, with the structural zeros of orthodiagonal quads (w12 = 0)
-dropped at assembly.  Its connected components are labelled once, at
-assembly, and each is factored on its own, only when a load reaches it:
-on an orthodiagonal mesh the black and white vertices are two
-components, and black period jumps load only the black one.  Matrix and
-load vector are products with the diagonal difference operators, so m
-period vectors make one (n, m) block, solved in one pass and refined, at
-most REFINE_STEPS times, in only the columns above REFINE_TARGET
-(relative residual); a residual above tol is rejected.  solve_elementary
-returns real (F, 2g) stacks for the 2g black unit period vectors.
+The pinned matrix A is symmetric positive definite; SuperLU factors it
+in symmetric mode (minimum-degree ordering of A + A^T, diagonal pivots)
+with the structural zeros of orthodiagonal quads (w12 = 0) dropped.  w12
+couples only black to white, and |w12| <= c sqrt(w11 w22) for c the
+|cos| of the diagonals' angle, so (1 - c) P <= A <= (1 + c) P for P the
+two color blocks of A.  When c <= 1/2 on every quad (|arg
+diagonal_ratio| <= SPLIT_ANGLE) the free black and white vertices are
+two parts, each factored on its own when a load first reaches it; else
+all free vertices are one part and P = A.  Matrix and load vector are
+products with the diagonal difference operators, so m period vectors
+make one (n, m) block, solved as x = P^{-1} b; only the columns above
+REFINE_TARGET (relative residual) then run CG on A preconditioned by P,
+with condition number <= (1 + c)/(1 - c) <= 3: skew tori take 2 steps,
+the sheared origami 10-11, and P = A (w12 = 0, or one part) none.  A
+residual above tol is rejected.  solve_elementary returns real (F, 2g)
+stacks for the 2g black unit period vectors.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .surface import BLACK, WHITE
 from . import dec
@@ -44,7 +47,7 @@ class EnergySystem:
     w12: np.ndarray = field(repr=False)
     w22: np.ndarray = field(repr=False)
     pinned: tuple = (0, 0)
-    parts: list = field(default=None, repr=False)  # free vertex ids per component
+    parts: list = field(default=None, repr=False)  # free vertex ids per factored part
     _factor: object = field(default=None, repr=False)  # per part; None until the first
 
     def quadratic_form(self, f, jumps=None):
@@ -66,8 +69,8 @@ class EnergySystem:
         return np.negative(L, out=L)
 
     def factorized(self, part):
-        """SuperLU factor of one component of the pinned matrix, factored
-        on first use, and the component's vertex ids."""
+        """SuperLU factor of one part's block of the pinned matrix,
+        factored on first use, and the part's vertex ids."""
         rows = self.parts[part]
         factors = self._factor or [None] * len(self.parts)
         if factors[part] is None:
@@ -79,6 +82,9 @@ class EnergySystem:
                 raise HarmonicError(f"energy matrix is numerically singular ({exc})") from None
         self._factor = factors
         return factors[part], rows
+
+
+SPLIT_ANGLE = np.pi / 6  # |arg diagonal_ratio| bound of the color split: |cos| <= 1/2
 
 
 def assemble(graph, basis, pinned=None):
@@ -96,14 +102,12 @@ def assemble(graph, basis, pinned=None):
     A.eliminate_zeros()
     if pinned is None:  # the first vertex of each color
         pinned = tuple(int(np.argmax(graph.color == c)) for c in (BLACK, WHITE))
-    # The components of the whole matrix, less the pinned vertices, are
-    # those of the pinned matrix: removing a vertex never splits a mesh's
-    # diagonal graph, as the faces around it link its neighbours (a part
-    # holding two blocks would still factor correctly).  "strong" on the
-    # symmetric pattern labels as "weak" does, without a transposed copy.
-    n, labels = csgraph.connected_components(A, directed=True, connection="strong")
-    labels[list(pinned)] = -1
-    parts = [np.flatnonzero(labels == c) for c in range(n)]
+    free = np.ones(graph.n_vertices, dtype=bool)
+    free[list(pinned)] = False
+    if np.all(np.abs(np.angle(graph.diagonal_ratio)) <= SPLIT_ANGLE):
+        parts = [np.flatnonzero(free & (graph.color == c)) for c in (BLACK, WHITE)]
+    else:
+        parts = [np.flatnonzero(free)]
     return EnergySystem(graph=graph, basis=basis, matrix=A, w11=w11, w12=w12, w22=w22,
                         pinned=pinned, parts=parts)
 
@@ -125,14 +129,14 @@ class HarmonicSolution:
     period_error: float
 
 
-REFINE_STEPS = 2      # cap on iterative refinement steps per column
-REFINE_TARGET = 1e-14  # relative residual below which refinement stops
+REFINE_STEPS = 30     # cap on CG steps per column: 2 (2 - sqrt 3)^k < 1e-16 by k = 29
+REFINE_TARGET = 1e-14  # relative residual below which CG stops
 
 
 def _solve_parts(system, b):
-    """Pinned-matrix solution of the (V, m) block b, zero at the pinned
-    vertices: one block solve per component that b is nonzero on; the
-    others keep potential 0 and are never factored."""
+    """P^{-1} b for the (V, m) block b, zero at the pinned vertices: one
+    block solve per part that b is nonzero on; the others keep potential
+    0 and are never factored."""
     # np.zeros leaves the pages unmapped until written, so x adds nothing
     # to the peak memory of the factor below
     x = np.zeros(b.shape)
@@ -146,23 +150,31 @@ def _solve_parts(system, b):
 def _potentials(system, jumps, tol):
     """Vertex potentials for the jumps' period vectors from one block
     solve, and their relative residuals.  Only the columns above
-    REFINE_TARGET are refined; any residual above tol raises."""
-    pinned = list(system.pinned)
+    REFINE_TARGET run preconditioned CG; a breakdown (r^T z = 0 or
+    p^T A p <= 0) ends a column, and any residual above tol raises."""
+    A, pinned = system.matrix, list(system.pinned)
     rhs = system.rhs(jumps)
     b = rhs.reshape(len(rhs), -1)
     b[pinned] = 0.0  # the pinned vertices carry no equation
     x = _solve_parts(system, b)
     scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
     residual, cols = np.empty(b.shape[1]), np.arange(b.shape[1])
+    p, rz = np.zeros(b.shape), np.ones(b.shape[1])
     for step in range(REFINE_STEPS + 1):
-        r = b[:, cols] - system.matrix @ x[:, cols]
+        r = b[:, cols] - A @ x[:, cols]
         r[pinned] = 0.0
         residual[cols] = np.linalg.norm(r, axis=0) / scale[cols]
         above = residual[cols] > REFINE_TARGET
         if step == REFINE_STEPS or not above.any():
             break
-        cols = cols[above]
-        x[:, cols] += _solve_parts(system, r[:, above])
+        cols, r, p, rz_old = cols[above], r[:, above], p[:, above], rz[above]
+        z = _solve_parts(system, r)
+        rz = np.einsum("ij,ij->j", r, z)
+        p = z + rz / rz_old * p
+        pq = np.einsum("ij,ij->j", p, A @ p)
+        ok = (rz != 0) & (pq > 0)
+        cols, p, rz = cols[ok], p[:, ok], rz[ok]
+        x[:, cols] += rz / pq[ok] * p
     if np.any(residual > tol):
         raise HarmonicError(f"relative residual {residual.max():.3e} above {tol:.1e}")
     return x.reshape(rhs.shape), residual

@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from quadperiod.surface import BLACK, WHITE, generate_torus
+from quadperiod.refine import generate_adapted
+from quadperiod.surface import BLACK, WHITE, build_quad_graph, generate_torus
 from quadperiod import dec, harmonic
 from quadperiod.dec import PeriodData
 from quadperiod.harmonic import (REFINE_STEPS, REFINE_TARGET, HarmonicError, assemble,
                                  solve, solve_elementary, verify_minimality)
 from quadperiod.homology import homology_basis
-from quadperiod.periods import canonical_differentials
+from quadperiod.periods import canonical_differentials, period_matrices
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +172,45 @@ class _ScaledFactor:
         return x
 
 
-def _with_factor(system, gain, bad, column=None):
-    """A copy of system whose every component factor is a _ScaledFactor;
-    returns the copy and the stand-ins, black component first."""
-    scaled = [_ScaledFactor(system.factorized(c)[0], gain, bad, column)
+class _LoadFactor(_ScaledFactor):
+    """Stand-in that returns its load unchanged, which makes the
+    refinement plain unpreconditioned CG: its step count grows with the
+    mesh, and at cell 1/16 the cap leaves a residual far above tol."""
+
+    def solve(self, b):
+        super().solve(b)
+        return b.copy()
+
+
+class _ZeroAfterFirstFactor(_ScaledFactor):
+    """Stand-in whose first solve is the factor's and every later one is
+    zero, so the first CG step meets r^T z = 0."""
+
+    def solve(self, b):
+        x = super().solve(b)
+        return x if self.calls == 1 else np.zeros_like(x)
+
+
+def _with_factor(system, gain, bad, column=None, stand_in=_ScaledFactor):
+    """A copy of system whose every part's factor is a stand_in; returns
+    the copy and the stand-ins, black part first."""
+    scaled = [stand_in(system.factorized(c)[0], gain, bad, column)
               for c in range(len(system.parts))]
     colors = [system.graph.color[rows[0]] for rows in system.parts]
     return (dataclasses.replace(system, _factor=scaled),
             [f for _, f in sorted(zip(colors, scaled), key=lambda cf: cf[0])])
+
+
+@pytest.fixture(scope="module")
+def lshape_sys_16(lshape):
+    graph = build_quad_graph(lshape, 1 / 16)
+    return assemble(graph, homology_basis(graph))
+
+
+@pytest.fixture(scope="module")
+def sheared_sys_16(sheared_origami):
+    graph = build_quad_graph(sheared_origami, 1 / 16)
+    return assemble(graph, homology_basis(graph))
 
 
 _PERIODS = PeriodData(a_black=[1.0, 0.0], b_black=[0.0, -2.0],
@@ -201,10 +233,10 @@ def test_perturbed_first_pass_is_refined(lshape_sys):
     assert (sol.differential - ref).norm() < 1e-12 * ref.norm()
 
 
-def test_factor_short_of_tol_raises(lshape_sys):
-    """Each pass halves the error: three passes leave a relative residual
-    of 1/8, far above tol."""
-    system, factors = _with_factor(lshape_sys, 0.5, np.inf)
+def test_factor_short_of_tol_raises(lshape_sys_16):
+    """A factor that returns its load leaves CG unpreconditioned: after
+    the capped steps the relative residual is still far above tol."""
+    system, factors = _with_factor(lshape_sys_16, 1.0, 0, stand_in=_LoadFactor)
     with pytest.raises(HarmonicError, match="relative residual"):
         solve(system, _PERIODS)
     assert [f.calls for f in factors] == [1 + REFINE_STEPS] * 2
@@ -237,11 +269,32 @@ def test_perturbed_column_alone_is_refined(lshape_sys):
             assert np.array_equal(got.wb, want.wb) and np.array_equal(got.ww, want.ww)
 
 
-def test_elementary_factor_short_of_tol_raises(lshape_sys):
-    system, (black, white) = _with_factor(lshape_sys, 0.5, np.inf)
+def test_elementary_factor_short_of_tol_raises(lshape_sys_16):
+    system, (black, white) = _with_factor(lshape_sys_16, 1.0, 0, stand_in=_LoadFactor)
     with pytest.raises(HarmonicError, match="relative residual"):
         solve_elementary(system)
     assert black.calls == 1 + REFINE_STEPS and white.calls == 0
+
+
+def test_cg_breakdown_raises_without_nan(sheared_sys_16):
+    """A factor that returns zeros after its first solve gives r^T z = 0
+    at the first CG step: the columns end there, and the residual check
+    raises on the finite first-pass residual, with no warning (warnings
+    are errors in this suite) and no NaN."""
+    system, factors = _with_factor(sheared_sys_16, 1.0, 0, stand_in=_ZeroAfterFirstFactor)
+    with pytest.raises(HarmonicError, match=r"relative residual \d"):
+        solve_elementary(system)
+    assert [f.calls for f in factors] == [2, 2]
+
+
+def test_colour_split_cg_steps_stay_under_the_cap(sheared_sys_16):
+    """On the sheared origami (|cos| = 0.147 between the diagonals) both
+    colour factors are loaded by the black periods, and CG preconditioned
+    by them reaches REFINE_TARGET in about a dozen applications each."""
+    system, factors = _with_factor(sheared_sys_16, 1.0, 0)
+    _, residual = harmonic._potentials(system, PeriodData.from_flat(np.eye(8, 4)), 1e-10)
+    assert all(2 <= f.calls < 1 + REFINE_STEPS for f in factors), [f.calls for f in factors]
+    assert np.all(residual <= REFINE_TARGET)
 
 
 def test_two_column_solve_matches_single_solves(lshape_sys):
@@ -293,8 +346,48 @@ def test_lshape_black_periods_factor_one_component(lshape_mesh_8):
 
 
 @pytest.mark.parametrize("mesh", ["torus_skew_4", "sheared_origami_8"])
-def test_non_orthodiagonal_meshes_have_one_component(mesh, request):
+def test_diagonals_at_60_degrees_or_more_split_by_colour(mesh, request):
+    """|arg diagonal_ratio| <= pi/6 on every quad: the free black and the
+    free white vertices are the two parts, though w12 != 0."""
     graph = request.getfixturevalue(mesh)
+    system = assemble(graph, homology_basis(graph))
+    assert np.all(system.w12 != 0)
+    free = np.setdiff1d(np.arange(graph.n_vertices), system.pinned)
+    assert [set(graph.color[rows]) for rows in system.parts] == [{BLACK}, {WHITE}]
+    assert np.array_equal(np.sort(np.concatenate(system.parts)), free)
+
+
+def test_adapted_mesh_is_one_part(lshape):
+    """The adapted L-shape's diagonals meet at up to |cos| = 0.84, so all
+    its free vertices are one part, and P = A."""
+    graph = generate_adapted(lshape, 1 / 8)
+    assert np.max(np.abs(np.angle(graph.diagonal_ratio))) > np.pi / 6
     system = assemble(graph, homology_basis(graph))
     free = np.setdiff1d(np.arange(graph.n_vertices), system.pinned)
     assert len(system.parts) == 1 and np.array_equal(system.parts[0], free)
+
+
+def _periods(graph, system):
+    pm = period_matrices(graph, system.basis,
+                         canonical_differentials(graph, system.basis, system))
+    return [pm.pi, pm.block_bw, pm.block_bb, pm.block_ww, pm.block_wb]
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: build_quad_graph(s, 1 / 16),
+    lambda s: generate_torus(0.4 + 0.6j, 32),   # max |cos| 0.371
+], ids=["sheared_origami_16", "torus_skew_32"])
+def test_colour_split_matches_one_part_factor(make, sheared_origami, monkeypatch):
+    """pi and the four blocks from the two colour factors and CG equal
+    those of the one-part factor, forced by an angle bound below 0, to
+    1e-12 of the level scale."""
+    graph = make(sheared_origami)
+    basis = homology_basis(graph)
+    split = assemble(graph, basis)
+    monkeypatch.setattr(harmonic, "SPLIT_ANGLE", -1.0)
+    whole = assemble(graph, basis)
+    assert (len(split.parts), len(whole.parts)) == (2, 1)
+    got, want = _periods(graph, split), _periods(graph, whole)
+    scale = max(np.max(np.abs(m)) for m in want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale

@@ -19,10 +19,15 @@ all free vertices are one part and P = A.  Matrix and load vector are
 products with the diagonal difference operators, so m period vectors
 make one (n, m) block, solved as x = P^{-1} b; only the columns above
 REFINE_TARGET (relative residual) then run CG on A preconditioned by P,
-with condition number <= (1 + c)/(1 - c) <= 3: skew tori take 2 steps,
-the sheared origami 10-11, and P = A (w12 = 0, or one part) none.  A
-residual above tol is rejected.  solve_elementary returns real (F, 2g)
-stacks for the 2g black unit period vectors.
+with condition number <= (1 + c)/(1 - c) <= 3 and step p^T r / p^T A p,
+which holds the residual at its roundoff floor.  Where P = A (w12 = 0,
+or one part) the factors are float64 and no step runs.  Where P != A
+they only precondition, so they are float32 while the residual, CG and
+the tol check stay float64: skew tori take 6-10 steps, the sheared
+origami 10-11.  If CG reaches its cap or breaks down there, the parts
+are refactored once in float64 and the solve runs again.  A residual
+above tol is rejected.  solve_elementary returns real (F, 2g) stacks
+for the 2g black unit period vectors.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class EnergySystem:
     w12: np.ndarray = field(repr=False)
     w22: np.ndarray = field(repr=False)
     pinned: tuple = (0, 0)
+    dtype: type = np.float64  # of the factors; float32 where they only precondition CG
     parts: list = field(default=None, repr=False)  # free vertex ids per factored part
     _factor: object = field(default=None, repr=False)  # per part; None until the first
 
@@ -69,12 +75,12 @@ class EnergySystem:
         return np.negative(L, out=L)
 
     def factorized(self, part):
-        """SuperLU factor of one part's block of the pinned matrix,
-        factored on first use, and the part's vertex ids."""
+        """SuperLU factor of one part's block of the pinned matrix in
+        self.dtype, factored on first use, and the part's vertex ids."""
         rows = self.parts[part]
         factors = self._factor or [None] * len(self.parts)
         if factors[part] is None:
-            A = self.matrix[rows][:, rows].tocsc()
+            A = self.matrix[rows][:, rows].tocsc().astype(self.dtype, copy=False)
             try:
                 factors[part] = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
@@ -108,8 +114,10 @@ def assemble(graph, basis, pinned=None):
         parts = [np.flatnonzero(free & (graph.color == c)) for c in (BLACK, WHITE)]
     else:
         parts = [np.flatnonzero(free)]
+    # where P != A the factors only precondition CG, and float32 serves
+    dtype = np.float32 if len(parts) == 2 and np.any(w12) else np.float64
     return EnergySystem(graph=graph, basis=basis, matrix=A, w11=w11, w12=w12, w22=w22,
-                        pinned=pinned, parts=parts)
+                        pinned=pinned, dtype=dtype, parts=parts)
 
 
 class HarmonicError(RuntimeError):
@@ -143,7 +151,7 @@ def _solve_parts(system, b):
     for part, rows in enumerate(system.parts):
         if b[rows].any():
             factor, _ = system.factorized(part)
-            x[rows] = factor.solve(b[rows])
+            x[rows] = factor.solve(b[rows].astype(system.dtype, copy=False))
     return x
 
 
@@ -151,7 +159,9 @@ def _potentials(system, jumps, tol):
     """Vertex potentials for the jumps' period vectors from one block
     solve, and their relative residuals.  Only the columns above
     REFINE_TARGET run preconditioned CG; a breakdown (r^T z = 0 or
-    p^T A p <= 0) ends a column, and any residual above tol raises."""
+    p^T A p <= 0) ends a column.  A column left above REFINE_TARGET by
+    float32 factors reruns the whole block on float64 ones; any residual
+    above tol raises."""
     A, pinned = system.matrix, list(system.pinned)
     rhs = system.rhs(jumps)
     b = rhs.reshape(len(rhs), -1)
@@ -174,7 +184,10 @@ def _potentials(system, jumps, tol):
         pq = np.einsum("ij,ij->j", p, A @ p)
         ok = (rz != 0) & (pq > 0)
         cols, p, rz = cols[ok], p[:, ok], rz[ok]
-        x[:, cols] += rz / pq[ok] * p
+        x[:, cols] += np.einsum("ij,ij->j", p, r[:, ok]) / pq[ok] * p
+    if system.dtype == np.float32 and np.any(residual > REFINE_TARGET):
+        system.dtype, system._factor = np.float64, None  # cap or breakdown: refactor once
+        return _potentials(system, jumps, tol)
     if np.any(residual > tol):
         raise HarmonicError(f"relative residual {residual.max():.3e} above {tol:.1e}")
     return x.reshape(rhs.shape), residual

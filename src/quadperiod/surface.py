@@ -504,10 +504,14 @@ def spanning_tree(n, heads, tails, mask=None, root=0, directed=False):
                      shape=(n, n))
     order, parent = csgraph.breadth_first_order(
         adj, root, directed=True, return_predecessors=True)
+    # the matrix and the doubled edge arrays go as soon as they are used:
+    # on a large mesh they set the peak memory of the Abelian integral
+    del adj
     parent = np.where(parent < 0, -1, parent)
     on = parent[b] == a
     parent_edge = np.full(n, len(heads))
     np.minimum.at(parent_edge, b[on], eids[on])
+    del a, b, eids, on
     parent_edge[parent_edge == len(heads)] = -1
     # breadth-first order lists each level after the one before, and the
     # positions of the parents never decrease along it: a level ends

@@ -280,8 +280,10 @@ def test_cg_breakdown_raises_without_nan(sheared_sys_16):
     """A factor that returns zeros after its first solve gives r^T z = 0
     at the first CG step: the columns end there, and the residual check
     raises on the finite first-pass residual, with no warning (warnings
-    are errors in this suite) and no NaN."""
-    system, factors = _with_factor(sheared_sys_16, 1.0, 0, stand_in=_ZeroAfterFirstFactor)
+    are errors in this suite) and no NaN.  The factors are float64, so
+    there is no precision to fall back on."""
+    float64 = dataclasses.replace(sheared_sys_16, dtype=np.float64, _factor=None)
+    system, factors = _with_factor(float64, 1.0, 0, stand_in=_ZeroAfterFirstFactor)
     with pytest.raises(HarmonicError, match=r"relative residual \d"):
         solve_elementary(system)
     assert [f.calls for f in factors] == [2, 2]
@@ -373,10 +375,13 @@ def _periods(graph, system):
     return [pm.pi, pm.block_bw, pm.block_bb, pm.block_ww, pm.block_wb]
 
 
-@pytest.mark.parametrize("make", [
+_SPLIT_MESHES = pytest.mark.parametrize("make", [
     lambda s: build_quad_graph(s, 1 / 16),
     lambda s: generate_torus(0.4 + 0.6j, 32),   # max |cos| 0.371
 ], ids=["sheared_origami_16", "torus_skew_32"])
+
+
+@_SPLIT_MESHES
 def test_colour_split_matches_one_part_factor(make, sheared_origami, monkeypatch):
     """pi and the four blocks from the two colour factors and CG equal
     those of the one-part factor, forced by an angle bound below 0, to
@@ -391,3 +396,64 @@ def test_colour_split_matches_one_part_factor(make, sheared_origami, monkeypatch
     scale = max(np.max(np.abs(m)) for m in want)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mesh, dtype", [
+    ("torus_skew_4", np.float32), ("sheared_origami_8", np.float32),
+    ("lshape_mesh_8", np.float64), ("adapted_lshape_8", np.float64),
+])
+def test_factor_precision_follows_its_role(mesh, dtype, lshape, request):
+    """The two colour factors of a mesh with w12 != 0 only precondition
+    CG and are float32; where P = A (w12 = 0, or one part) the factor
+    solves on its own and stays float64."""
+    graph = (generate_adapted(lshape, 1 / 8) if mesh == "adapted_lshape_8"
+             else request.getfixturevalue(mesh))
+    system = assemble(graph, homology_basis(graph))
+    assert system.dtype == dtype
+    solve(system, PeriodData.from_flat(np.ones(4 * system.basis.genus)))
+    assert system.dtype == dtype
+    assert [f.L.dtype for f in system._factor] == [dtype] * len(system.parts)
+
+
+@_SPLIT_MESHES
+def test_float32_factors_match_float64_factors(make, sheared_origami):
+    """pi and the four blocks from the float32 colour factors equal those
+    of a forced float64 run to 1e-12 of the level scale."""
+    graph = make(sheared_origami)
+    single = assemble(graph, homology_basis(graph))
+    double = dataclasses.replace(single, dtype=np.float64)
+    got, want = _periods(graph, single), _periods(graph, double)
+    assert (single.dtype, double.dtype) == (np.float32, np.float64)
+    scale = max(np.max(np.abs(m)) for m in want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("stand_in", [_LoadFactor, _ZeroAfterFirstFactor])
+def test_float32_factor_that_fails_cg_is_refactored_in_float64(stand_in, sheared_sys_16):
+    """A float32 factor with which CG reaches its cap (_LoadFactor) or
+    breaks down (_ZeroAfterFirstFactor) is replaced once by a float64
+    factor, and the same solve then succeeds."""
+    jumps = PeriodData.from_flat(np.eye(8, 4))
+    system, factors = _with_factor(sheared_sys_16, 1.0, 0, stand_in=stand_in)
+    assert system.dtype == np.float32
+    x, residual = harmonic._potentials(system, jumps, 1e-10)
+    assert all(f.calls >= 2 for f in factors)
+    assert system.dtype == np.float64
+    assert [f.L.dtype for f in system._factor] == [np.float64] * 2
+    assert np.all(residual <= REFINE_TARGET)
+    want, _ = harmonic._potentials(dataclasses.replace(sheared_sys_16, dtype=np.float64,
+                                                       _factor=None), jumps, 1e-10)
+    assert np.array_equal(x, want)
+
+
+def test_cg_holds_the_roundoff_floor(lshape_sys_16, monkeypatch):
+    """With REFINE_TARGET below roundoff every column runs to the step
+    cap; the step length p^T r / p^T A p keeps the residual within 2x of
+    the first pass's (r^T z / p^T A p lets it grow to 1e-8 here)."""
+    jumps = PeriodData.from_flat(np.eye(8, 4))
+    monkeypatch.setattr(harmonic, "REFINE_TARGET", 1.0)
+    _, first = harmonic._potentials(lshape_sys_16, jumps, 1e-10)
+    monkeypatch.setattr(harmonic, "REFINE_TARGET", 1e-17)
+    _, refined = harmonic._potentials(lshape_sys_16, jumps, 1e-10)
+    assert np.max(refined) <= 2 * np.max(first)

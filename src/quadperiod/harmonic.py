@@ -15,7 +15,11 @@ couples only black to white, and |w12| <= c sqrt(w11 w22) for c the
 two color blocks of A.  When c <= 1/2 on every quad (|arg
 diagonal_ratio| <= SPLIT_ANGLE) the free black and white vertices are
 two parts, each factored on its own when a load first reaches it; else
-all free vertices are one part and P = A.  Matrix and load vector are
+all free vertices are one part and P = A.  The white part lists each
+white vertex in the order of a black neighbour, so minimum degree gives
+the white block the black block's fill or less (torus n = 256: 2.23 M ->
+1.56 M, as black), and a load that reaches both unfactored parts factors
+the white one on one worker thread meanwhile.  Matrix and load vector are
 products with the diagonal difference operators, so m period vectors
 make one (n, m) block, solved as x = P^{-1} b; only the columns above
 REFINE_TARGET (relative residual) then run CG on A preconditioned by P,
@@ -32,6 +36,7 @@ for the 2g black unit period vectors.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,20 +79,48 @@ class EnergySystem:
         L += Dw.T @ (w12 * jb + w22 * jw)
         return np.negative(L, out=L)
 
-    def factorized(self, part):
+    def factorized(self, part, loaded=()):
         """SuperLU factor of one part's block of the pinned matrix in
-        self.dtype, factored on first use, and the part's vertex ids."""
+        self.dtype, factored on first use, and the part's vertex ids.  The
+        other parts in `loaded` that have no factor yet are factored at the
+        same time, on one worker thread (SuperLU releases the GIL)."""
         rows = self.parts[part]
         factors = self._factor or [None] * len(self.parts)
         if factors[part] is None:
-            A = self.matrix[rows][:, rows].tocsc().astype(self.dtype, copy=False)
+            ahead = [p for p in loaded if p != part and factors[p] is None]
+            errors = []
+
+            def work():
+                try:
+                    for p in ahead:
+                        factors[p] = _splu(self._block(p))
+                except Exception as exc:  # raised in the caller below
+                    errors.append(exc)
+
+            worker = threading.Thread(target=work) if ahead else None
+            if worker:
+                worker.start()
             try:
-                factors[part] = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                          options={"SymmetricMode": True})
-            except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-                raise HarmonicError(f"energy matrix is numerically singular ({exc})") from None
+                factors[part] = _splu(self._block(part))
+            finally:
+                if worker:
+                    worker.join()
+            if errors:
+                raise errors[0]
         self._factor = factors
         return factors[part], rows
+
+    def _block(self, part):
+        rows = self.parts[part]
+        return self.matrix[rows][:, rows].tocsc().astype(self.dtype, copy=False)
+
+
+def _splu(A):
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise HarmonicError(f"energy matrix is numerically singular ({exc})") from None
 
 
 SPLIT_ANGLE = np.pi / 6  # |arg diagonal_ratio| bound of the color split: |cos| <= 1/2
@@ -111,13 +144,28 @@ def assemble(graph, basis, pinned=None):
     free = np.ones(graph.n_vertices, dtype=bool)
     free[list(pinned)] = False
     if np.all(np.abs(np.angle(graph.diagonal_ratio)) <= SPLIT_ANGLE):
-        parts = [np.flatnonzero(free & (graph.color == c)) for c in (BLACK, WHITE)]
+        parts = [np.flatnonzero(free & (graph.color == BLACK)), _white_order(graph, free)]
     else:
         parts = [np.flatnonzero(free)]
     # where P != A the factors only precondition CG, and float32 serves
     dtype = np.float32 if len(parts) == 2 and np.any(w12) else np.float64
     return EnergySystem(graph=graph, basis=basis, matrix=A, w11=w11, w12=w12, w22=w22,
                         pinned=pinned, dtype=dtype, parts=parts)
+
+
+def _white_order(graph, free):
+    """The free white vertices in the order of a black neighbour: each by
+    the black rank of corner 2 of the first quad in which it is corner 1
+    (after the others, in id order, where it is corner 1 of none).  On a
+    lattice the white block is then the black one translated, and the
+    minimum-degree ordering gives both the same fill; white vertices in
+    id order give it up to 43 % more."""
+    q = graph.quads
+    white, first = np.unique(q[:, 1], return_index=True)
+    key = np.full(graph.n_vertices, graph.n_vertices)
+    key[white] = np.cumsum(graph.color == BLACK)[q[first, 2]]
+    white = np.flatnonzero(free & (graph.color == WHITE))
+    return white[np.argsort(key[white], kind="stable")]
 
 
 class HarmonicError(RuntimeError):
@@ -144,24 +192,42 @@ REFINE_TARGET = 1e-14  # relative residual below which CG stops
 def _solve_parts(system, b):
     """P^{-1} b for the (V, m) block b, zero at the pinned vertices: one
     block solve per part that b is nonzero on; the others keep potential
-    0 and are never factored."""
+    0 and are never factored.  The unfactored parts that b reaches are
+    factored first, together, while no gathered load is held."""
     # np.zeros leaves the pages unmapped until written, so x adds nothing
-    # to the peak memory of the factor below
+    # to the peak memory of the factors below
     x = np.zeros(b.shape)
+    factors = system._factor or [None] * len(system.parts)
+    new = [part for part, rows in enumerate(system.parts)
+           if factors[part] is None and b.take(rows, axis=0).any()]
+    if new:
+        system.factorized(new[0], new)
     for part, rows in enumerate(system.parts):
-        if b[rows].any():
+        load = b.take(rows, axis=0)
+        if load.any():
             factor, _ = system.factorized(part)
-            x[rows] = factor.solve(b[rows].astype(system.dtype, copy=False))
+            x[rows] = factor.solve(load.astype(system.dtype, copy=False))
     return x
+
+
+def _dots(u, v):
+    """Column dot products of two (n, m) blocks; einsum "ij,ij->j" takes
+    several times longer on the narrow row-major blocks of CG."""
+    return np.array([a @ b for a, b in zip(u.T, v.T)])
+
+
+def _columns(keep, cols, *blocks):
+    """The kept columns: cols[keep] and each block's kept last-axis entries."""
+    return (cols[keep],) + tuple(a[..., keep] for a in blocks)
 
 
 def _potentials(system, jumps, tol):
     """Vertex potentials for the jumps' period vectors from one block
     solve, and their relative residuals.  Only the columns above
-    REFINE_TARGET run preconditioned CG; a breakdown (r^T z = 0 or
-    p^T A p <= 0) ends a column.  A column left above REFINE_TARGET by
-    float32 factors reruns the whole block on float64 ones; any residual
-    above tol raises."""
+    REFINE_TARGET run preconditioned CG, on copies made only when that
+    set shrinks; a breakdown (r^T z = 0 or p^T A p <= 0) ends a column.
+    A column left above REFINE_TARGET by float32 factors reruns the whole
+    block on float64 ones; any residual above tol raises."""
     A, pinned = system.matrix, list(system.pinned)
     rhs = system.rhs(jumps)
     b = rhs.reshape(len(rhs), -1)
@@ -169,22 +235,29 @@ def _potentials(system, jumps, tol):
     x = _solve_parts(system, b)
     scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
     residual, cols = np.empty(b.shape[1]), np.arange(b.shape[1])
-    p, rz = np.zeros(b.shape), np.ones(b.shape[1])
+    # the active columns of b and x, then the search directions and r^T z
+    bc, xc, p, rz = b, x, np.zeros((1, b.shape[1])), np.ones(b.shape[1])
     for step in range(REFINE_STEPS + 1):
-        r = b[:, cols] - A @ x[:, cols]
+        r = bc - A @ xc
         r[pinned] = 0.0
-        residual[cols] = np.linalg.norm(r, axis=0) / scale[cols]
+        residual[cols] = np.sqrt(_dots(r, r)) / scale[cols]
         above = residual[cols] > REFINE_TARGET
         if step == REFINE_STEPS or not above.any():
             break
-        cols, r, p, rz_old = cols[above], r[:, above], p[:, above], rz[above]
+        if not above.all():
+            x[:, cols] = xc
+            cols, bc, xc, r, p, rz = _columns(above, cols, bc, xc, r, p, rz)
         z = _solve_parts(system, r)
-        rz = np.einsum("ij,ij->j", r, z)
+        rz_old, rz = rz, _dots(r, z)
         p = z + rz / rz_old * p
-        pq = np.einsum("ij,ij->j", p, A @ p)
+        pq = _dots(p, A @ p)
         ok = (rz != 0) & (pq > 0)
-        cols, p, rz = cols[ok], p[:, ok], rz[ok]
-        x[:, cols] += np.einsum("ij,ij->j", p, r[:, ok]) / pq[ok] * p
+        if not ok.all():
+            x[:, cols] = xc
+            cols, bc, xc, r, p, rz, pq = _columns(ok, cols, bc, xc, r, p, rz, pq)
+        xc += _dots(p, r) / pq * p
+    if xc is not x:
+        x[:, cols] = xc
     if system.dtype == np.float32 and np.any(residual > REFINE_TARGET):
         system.dtype, system._factor = np.float64, None  # cap or breakdown: refactor once
         return _potentials(system, jumps, tol)

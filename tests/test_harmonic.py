@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -457,3 +458,105 @@ def test_cg_holds_the_roundoff_floor(lshape_sys_16, monkeypatch):
     monkeypatch.setattr(harmonic, "REFINE_TARGET", 1e-17)
     _, refined = harmonic._potentials(lshape_sys_16, jumps, 1e-10)
     assert np.max(refined) <= 2 * np.max(first)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads harmonic starts while the test runs, in start order."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(harmonic.threading, "Thread", Recorded)
+    return started
+
+
+def _factor_arrays(factor):
+    return [factor.L.data, factor.U.data, factor.perm_r, factor.perm_c]
+
+
+@_SPLIT_MESHES
+def test_concurrent_colour_factors_equal_serial_ones(make, sheared_origami, started_threads):
+    """factorized(0, [0, 1]) factors part 1 on one worker thread while it
+    factors part 0; both factors equal serial ones bit for bit."""
+    graph = make(sheared_origami)
+    system = assemble(graph, homology_basis(graph))
+    serial = dataclasses.replace(system)
+    together = dataclasses.replace(system)
+    factors = [serial.factorized(part)[0] for part in (0, 1)]
+    assert len(started_threads) == 0
+    together.factorized(0, [0, 1])
+    assert len(started_threads) == 1 and not started_threads[0].is_alive()
+    for want, got in zip(factors, together._factor):
+        assert all(np.array_equal(a, b) for a, b in zip(_factor_arrays(got),
+                                                         _factor_arrays(want)))
+
+
+def test_singular_part_on_the_worker_raises_in_the_caller(torus_skew_4):
+    """A white block that SuperLU finds singular, factored on the worker
+    thread, raises the one-line HarmonicError that a factor of it in the
+    caller's thread raises."""
+    system = assemble(torus_skew_4, homology_basis(torus_skew_4))
+    keep = np.ones(torus_skew_4.n_vertices)
+    keep[system.parts[1][0]] = 0.0   # one white vertex without an equation
+    D = sp.diags(keep)
+    singular = dataclasses.replace(system, matrix=(D @ system.matrix @ D).tocsr())
+    with pytest.raises(HarmonicError) as alone:
+        dataclasses.replace(singular).factorized(1)
+    threads = threading.active_count()
+    with pytest.raises(HarmonicError) as worker:
+        singular.factorized(0, [0, 1])
+    assert threading.active_count() == threads
+    assert str(worker.value) == str(alone.value)
+    assert str(worker.value).startswith("energy matrix is numerically singular (")
+    assert "\n" not in str(worker.value)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_colour_factors_of_a_skew_torus_have_equal_fill(n):
+    """The white part lists each white vertex in the order of the black
+    vertex beside it, so on a uniform torus the white block is the black
+    one translated and both factors hold the same L + U fill."""
+    graph = generate_torus(0.4 + 0.6j, n)
+    system = assemble(graph, homology_basis(graph))
+    fill = [f.L.nnz + f.U.nnz for f in (system.factorized(p)[0] for p in (0, 1))]
+    assert fill[0] == fill[1]
+
+
+def test_lshape_black_part_is_in_id_order(lshape_mesh_8):
+    """Only the white part is reordered: the black part is the free black
+    vertices in id order, element for element."""
+    system = assemble(lshape_mesh_8, homology_basis(lshape_mesh_8))
+    free = np.ones(lshape_mesh_8.n_vertices, dtype=bool)
+    free[list(system.pinned)] = False
+    assert np.array_equal(system.parts[0], np.flatnonzero(free & (lshape_mesh_8.color == BLACK)))
+    assert np.array_equal(np.sort(system.parts[1]),
+                          np.flatnonzero(free & (lshape_mesh_8.color == WHITE)))
+
+
+def test_torus_solve_leaves_no_thread_behind(torus_skew_4, started_threads):
+    """The black periods load both colour parts of the torus: their first
+    solve starts one worker thread, and it has ended when the solve
+    returns."""
+    system = assemble(torus_skew_4, homology_basis(torus_skew_4))
+    threads = threading.active_count()
+    solve_elementary(system)
+    assert threading.active_count() == threads
+    assert len(started_threads) == 1
+    solve_elementary(system)
+    assert len(started_threads) == 1
+
+
+@pytest.mark.parametrize("mesh", ["adapted_lshape_8", "lshape_mesh_8"])
+def test_one_loaded_part_starts_no_thread(mesh, lshape, request, started_threads):
+    """A one-part system (the adapted L-shape) and a load on one part
+    (the orthodiagonal L-shape's black periods) factor in the caller."""
+    graph = (generate_adapted(lshape, 1 / 8) if mesh == "adapted_lshape_8"
+             else request.getfixturevalue(mesh))
+    system = assemble(graph, homology_basis(graph))
+    solve_elementary(system)
+    assert started_threads == []
+    assert [f is not None for f in system._factor] == [True] + [False] * (len(system.parts) - 1)

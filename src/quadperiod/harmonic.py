@@ -202,11 +202,15 @@ def _solve_parts(system, b):
            if factors[part] is None and b.take(rows, axis=0).any()]
     if new:
         system.factorized(new[0], new)
+    # each row of x as one element, so a part's rows are written through
+    # one flat index per row: x[rows] = y steps through every entry
+    row = np.dtype((np.void, x.itemsize * x.shape[1]))
     for part, rows in enumerate(system.parts):
         load = b.take(rows, axis=0)
         if load.any():
             factor, _ = system.factorized(part)
-            x[rows] = factor.solve(load.astype(system.dtype, copy=False))
+            y = factor.solve(load.astype(system.dtype, copy=False))
+            x.view(row)[rows] = np.ascontiguousarray(y, dtype=x.dtype).view(row)
     return x
 
 

@@ -311,22 +311,26 @@ def projection_operator(graph, cycles, color):
 
 
 def period_cocycles(graph, op_black, op_white):
-    """Integer cochains (sigma_black, sigma_white), dense (2g, n_quads),
+    """The integer cochains sigma_black, sigma_white, (2g, n_quads),
     whose periods along a canonical basis are delta_jk: J @ op_white and
     -J @ op_black for the basis' period operators.  Both are closed, since
     every projected path is closed, and op @ sigma.T = I follows from
-    op_black @ op_white.T = J; both facts are checked exactly."""
+    op_black @ op_white.T = J; both facts are checked exactly, on the
+    integer matrices.  Returned transposed, as sparse float (n_quads, 2g)
+    matrices: the factor that turns period coefficients into per-quad
+    jumps."""
     n = op_black.shape[0]
-    J = standard_form(n // 2)
-    sigma_black, sigma_white = J @ op_white, -J @ op_black
+    J = sp.csr_matrix(standard_form(n // 2))
+    sigma_black, sigma_white = sp.csr_matrix(J @ op_white), sp.csr_matrix(-J @ op_black)
     Db, Dw = difference_operators(graph)
     # D.T @ sigma is minus the sum of a cochain around each face
-    if np.any(Dw.T @ sigma_black.T) or np.any(Db.T @ sigma_white.T):
+    if (Dw.T @ sigma_black.T).count_nonzero() or (Db.T @ sigma_white.T).count_nonzero():
         raise HomologyError("cocycle is not closed at every face")
     eye = np.eye(n, dtype=np.int64)
-    if np.any(op_black @ sigma_black.T != eye) or np.any(op_white @ sigma_white.T != eye):
+    if np.any((op_black @ sigma_black.T).toarray() != eye) or \
+            np.any((op_white @ sigma_white.T).toarray() != eye):
         raise HomologyError("cocycle periods are not the identity")
-    return sigma_black, sigma_white
+    return sigma_black.T.astype(float).tocsr(), sigma_white.T.astype(float).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +340,18 @@ def period_cocycles(graph, op_black, op_white):
 @dataclass
 class HomologyBasis:
     """Canonical basis a_1..a_g, b_1..b_g, its period operators and the
-    cocycles sigma whose periods are delta_jk (period_cocycles).
+    cocycles whose periods are delta_jk (period_cocycles).
 
     op_black and op_white are integer (2g, F) CSR matrices with rows
     a_1..a_g then b_1..b_g, the cycles' projection operators combined by
     the transform.  The black periods of a closed differential omega are
     2 * (op_black @ omega.wb), the white ones 2 * (op_white @ omega.ww).
 
-    cocycles_black and cocycles_white hold the cocycles once more as
-    sparse float (F, 2g) matrices, the factor that turns period
-    coefficients into per-quad jumps; the integer sigma stays for exact
-    checks."""
+    cocycles_black and cocycles_white hold the cocycles, once, as sparse
+    float (F, 2g) matrices with integer values, the factor that turns
+    period coefficients into per-quad jumps.  sigma_black and
+    sigma_white are the same cocycles as dense integer (2g, F) arrays,
+    made from them on each access for exact checks."""
 
     graph: object
     a_chains: list
@@ -355,20 +360,20 @@ class HomologyBasis:
     op_white: sp.csr_matrix = field(repr=False, compare=False)
     intersection_before: np.ndarray
     transform: np.ndarray
-    sigma_black: np.ndarray = field(init=False, repr=False)  # (2g, F)
-    sigma_white: np.ndarray = field(init=False, repr=False)
     cocycles_black: sp.csr_matrix = field(init=False, repr=False, compare=False)
     cocycles_white: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sigma_black, self.sigma_white = period_cocycles(
+        self.cocycles_black, self.cocycles_white = period_cocycles(
             self.graph, self.op_black, self.op_white)
-        self.cocycles_black = sp.csr_matrix(self.sigma_black.T, dtype=float)
-        self.cocycles_white = sp.csr_matrix(self.sigma_white.T, dtype=float)
 
     @property
     def genus(self):
         return len(self.a_chains)
+
+    sigma_black, sigma_white = (
+        property(lambda self, name=name: getattr(self, name).T.astype(np.int64).toarray())
+        for name in ("cocycles_black", "cocycles_white"))
 
 
 def _independent_rows(M):
@@ -425,7 +430,17 @@ def homology_basis(graph):
     """Canonical symplectic basis with period operators and cocycles.
     Meshes built by the generators carry mesh-independent reference loops
     (extended by tree-cotree cycles when the loops alone do not span);
-    otherwise cycles come from a tree-cotree split."""
+    otherwise cycles come from a tree-cotree split.  The rotation system
+    the cycles are read from leaves the graph's cache when the basis is
+    done: no later stage reads it, and it would sit under their peak
+    memory (4F darts twice)."""
+    try:
+        return _homology_basis(graph)
+    finally:
+        graph._cache.pop("rotation", None)
+
+
+def _homology_basis(graph):
     loops = (graph.meta or {}).get("loops")
     if loops:
         cycles = _cycles_from_vertices(graph, loops["a"] + loops["b"])

@@ -104,10 +104,14 @@ def canonical_differentials(graph, basis, system=None, tol=1e-10):
     T = np.block([[eye, zero, eye], [zero, eye, eye]])
     C = np.linalg.solve(M, T)
     # rows: the canonical forms; einsum adds the 2g scaled columns in
-    # order, where a BLAS product would reassociate the sums
-    Fb, Fw = (np.einsum("fj,jk->kf", X, C) for X in (H.wb, H.ww))
+    # order, where a BLAS product would reassociate the sums.  One colour
+    # at a time, each lift dropped once its forms exist: the lifts and
+    # the forms of both colours at once set the L-shape's peak memory
+    lifts, stacks = [H.wb, H.ww], []
     del H
-    forms = Differential(Fb.T, Fw.T)
+    while lifts:
+        stacks.append(np.einsum("fj,jk->kf", lifts.pop(0), C).T)
+    forms = Differential(*stacks)
     black, white = dec.color_periods(basis, forms.wb, forms.ww)
     err = float(np.max(np.abs(np.concatenate([black[:g], white[:g]]) - T)))
     return CanonicalBasis(forms=forms, condition=cond, aperiod_error=err, period_error=perr)

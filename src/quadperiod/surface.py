@@ -244,6 +244,10 @@ class QuadGraph:
     quads[q] = (b-, w-, b+, w+): vertex ids counterclockwise, first black.
     corners[q] gives the matching complex chart coordinates.  The stored
     black diagonal is b- -> b+, the white diagonal w- -> w+.
+
+    A closed graph holds each long-lived array once: dart_keys is read
+    back from the per-edge keys, and the rotation system is cached only
+    until homology_basis is done with it.
     """
 
     def __init__(self, colors, quads, corners, cones=(), meta=None, dart_keys=None,
@@ -252,11 +256,21 @@ class QuadGraph:
         self.quads = np.asarray(quads, dtype=np.int64)
         self.corners = np.asarray(corners, dtype=complex)
         self.cones = list(cones)
-        self.dart_keys = dart_keys
+        self._keyed = dart_keys is not None
+        self._dart_keys = dart_keys   # until the edges hold the keys (_build_edges)
         self.closed = closed
         self.meta = meta or {}
         self._cache = {}
         self.validate()
+
+    @property
+    def dart_keys(self):
+        """The (F, 4) integer edge key table the graph was built with, or
+        None.  Once the edges are built they hold each key once
+        (_edge_codes), and the table is made from them on each access."""
+        if self._dart_keys is None and self._keyed:
+            return self._edge_codes[self.dart_edge]
+        return self._dart_keys
 
     # -- basic quantities ---------------------------------------------------
 
@@ -331,8 +345,9 @@ class QuadGraph:
 
         Generators pass dart_keys, an (F, 4) table of integer edge keys,
         so that parallel edges (same endpoints, distinct edges, as on the
-        2x2 torus) are distinguished.  Without keys the endpoint pair must
-        determine the edge; ambiguous inputs are rejected.
+        2x2 torus) are distinguished; the graph then keeps one key per
+        edge, and the table is not held.  Without keys the endpoint pair
+        must determine the edge; ambiguous inputs are rejected.
         """
         F, V = self.n_quads, self.n_vertices
         tail = self.quads.ravel()
@@ -352,7 +367,7 @@ class QuadGraph:
             g = bad[np.argmin(edge[bad])]   # the smallest edge id
             e = int(edge[g])
             if not paired[g]:
-                if self.dart_keys is None and count[g] > 2:
+                if not self._keyed and count[g] > 2:
                     raise SurfaceError(
                         "parallel edges between the same vertices; the quad "
                         "table is ambiguous without explicit edge keys")
@@ -370,6 +385,7 @@ class QuadGraph:
         occ = np.empty((3, len(edge)), dtype=np.int64)
         occ[0, edge], occ[1, edge], occ[2, edge] = d1, d2, codes[d1]
         self.edge_occ, self._edge_codes = occ[:2].T, occ[2]
+        self._dart_keys = None
         a, b = tail[occ[:2]]
         self.edge_list = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
@@ -398,7 +414,9 @@ class QuadGraph:
 
         Returns (rot, quad_after): rot[v] is the cyclic list of edge ids
         leaving v, starting at v's first corner in the quad table, and
-        quad_after[v][t] the quad between darts t and t+1.
+        quad_after[v][t] the quad between darts t and t+1.  Cached on the
+        graph; homology_basis, its one reader in the pipeline, drops the
+        cache when it is done.
         """
         cached = self._cache.get("rotation")
         if cached is not None:
@@ -495,23 +513,26 @@ def spanning_tree(n, heads, tails, mask=None, root=0, directed=False):
     where the order around each node must follow its own numbering.
     """
     eids = np.arange(len(heads)) if mask is None else np.flatnonzero(mask)
-    a, b = np.asarray(heads)[eids], np.asarray(tails)[eids]
-    if not directed:
-        a, b, eids = np.r_[a, b], np.r_[b, a], np.r_[eids, eids]
-    perm = np.lexsort((eids, a))
-    a, b, eids = a[perm], b[perm], eids[perm]
-    adj = csr_matrix((np.ones(len(a)), b, np.searchsorted(a, np.arange(n + 1))),
-                     shape=(n, n))
+    # the arcs k: rows[k] -> cols[k], of edge eids[k] (directed) or of
+    # eids[k // 2], both ways in turn; 32-bit where the ids fit, since
+    # these arrays set the peak memory of the Abelian integral
+    idx = np.int32 if max(n, 2 * len(eids)) < 2 ** 31 else np.int64
+    a, b = (np.asarray(ends)[eids].astype(idx, copy=False) for ends in (heads, tails))
+    rows, cols = (a, b) if directed else (np.stack(ab, axis=1).ravel() for ab in ((a, b), (b, a)))
+    del a, b
+    # a stable sort by node keeps each node's arcs in edge-id order
+    indices = cols[np.argsort(rows, kind="stable")]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(idx)
+    # float64 data: csgraph would convert other data, re-sorting each row
+    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     order, parent = csgraph.breadth_first_order(
         adj, root, directed=True, return_predecessors=True)
-    # the matrix and the doubled edge arrays go as soon as they are used:
-    # on a large mesh they set the peak memory of the Abelian integral
-    del adj
+    del adj, indices, indptr
     parent = np.where(parent < 0, -1, parent)
-    on = parent[b] == a
+    k = np.flatnonzero(parent[cols] == rows)   # arcs from a node's parent to it
     parent_edge = np.full(n, len(heads))
-    np.minimum.at(parent_edge, b[on], eids[on])
-    del a, b, eids, on
+    np.minimum.at(parent_edge, cols[k], eids[k if directed else k // 2])
+    del rows, cols, eids, k
     parent_edge[parent_edge == len(heads)] = -1
     # breadth-first order lists each level after the one before, and the
     # positions of the parents never decrease along it: a level ends

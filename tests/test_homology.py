@@ -219,6 +219,17 @@ def test_cocycle_periods_are_kronecker(lshape_mesh_2):
         assert np.array_equal(op @ sig.T, np.eye(4, dtype=np.int64))
 
 
+def test_sigma_is_made_from_the_float_cocycles(lshape_mesh_4):
+    """The basis holds the cocycles once, as float (F, 2g) matrices;
+    sigma is their integer transpose, made on access."""
+    basis = homology_basis(lshape_mesh_4)
+    for sig, cocycles in ((basis.sigma_black, basis.cocycles_black),
+                          (basis.sigma_white, basis.cocycles_white)):
+        assert sig.dtype == np.int64 and sig.shape == (4, lshape_mesh_4.n_quads)
+        assert np.array_equal(sig, cocycles.T.toarray())
+        assert cocycles.dtype == float and cocycles.has_canonical_format
+
+
 def test_cocycle_closedness(torus_i_4):
     basis = homology_basis(torus_i_4)
     g = torus_i_4

@@ -31,6 +31,7 @@ from quadperiod import (
     build_quad_graph,
     generate_adapted,
     generate_torus,
+    homology_basis,
     l_shape_surface,
     subdivide,
 )
@@ -127,6 +128,18 @@ def test_mesh_matches_golden(name):
         assert digest == want[key], key
     corners = _unpack(want["corners"], graph.corners.shape)
     assert float(np.max(np.abs(graph.corners - corners))) <= CORNER_TOL
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_rotation_rebuilt_after_homology_basis(name):
+    """homology_basis drops the rotation system from the graph's cache;
+    rotation() then builds the stored one again, quads included."""
+    want = _load_golden()[name]
+    graph = CORPUS[name]()
+    homology_basis(graph)
+    assert "rotation" not in graph._cache
+    got = _fingerprint(graph)
+    assert (got["rot"], got["quad_after"]) == (want["rot"], want["quad_after"])
 
 
 def main():

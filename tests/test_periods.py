@@ -89,6 +89,33 @@ def test_canonical_reports_elementary_period_match(lshape_pack):
     assert cb.period_error < 1e-12 and abs(cb.period_error - want) < 1e-14
 
 
+def test_canonical_peak_memory_is_the_forms_and_one_lift(lshape):
+    """The lifts go one colour at a time: above its start, the traced
+    peak of canonical_differentials on the L-shape at 1/32 is at most
+    the two form stacks, complex (F, 3g), and one colour's lift, complex
+    (F, 2g), plus 64 KiB for what does not grow with F (the period
+    products, the a-period system, interpreter objects).  Both lifts
+    held with both form stacks are another lift, 3 F g 16 bytes more."""
+    import tracemalloc
+    graph = build_quad_graph(lshape, 1 / 32)
+    basis = homology_basis(graph)
+    system = assemble(graph, basis)   # caches the difference operators too
+    F, g = graph.n_quads, basis.genus
+    bound = (2 * 3 * g + 2 * g) * F * 16 + 64 * 1024
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        cb = canonical_differentials(graph, basis, system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert cb.forms.wb.shape == (F, 3 * g)
+    assert peak - start <= bound, f"{(peak - start) / (F * g * 16):.2f} F g 16 bytes"
+
+
 def test_zero_harmonic_maps_to_zero(torus_pack):
     g = torus_pack[0]
     zero = dec.Differential(np.zeros(g.n_quads), np.zeros(g.n_quads))

@@ -493,6 +493,26 @@ def test_closed_manifold_errors(doc, message):
     assert str(err.value) == message
 
 
+def test_dart_keys_are_read_back_from_the_edges(torus_i_2, torus_i_4):
+    """A closed graph keeps its edge keys once, per edge; dart_keys gives
+    the table back, and a graph built from it (or validated again) gets
+    the same edges.  Without keys the parallel edges of the 2x2 torus
+    are still ambiguous, and an unkeyed graph has no table."""
+    keys = torus_i_2.dart_keys
+    assert keys.dtype == np.int64 and keys.shape == (torus_i_2.n_quads, 4)
+    g = QuadGraph(torus_i_2.color, torus_i_2.quads, torus_i_2.corners, dart_keys=keys.tolist())
+    g.validate()
+    assert np.array_equal(g.dart_keys, keys)
+    assert np.array_equal(g.dart_edge, torus_i_2.dart_edge)
+    assert np.array_equal(g.edge_ids(keys[0]), torus_i_2.dart_edge[0])
+    with pytest.raises(SurfaceError, match="parallel edges .* ambiguous"):
+        QuadGraph(torus_i_2.color, torus_i_2.quads, torus_i_2.corners, dart_keys=None)
+    assert QuadGraph(torus_i_4.color, torus_i_4.quads, torus_i_4.corners).dart_keys is None
+    open_keys = [[7, 8, 9, 10]]
+    assert QuadGraph([0, 1, 0, 1], [[0, 1, 2, 3]], [[0, 1, 1 + 1j, 1j]], closed=False,
+                     dart_keys=open_keys).dart_keys is open_keys
+
+
 def test_pinched_vertex_link_rejected():
     # two 2x2 tori sharing one black and one white vertex: every edge is
     # fine, but the link of each shared vertex is two circles

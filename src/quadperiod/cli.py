@@ -292,6 +292,32 @@ def _band(text):
     return tuple(band.tolist())
 
 
+def _finite(text):
+    """A finite real."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite real, got {text!r}")
+    return value
+
+
+def _positive(text):
+    """A finite real > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"need a finite real > 0, got {text!r}")
+    return value
+
+
+def _seed(text):
+    """An integer >= 0, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _complexes(text):
     """Semicolon separated complex numbers 're,im;...'."""
     parts = [_reals(part) for part in text.split(";")]
@@ -308,8 +334,8 @@ def _add_common(sub):
 
 def make_parser():
     ap = argparse.ArgumentParser(prog="quadperiod")
-    ap.add_argument("--tol", type=float, default=1e-10)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--tol", type=_positive, default=1e-10)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--format", choices=("csv", "json-like"), default="csv")
     ap.add_argument("--out", default=".")
     sp = ap.add_subparsers(dest="command", required=True)
@@ -318,7 +344,7 @@ def make_parser():
     _add_common(m)
     m.add_argument("--levels", type=int, default=3)
     m.add_argument("--adapted", action="store_true")
-    m.add_argument("--phi-floor", type=float, default=math.pi / 12)
+    m.add_argument("--phi-floor", type=_finite, default=math.pi / 12)
 
     c = sp.add_parser("check", help="run every invariant battery")
     _add_common(c)

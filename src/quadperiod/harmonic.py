@@ -18,8 +18,10 @@ two parts, each factored on its own when a load first reaches it; else
 all free vertices are one part and P = A.  The white part lists each
 white vertex in the order of a black neighbour, so minimum degree gives
 the white block the black block's fill or less (torus n = 256: 2.23 M ->
-1.56 M, as black), and a load that reaches both unfactored parts factors
-the white one on one worker thread meanwhile.  Matrix and load vector are
+1.56 M, as black).  EnergySystem.factorized makes every factor: a load
+that reaches two unfactored parts factors the second meanwhile on a
+one-worker executor local to the call (there is no module-level pool),
+and one part to factor starts no thread.  Matrix and load vector are
 products with the diagonal difference operators, so m period vectors
 make one (n, m) block, solved as x = P^{-1} b; only the columns above
 REFINE_TARGET (relative residual) then run CG on A preconditioned by P,
@@ -36,7 +38,7 @@ for the 2g black unit period vectors.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,15 +63,6 @@ class EnergySystem:
     parts: list = field(default=None, repr=False)  # free vertex ids per factored part
     _factor: object = field(default=None, repr=False)  # per part; None until the first
 
-    def quadratic_form(self, f, jumps=None):
-        """Energy of d(f with jumps); equals the area-weighted squared
-        gradient sum by construction."""
-        d = dec.exterior_derivative(self.graph, np.asarray(f, dtype=float),
-                                    self.basis, jumps)
-        db, dw = 2.0 * d.wb.real, 2.0 * d.ww.real
-        return float(np.sum(self.w11 * db * db + 2 * self.w12 * db * dw
-                            + self.w22 * dw * dw))
-
     def rhs(self, jumps):
         """Load vector of the jumps' periods; (V, m) for (g, m) periods."""
         jb, jw = dec._jump_values(self.basis, jumps)
@@ -81,38 +74,24 @@ class EnergySystem:
 
     def factorized(self, part, loaded=()):
         """SuperLU factor of one part's block of the pinned matrix in
-        self.dtype, factored on first use, and the part's vertex ids.  The
-        other parts in `loaded` that have no factor yet are factored at the
-        same time, on one worker thread (SuperLU releases the GIL)."""
-        rows = self.parts[part]
+        self.dtype, and the part's vertex ids.  `part` and every part in
+        `loaded` that has no factor yet are factored now: the first of them
+        in the caller's thread, the rest on one worker thread (SuperLU
+        releases the GIL) whose errors are raised here."""
         factors = self._factor or [None] * len(self.parts)
-        if factors[part] is None:
-            ahead = [p for p in loaded if p != part and factors[p] is None]
-            errors = []
+        todo = [p for p in dict.fromkeys((part, *loaded)) if factors[p] is None]
+        if todo:
+            with ThreadPoolExecutor(1) as pool:  # starts its thread on the first submit
+                ahead = {p: pool.submit(self._factorize, p) for p in todo[1:]}
+                factors[todo[0]] = self._factorize(todo[0])
+                for p, future in ahead.items():
+                    factors[p] = future.result()
+            self._factor = factors
+        return factors[part], self.parts[part]
 
-            def work():
-                try:
-                    for p in ahead:
-                        factors[p] = _splu(self._block(p))
-                except Exception as exc:  # raised in the caller below
-                    errors.append(exc)
-
-            worker = threading.Thread(target=work) if ahead else None
-            if worker:
-                worker.start()
-            try:
-                factors[part] = _splu(self._block(part))
-            finally:
-                if worker:
-                    worker.join()
-            if errors:
-                raise errors[0]
-        self._factor = factors
-        return factors[part], rows
-
-    def _block(self, part):
+    def _factorize(self, part):
         rows = self.parts[part]
-        return self.matrix[rows][:, rows].tocsc().astype(self.dtype, copy=False)
+        return _splu(self.matrix[rows][:, rows].tocsc().astype(self.dtype, copy=False))
 
 
 def _splu(A):
@@ -192,25 +171,19 @@ REFINE_TARGET = 1e-14  # relative residual below which CG stops
 def _solve_parts(system, b):
     """P^{-1} b for the (V, m) block b, zero at the pinned vertices: one
     block solve per part that b is nonzero on; the others keep potential
-    0 and are never factored.  The unfactored parts that b reaches are
-    factored first, together, while no gathered load is held."""
+    0 and are never factored.  Each part's load is gathered after the
+    factors b needs are made, so no gathered load is held across one."""
     # np.zeros leaves the pages unmapped until written, so x adds nothing
     # to the peak memory of the factors below
     x = np.zeros(b.shape)
-    factors = system._factor or [None] * len(system.parts)
-    new = [part for part, rows in enumerate(system.parts)
-           if factors[part] is None and b.take(rows, axis=0).any()]
-    if new:
-        system.factorized(new[0], new)
+    reached = [part for part, rows in enumerate(system.parts) if b.take(rows, axis=0).any()]
     # each row of x as one element, so a part's rows are written through
     # one flat index per row: x[rows] = y steps through every entry
     row = np.dtype((np.void, x.itemsize * x.shape[1]))
-    for part, rows in enumerate(system.parts):
-        load = b.take(rows, axis=0)
-        if load.any():
-            factor, _ = system.factorized(part)
-            y = factor.solve(load.astype(system.dtype, copy=False))
-            x.view(row)[rows] = np.ascontiguousarray(y, dtype=x.dtype).view(row)
+    for part in reached:
+        factor, rows = system.factorized(part, reached)
+        y = factor.solve(b.take(rows, axis=0).astype(system.dtype, copy=False))
+        x.view(row)[rows] = np.ascontiguousarray(y, dtype=x.dtype).view(row)
     return x
 
 

@@ -395,11 +395,29 @@ def test_tiny_cell_size_exits_2_with_one_line(lshape_doc, tmp_path, capsys, comm
     ("harmonic", "--periods", "1,x"),
     ("integrate", "--a-periods", "1"),
     ("converge", "--band", "0.2"),
+    ("mesh", "--phi-floor", "nan"),      # nan would switch the angle floor off
 ])
 def test_malformed_option_exits_2_with_one_line(torus_doc, tmp_path, capsys,
                                                command, option, value):
     with pytest.raises(SystemExit) as exit_:
         main(["--out", str(tmp_path), command, torus_doc, option, value])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"), ("--seed", "-1"),
+])
+def test_global_option_out_of_range_exits_2_with_one_line(torus_doc, tmp_path, capsys,
+                                                         option, value):
+    """A tolerance that switches the residual gate off (nan, inf) or that
+    no solve can meet (0, -1), and a seed numpy cannot take, are usage
+    errors, raised before anything runs."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["--out", str(tmp_path), option, value, "check", torus_doc])
     err = capsys.readouterr().err
     assert exit_.value.code == 2
     errors = [line for line in err.splitlines() if "error:" in line]

@@ -40,8 +40,6 @@ def test_quadratic_form_matches_gradient_energy(lshape_sys, rng):
     f = rng.normal(size=g.n_vertices)
     grad = dec.quad_gradients(g, f)
     direct = float(np.sum(g.area * np.sum(grad ** 2, axis=1)))
-    assert np.isclose(lshape_sys.quadratic_form(f), direct, rtol=1e-12)
-    # and the sparse matrix agrees with the closed form
     assert np.isclose(f @ (lshape_sys.matrix @ f), direct, rtol=1e-10)
 
 
@@ -470,7 +468,7 @@ def started_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(harmonic.threading, "Thread", Recorded)
+    monkeypatch.setattr(threading, "Thread", Recorded)
     return started
 
 
@@ -560,3 +558,43 @@ def test_one_loaded_part_starts_no_thread(mesh, lshape, request, started_threads
     solve_elementary(system)
     assert started_threads == []
     assert [f is not None for f in system._factor] == [True] + [False] * (len(system.parts) - 1)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """(thread, block size) of every SuperLU factorization harmonic makes
+    while the test runs, in call order."""
+    calls, splu = [], harmonic._splu
+
+    def recorded(A):
+        calls.append((threading.current_thread(), A.shape[0]))
+        return splu(A)
+
+    monkeypatch.setattr(harmonic, "_splu", recorded)
+    return calls
+
+
+def test_load_on_a_factored_and_an_unfactored_part_makes_only_the_missing_factor(
+        torus_skew_4, started_threads, splu_calls):
+    """A load on both colour parts after the black part alone was factored
+    factors the white part, in the caller's thread, and keeps the black
+    factor."""
+    system = assemble(torus_skew_4, homology_basis(torus_skew_4))
+    black, _ = system.factorized(0)
+    b = np.ones((torus_skew_4.n_vertices, 1))
+    b[list(system.pinned)] = 0.0
+    harmonic._solve_parts(system, b)
+    assert splu_calls == [(threading.current_thread(), len(system.parts[0])),
+                          (threading.current_thread(), len(system.parts[1]))]
+    assert started_threads == []
+    assert system._factor[0] is black and system._factor[1] is not None
+
+
+def test_two_part_load_factors_each_part_once(torus_skew_4, splu_calls):
+    """The black periods load both colour parts of the torus: the first
+    solve factors each part once, and a second solve factors nothing."""
+    system = assemble(torus_skew_4, homology_basis(torus_skew_4))
+    solve_elementary(system)
+    assert sorted(size for _, size in splu_calls) == sorted(map(len, system.parts))
+    solve_elementary(system)
+    assert len(splu_calls) == 2

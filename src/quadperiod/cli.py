@@ -276,12 +276,15 @@ def run_integrate(graph, a_periods, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 def _reals(text):
-    """Comma separated reals, as an array."""
+    """Comma separated finite reals, as an array."""
     try:
-        return np.array([float(x) for x in text.split(",")])
+        values = np.array([float(x) for x in text.split(",")])
     except ValueError:
+        values = np.array([math.nan])
+    if not np.all(np.isfinite(values)):
         raise argparse.ArgumentTypeError(
-            f"not a comma separated list of reals: {text!r}") from None
+            f"not a comma separated list of finite reals: {text!r}")
+    return values
 
 
 def _band(text):
@@ -390,7 +393,8 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return _run(args)
-    except (SurfaceError, HomologyError, PeriodsError, HarmonicError, OSError) as exc:
+    except (SurfaceError, HomologyError, PeriodsError, HarmonicError, OSError,
+            MemoryError) as exc:   # an array too large for this machine, say
         print(f"quadperiod: error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,8 +32,8 @@ they only precondition, so they are float32 while the residual, CG and
 the tol check stay float64: skew tori take 6-10 steps, the sheared
 origami 10-11.  If CG reaches its cap or breaks down there, the parts
 are refactored once in float64 and the solve runs again.  A residual
-above tol is rejected.  solve_elementary returns real (F, 2g) stacks
-for the 2g black unit period vectors.
+above tol, or nan, is rejected.  solve_elementary returns real (F, 2g)
+stacks for the 2g black unit period vectors.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ from .dec import Differential, PeriodData
 
 @dataclass
 class EnergySystem:
+    """The pinned energy matrix of a graph and basis, its parts and their
+    factors.  The per-quad weights are not held: rhs remakes them from
+    the graph's charts (_weights) on each call."""
+
     graph: object
     basis: object
     matrix: sp.csr_matrix = field(repr=False)
-    w11: np.ndarray = field(repr=False)
-    w12: np.ndarray = field(repr=False)
-    w22: np.ndarray = field(repr=False)
     pinned: tuple = (0, 0)
     dtype: type = np.float64  # of the factors; float32 where they only precondition CG
     parts: list = field(default=None, repr=False)  # free vertex ids per factored part
@@ -66,7 +67,7 @@ class EnergySystem:
     def rhs(self, jumps):
         """Load vector of the jumps' periods; (V, m) for (g, m) periods."""
         jb, jw = dec._jump_values(self.basis, jumps)
-        w11, w12, w22 = dec._per_quad(jb, self.w11, self.w12, self.w22)
+        w11, w12, w22 = dec._per_quad(jb, *_weights(self.graph))
         Db, Dw = dec.difference_operators(self.graph)
         L = Db.T @ (w11 * jb + w12 * jw)
         L += Dw.T @ (w12 * jb + w22 * jw)
@@ -105,15 +106,22 @@ def _splu(A):
 SPLIT_ANGLE = np.pi / 6  # |arg diagonal_ratio| bound of the color split: |cos| <= 1/2
 
 
-def assemble(graph, basis, pinned=None):
-    """Sparse energy system on the vertex potentials: A = D^T W D for the
-    stacked diagonal differences D = (D_b; D_w) and the per-quad weight
-    blocks W = [[w11, w12], [w12, w22]]."""
+def _weights(graph):
+    """The per-quad energy weights (w11, w12, w22): area * (D D^T)^{-1}
+    for D the two diagonal vectors."""
     b, w = graph.black_diag, graph.white_diag
     det = 2.0 * graph.area
     w11 = np.abs(w) ** 2 / (2.0 * det)
     w22 = np.abs(b) ** 2 / (2.0 * det)
     w12 = -(b.real * w.real + b.imag * w.imag) / (2.0 * det)
+    return w11, w12, w22
+
+
+def assemble(graph, basis, pinned=None):
+    """Sparse energy system on the vertex potentials: A = D^T W D for the
+    stacked diagonal differences D = (D_b; D_w) and the per-quad weight
+    blocks W = [[w11, w12], [w12, w22]] of _weights."""
+    w11, w12, w22 = _weights(graph)
     Db, Dw = dec.difference_operators(graph)
     A = (Db.T @ (sp.diags(w11) @ Db + sp.diags(w12) @ Dw)
          + Dw.T @ (sp.diags(w12) @ Db + sp.diags(w22) @ Dw)).tocsr()
@@ -128,8 +136,8 @@ def assemble(graph, basis, pinned=None):
         parts = [np.flatnonzero(free)]
     # where P != A the factors only precondition CG, and float32 serves
     dtype = np.float32 if len(parts) == 2 and np.any(w12) else np.float64
-    return EnergySystem(graph=graph, basis=basis, matrix=A, w11=w11, w12=w12, w22=w22,
-                        pinned=pinned, dtype=dtype, parts=parts)
+    return EnergySystem(graph=graph, basis=basis, matrix=A, pinned=pinned, dtype=dtype,
+                        parts=parts)
 
 
 def _white_order(graph, free):
@@ -204,7 +212,7 @@ def _potentials(system, jumps, tol):
     REFINE_TARGET run preconditioned CG, on copies made only when that
     set shrinks; a breakdown (r^T z = 0 or p^T A p <= 0) ends a column.
     A column left above REFINE_TARGET by float32 factors reruns the whole
-    block on float64 ones; any residual above tol raises."""
+    block on float64 ones; any residual above tol, or nan, raises."""
     A, pinned = system.matrix, list(system.pinned)
     rhs = system.rhs(jumps)
     b = rhs.reshape(len(rhs), -1)
@@ -238,7 +246,7 @@ def _potentials(system, jumps, tol):
     if system.dtype == np.float32 and np.any(residual > REFINE_TARGET):
         system.dtype, system._factor = np.float64, None  # cap or breakdown: refactor once
         return _potentials(system, jumps, tol)
-    if np.any(residual > tol):
+    if not np.all(residual <= tol):   # nan too
         raise HarmonicError(f"relative residual {residual.max():.3e} above {tol:.1e}")
     return x.reshape(rhs.shape), residual
 

@@ -79,7 +79,7 @@ def _cycles_from_vertices(graph, walks):
     for w, eids in zip(walks, np.split(ids, cuts)):
         walk, eids = w["verts"], eids.tolist()
         steps = np.sort(np.stack([walk, np.roll(walk, -1)], axis=1), axis=1)
-        wrong = np.flatnonzero(np.any(steps != graph.edge_list[eids].reshape(-1, 2), axis=1))
+        wrong = np.flatnonzero(np.any(steps != graph.edge_ends(eids).reshape(-1, 2), axis=1))
         if len(wrong):
             raise HomologyError(f"edge {eids[wrong[0]]} does not join walk step {wrong[0]}")
         out.append(Cycle(list(walk), eids))
@@ -129,7 +129,7 @@ def basis_cycles(graph):
     walk; two climbs agree from the vertex where they meet upwards, and
     that common part is dropped."""
     tc = tree_cotree(graph)
-    ends = graph.edge_list[tc["leftover"]]
+    ends = graph.edge_ends(tc["leftover"])
     starts = ends[:, ::-1].ravel()   # b, a of every edge
     walk, offsets = _walk(tc["parent"], starts, tc["depth"][starts] + 1)
     climbs = np.split(walk, offsets[1:-1])

@@ -308,9 +308,11 @@ def _primitive(graph, omega, region, joins, roots):
 
 
 def base_edge(graph):
-    """Deterministic base: the lexicographically smallest edge."""
-    ends = graph.edge_list
-    a, b = ends[np.lexsort((ends[:, 1], ends[:, 0]))[0]].tolist()
+    """Deterministic base: the lexicographically smallest edge, which
+    joins vertex 0 to its smallest neighbour (every vertex of a closed
+    graph ends an edge), read from the quads around vertex 0."""
+    quad, corner = np.nonzero(graph.quads == 0)
+    a, b = 0, int(graph.quads[quad[:, None], (corner[:, None] + [1, 3]) % 4].min())
     if graph.color[a] == BLACK:
         return a, b
     return b, a

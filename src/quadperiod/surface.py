@@ -242,12 +242,15 @@ class QuadGraph:
     """Bipartite quad decomposition with one flat chart per quad.
 
     quads[q] = (b-, w-, b+, w+): vertex ids counterclockwise, first black.
-    corners[q] gives the matching complex chart coordinates.  The stored
-    black diagonal is b- -> b+, the white diagonal w- -> w+.
+    corners[q] gives the matching complex chart coordinates.  The black
+    diagonal is b- -> b+, the white diagonal w- -> w+.
 
-    A closed graph holds each long-lived array once: dart_keys is read
-    back from the per-edge keys, and the rotation system is cached only
-    until homology_basis is done with it.
+    A closed graph holds each long-lived array once: color, quads,
+    corners, dart_edge (F, 4), edge_occ (E, 2) and one key per edge.
+    What these determine is made on each access: black_diag, white_diag,
+    area and diagonal_ratio from corners, edge_list from quads and
+    edge_occ, and dart_keys from the per-edge keys.  The rotation system
+    is cached only until homology_basis is done with it.
     """
 
     def __init__(self, colors, quads, corners, cones=(), meta=None, dart_keys=None,
@@ -284,8 +287,30 @@ class QuadGraph:
 
     # -- validation and per-quad geometry -----------------------------------
 
+    @property
+    def black_diag(self):
+        """Per quad, the black diagonal b- -> b+ in the quad's chart."""
+        return self.corners[:, 2] - self.corners[:, 0]
+
+    @property
+    def white_diag(self):
+        """Per quad, the white diagonal w- -> w+ in the quad's chart."""
+        return self.corners[:, 3] - self.corners[:, 1]
+
+    @property
+    def area(self):
+        """Per quad, the chart area Im(conj(black_diag) white_diag) / 2."""
+        return 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
+
+    @property
+    def diagonal_ratio(self):
+        """Per quad, -i * white_diag / black_diag: the complex structure
+        datum.  Real and positive exactly for orthogonal diagonals; the
+        real part is positive on every valid quad."""
+        return -1j * self.white_diag / self.black_diag
+
     def validate(self):
-        """Check the quad table and the charts; sets black_diag, white_diag,
+        """Check the quad table and the charts: black_diag, white_diag,
         area and diagonal_ratio per quad, each checked before its first use."""
         V, F = self.n_vertices, self.n_quads
         q = self.quads
@@ -300,30 +325,24 @@ class QuadGraph:
         # pairwise: a maximum along rows of four is ten times slower
         scale = np.maximum(np.maximum(length[:, 0], length[:, 1]),
                            np.maximum(length[:, 2], length[:, 3]))
-        self.black_diag = c[:, 2] - c[:, 0]
         if np.any(np.abs(self.black_diag) < GEOM_TOL * scale):
             raise SurfaceError("degenerate black diagonal")
-        self.white_diag = c[:, 3] - c[:, 1]
         if np.any(np.abs(self.white_diag) < GEOM_TOL * scale):
             raise SurfaceError("degenerate white diagonal")
-        self.area = 0.5 * np.imag(np.conj(self.black_diag) * self.white_diag)
-        if np.any(self.area <= 0):
-            bad = int(np.argmin(self.area))
-            raise SurfaceError(f"quad {bad} not positively oriented (area {self.area[bad]})")
+        area = self.area
+        if np.any(area <= 0):
+            bad = int(np.argmin(area))
+            raise SurfaceError(f"quad {bad} not positively oriented (area {area[bad]})")
         # simplicity: one of the two diagonals must split the quad into two
         # positively oriented triangles (weakly, straight corners allowed)
         t1 = _tri_area(c[:, 0], c[:, 1], c[:, 2])
         t2 = _tri_area(c[:, 0], c[:, 2], c[:, 3])
         u1 = _tri_area(c[:, 1], c[:, 2], c[:, 3])
         u2 = _tri_area(c[:, 1], c[:, 3], c[:, 0])
-        tol = -GEOM_TOL * np.abs(self.area)
+        tol = -GEOM_TOL * np.abs(area)
         ok = ((t1 >= tol) & (t2 >= tol)) | ((u1 >= tol) & (u2 >= tol))
         if not np.all(ok):
             raise SurfaceError(f"quad {int(np.argmin(ok))} is not a simple quadrilateral")
-        # -i * (white diagonal) / (black diagonal) per quad; the complex
-        # structure datum.  Real and positive exactly for orthogonal
-        # diagonals; the real part is positive on every valid quad.
-        self.diagonal_ratio = -1j * self.white_diag / self.black_diag
         if np.any(self.diagonal_ratio.real <= 0):
             raise SurfaceError("diagonal ratio with nonpositive real part")
         if not self.closed:
@@ -386,8 +405,17 @@ class QuadGraph:
         occ[0, edge], occ[1, edge], occ[2, edge] = d1, d2, codes[d1]
         self.edge_occ, self._edge_codes = occ[:2].T, occ[2]
         self._dart_keys = None
-        a, b = tail[occ[:2]]
-        self.edge_list = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+
+    @property
+    def edge_list(self):
+        """(E, 2) end vertex ids of every edge, smaller first."""
+        return self.edge_ends(slice(None))
+
+    def edge_ends(self, eids):
+        """(k, 2) end vertex ids of the edges eids, smaller first: the
+        tails of each edge's two darts."""
+        a, b = self.quads.ravel()[self.edge_occ[eids].T]
+        return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
     def edge_ids(self, keys):
         """Edge ids of a sequence of edge keys, as given in dart_keys."""
@@ -399,7 +427,7 @@ class QuadGraph:
             raise SurfaceError("quad-graph is disconnected")
 
     def n_edges(self):
-        return len(self.edge_list)
+        return len(self.edge_occ)
 
     def genus(self):
         chi = self.n_vertices - self.n_edges() + self.n_quads

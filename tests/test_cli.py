@@ -391,11 +391,26 @@ def test_tiny_cell_size_exits_2_with_one_line(lshape_doc, tmp_path, capsys, comm
                    "its lattice codes overflow int64\n")
 
 
+def test_cell_too_fine_to_allocate_exits_2_with_one_line(lshape_doc, tmp_path, capsys):
+    """Cell size 2**-28 passes the int64 code check, but the (3, k, k)
+    cell mask of its k = 2**28 needs 192 PiB, more than the user address
+    space of any 64-bit kernel: numpy refuses the allocation without
+    touching memory, and the MemoryError is one error line."""
+    rc = main(["--out", str(tmp_path), "mesh", lshape_doc, "--cell", repr(2.0 ** -28)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
+    assert "192. PiB" in err
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("harmonic", "--periods", "1,x"),
     ("integrate", "--a-periods", "1"),
     ("converge", "--band", "0.2"),
     ("mesh", "--phi-floor", "nan"),      # nan would switch the angle floor off
+    ("harmonic", "--periods", "nan,0,0,0"),   # nan would pass the residual gate
+    ("integrate", "--a-periods", "nan,0;1,0"),
+    ("converge", "--band", "0.2,inf"),
 ])
 def test_malformed_option_exits_2_with_one_line(torus_doc, tmp_path, capsys,
                                                command, option, value):

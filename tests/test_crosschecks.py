@@ -168,10 +168,10 @@ def test_skew_torus_tree_cotree_modulus(torus_skew_4):
 
 def test_sheared_origami_passes_checks(sheared_origami):
     from quadperiod.cli import run_check
-    from quadperiod.harmonic import assemble
+    from quadperiod.harmonic import _weights
     g = build_quad_graph(sheared_origami, 1 / 8)
     assert g.n_quads == 256 and g.genus() == 2
-    assert np.all(np.abs(assemble(g, homology_basis(g)).w12) > 1e-3)
+    assert np.all(np.abs(_weights(g)[1]) > 1e-3)
     checks, passed, _ = run_check(g, 1e-10, seed=0)
     assert passed, [c for c in checks if not c[3]]
 

@@ -35,6 +35,7 @@ from quadperiod import (
     l_shape_surface,
     subdivide,
 )
+from quadperiod import harmonic
 from test_golden import CORPUS as PERIOD_CORPUS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_meshes.json")
@@ -140,6 +141,39 @@ def test_rotation_rebuilt_after_homology_basis(name):
     assert "rotation" not in graph._cache
     got = _fingerprint(graph)
     assert (got["rot"], got["quad_after"]) == (want["rot"], want["quad_after"])
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_derived_arrays_are_made_on_access(name):
+    """A graph holds no array that its charts or edges determine, and an
+    energy system holds no weights.  Each is made on access, bit for bit
+    the expression it was once stored as; edge_list against the ends of
+    every edge's darts, read through dart_edge."""
+    graph = CORPUS[name]()
+    derived = {"black_diag", "white_diag", "area", "diagonal_ratio", "edge_list"}
+    assert not derived & set(vars(graph))
+    c = graph.corners
+    b, w = c[:, 2] - c[:, 0], c[:, 3] - c[:, 1]
+    area = 0.5 * np.imag(np.conj(b) * w)
+    for key, want in (("black_diag", b), ("white_diag", w), ("area", area),
+                      ("diagonal_ratio", -1j * w / b)):
+        assert _same_bits(getattr(graph, key), want), key
+    tail, head = graph.quads.ravel(), graph.quads[:, [1, 2, 3, 0]].ravel()
+    ends = np.empty((graph.n_edges(), 2), dtype=np.int64)
+    ends[graph.dart_edge.ravel()] = np.stack([np.minimum(tail, head),
+                                              np.maximum(tail, head)], axis=1)
+    assert _same_bits(graph.edge_list, ends)
+    system = harmonic.assemble(graph, homology_basis(graph))
+    assert not {"w11", "w12", "w22"} & set(vars(system))
+    det = 2.0 * area
+    want = (np.abs(w) ** 2 / (2.0 * det), -(b.real * w.real + b.imag * w.imag) / (2.0 * det),
+            np.abs(b) ** 2 / (2.0 * det))
+    for key, got, ref in zip(("w11", "w12", "w22"), harmonic._weights(graph), want):
+        assert _same_bits(got, ref), key
 
 
 def main():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadperiod.formats import graph_from_doc, graph_to_doc
 from quadperiod.refine import generate_adapted, subdivide
 from quadperiod.surface import BLACK, WHITE, build_quad_graph, generate_torus, lattice_vertex_ids
 from quadperiod import dec
@@ -21,6 +22,7 @@ from quadperiod.periods import (
     block_mean_psd_gap,
     period_matrices,
 )
+from test_mesh_golden import CORPUS as MESH_CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +247,36 @@ def test_convergence_diagnostics_torus(torus_pack):
     assert d["pi_error"] < 1e-8
     assert d["block_sum_error"] < 1e-8
     assert d["psd_gap"] > -1e-10
+
+
+def _lexsort_base_edge(graph):
+    """The base edge by sorting all edges: the lexicographically smallest
+    one, black end first."""
+    ends = graph.edge_list
+    a, b = ends[np.lexsort((ends[:, 1], ends[:, 0]))[0]].tolist()
+    return (a, b) if graph.color[a] == BLACK else (b, a)
+
+
+@pytest.mark.parametrize("name", sorted(MESH_CORPUS))
+def test_base_edge_is_the_smallest_edge(name):
+    graph = MESH_CORPUS[name]()
+    assert base_edge(graph) == _lexsort_base_edge(graph)
+
+
+def test_base_edge_of_renumbered_vertices(lshape_mesh_4, torus_skew_4):
+    """Raw documents with the vertex ids shuffled: vertex 0 is black on
+    some and white on others, and its smallest neighbour anywhere."""
+    rng = np.random.default_rng(7)
+    colors = set()
+    for graph in (lshape_mesh_4, torus_skew_4) * 4:
+        doc = graph_to_doc(graph)
+        new = rng.permutation(graph.n_vertices)
+        doc["vertices"] = [[int(new[i]), name] for i, name in doc["vertices"]]
+        doc["quads"] = [[int(v) for v in new[row[:4]]] + row[4:] for row in doc["quads"]]
+        renumbered = graph_from_doc(doc)
+        colors.add(int(renumbered.color[0]))
+        assert base_edge(renumbered) == _lexsort_base_edge(renumbered)
+    assert colors == {BLACK, WHITE}
 
 
 def test_abelian_integral_torus_mod_lattice(torus_pack):

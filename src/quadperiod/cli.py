@@ -323,10 +323,18 @@ def _seed(text):
 
 def _complexes(text):
     """Semicolon separated complex numbers 're,im;...'."""
-    parts = [_reals(part) for part in text.split(";")]
-    if any(len(z) != 2 for z in parts):
-        raise argparse.ArgumentTypeError(f"need 're,im' pairs separated by ';', got {text!r}")
-    return [complex(*z) for z in parts]
+    out = []
+    for i, part in enumerate(text.split(";"), 1):
+        try:
+            z = _reals(part)
+        except argparse.ArgumentTypeError:
+            z = ()
+        if len(z) != 2:
+            raise argparse.ArgumentTypeError(
+                f"need 're,im' pairs of finite reals separated by ';': "
+                f"pair {i} of {text!r} is {part!r}")
+        out.append(complex(*z))
+    return out
 
 
 def _add_common(sub):

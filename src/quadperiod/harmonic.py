@@ -23,17 +23,19 @@ that reaches two unfactored parts factors the second meanwhile on a
 one-worker executor local to the call (there is no module-level pool),
 and one part to factor starts no thread.  Matrix and load vector are
 products with the diagonal difference operators, so m period vectors
-make one (n, m) block, solved as x = P^{-1} b; only the columns above
-REFINE_TARGET (relative residual) then run CG on A preconditioned by P,
-with condition number <= (1 + c)/(1 - c) <= 3 and step p^T r / p^T A p,
-which holds the residual at its roundoff floor.  Where P = A (w12 = 0,
-or one part) the factors are float64 and no step runs.  Where P != A
-they only precondition, so they are float32 while the residual, CG and
-the tol check stay float64: skew tori take 6-10 steps, the sheared
-origami 10-11.  If CG reaches its cap or breaks down there, the parts
-are refactored once in float64 and the solve runs again.  A residual
-above tol, or nan, is rejected.  solve_elementary returns real (F, 2g)
-stacks for the 2g black unit period vectors.
+make one (n, m) block, solved as x = P^{-1} b; CG on A preconditioned
+by P then runs on the same block, with condition number <= (1 + c)/(1 -
+c) <= 3 and step p^T r / p^T A p, which holds the residual at its
+roundoff floor.  A column stops for good when its relative residual
+reaches REFINE_TARGET or its step breaks down, and takes step 0 from
+then on.  Where P = A (w12 = 0, or one part) the factors are float64
+and no step runs.  Where P != A they only precondition, so they are
+float32 while the residual, CG and the tol check stay float64: skew
+tori take 6-10 steps, the sheared origami 10-11.  If CG reaches its cap
+or breaks down there, the parts are refactored once in float64 and the
+solve runs again.  A residual above tol, or nan, is rejected.
+solve_elementary returns real (F, 2g) stacks for the 2g black unit
+period vectors.
 """
 
 from __future__ import annotations
@@ -201,48 +203,35 @@ def _dots(u, v):
     return np.array([a @ b for a, b in zip(u.T, v.T)])
 
 
-def _columns(keep, cols, *blocks):
-    """The kept columns: cols[keep] and each block's kept last-axis entries."""
-    return (cols[keep],) + tuple(a[..., keep] for a in blocks)
-
-
 def _potentials(system, jumps, tol):
     """Vertex potentials for the jumps' period vectors from one block
-    solve, and their relative residuals.  Only the columns above
-    REFINE_TARGET run preconditioned CG, on copies made only when that
-    set shrinks; a breakdown (r^T z = 0 or p^T A p <= 0) ends a column.
-    A column left above REFINE_TARGET by float32 factors reruns the whole
-    block on float64 ones; any residual above tol, or nan, raises."""
+    solve, and their relative residuals.  Preconditioned CG then runs on
+    the whole block while any column is live: a column stops for good at
+    REFINE_TARGET or at a breakdown (r^T z = 0 or p^T A p <= 0), and from
+    then on takes step 0.  A column left above REFINE_TARGET by float32
+    factors reruns the whole block on float64 ones; any residual above
+    tol, or nan, raises."""
     A, pinned = system.matrix, list(system.pinned)
     rhs = system.rhs(jumps)
     b = rhs.reshape(len(rhs), -1)
     b[pinned] = 0.0  # the pinned vertices carry no equation
     x = _solve_parts(system, b)
     scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-    residual, cols = np.empty(b.shape[1]), np.arange(b.shape[1])
-    # the active columns of b and x, then the search directions and r^T z
-    bc, xc, p, rz = b, x, np.zeros((1, b.shape[1])), np.ones(b.shape[1])
+    live = np.ones(b.shape[1], dtype=bool)
+    p, rz = np.zeros((1, b.shape[1])), np.ones(b.shape[1])  # search directions, r^T z
     for step in range(REFINE_STEPS + 1):
-        r = bc - A @ xc
+        r = b - A @ x
         r[pinned] = 0.0
-        residual[cols] = np.sqrt(_dots(r, r)) / scale[cols]
-        above = residual[cols] > REFINE_TARGET
-        if step == REFINE_STEPS or not above.any():
+        residual = np.sqrt(_dots(r, r)) / scale
+        live &= residual > REFINE_TARGET
+        if step == REFINE_STEPS or not live.any():
             break
-        if not above.all():
-            x[:, cols] = xc
-            cols, bc, xc, r, p, rz = _columns(above, cols, bc, xc, r, p, rz)
         z = _solve_parts(system, r)
         rz_old, rz = rz, _dots(r, z)
-        p = z + rz / rz_old * p
+        p = z + np.divide(rz, rz_old, out=np.zeros_like(rz), where=live) * p
         pq = _dots(p, A @ p)
-        ok = (rz != 0) & (pq > 0)
-        if not ok.all():
-            x[:, cols] = xc
-            cols, bc, xc, r, p, rz, pq = _columns(ok, cols, bc, xc, r, p, rz, pq)
-        xc += _dots(p, r) / pq * p
-    if xc is not x:
-        x[:, cols] = xc
+        live &= (rz != 0) & (pq > 0)
+        x += np.divide(_dots(p, r), pq, out=np.zeros_like(pq), where=live) * p
     if system.dtype == np.float32 and np.any(residual > REFINE_TARGET):
         system.dtype, system._factor = np.float64, None  # cap or breakdown: refactor once
         return _potentials(system, jumps, tol)

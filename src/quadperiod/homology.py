@@ -7,12 +7,14 @@ diagonals.  Everything here is exact integer combinatorics; geometry
 enters only through the counterclockwise rotation system.
 
 All spanning trees come from `surface.spanning_tree` (breadth-first, on
-scipy.sparse.csgraph).  Without reference loops the basis cycles follow a
-tree-cotree split of the vertex graph (Eppstein, "Dynamic generators of
-topologically embedded graphs", SODA 2003): a breadth-first tree from
-vertex 0, a breadth-first tree of the dual quad graph over the remaining
-edges, and one cycle per leftover edge.  Each cycle is projected once
-per colour into an integer operator.  A black and a white diagonal path
+scipy.sparse.csgraph).  Tree-cotree cycles follow a split of the vertex
+graph (Eppstein, "Dynamic generators of topologically embedded graphs",
+SODA 2003): a breadth-first tree from vertex 0, a breadth-first tree of
+the dual quad graph over the remaining edges, and one cycle per leftover
+edge.  homology_basis keeps the first candidate set that reduces: a
+generated mesh's reference loops, the loops plus tree-cotree cycles, the
+tree-cotree cycles alone.  Each cycle of a set is projected once per
+colour into an integer operator.  A black and a white diagonal path
 cross only at quad centres, so the product of the two operators is the
 intersection matrix, and by Poincare duality the white projections, read
 as black cochains, are closed cocycles with the intersection numbers as
@@ -398,15 +400,13 @@ def _independent_rows(M):
     return pivots
 
 
-def _projections(graph, cycles):
-    return [projection_operator(graph, cycles, color) for color in (BLACK, WHITE)]
-
-
-def _reduce(graph, cycles, P_black, P_white):
+def _reduce(graph, cycles):
     """The earliest candidate cycles that span the homology, brought to
     symplectic form by an integer transform S with S M S^T = J, and their
     chains (lists of (coefficient, Cycle)): the HomologyBasis fields after
-    graph, before any cocycle."""
+    graph, before any cocycle.  Cycles short of rank 2g, or a form that
+    is not unimodular, raise."""
+    P_black, P_white = (projection_operator(graph, cycles, color) for color in (BLACK, WHITE))
     M = (P_black @ P_white.T).toarray()
     keep, rank = _independent_rows(M), 2 * graph.genus()
     if len(keep) != rank:
@@ -422,40 +422,34 @@ def _reduce(graph, cycles, P_black, P_white):
 
 def basis_from_cycles(graph, cycles):
     """Canonical basis from candidate cycles that span the homology,
-    earlier ones preferred, each projected once per colour."""
-    return HomologyBasis(graph, *_reduce(graph, cycles, *_projections(graph, cycles)))
+    earlier ones preferred."""
+    return HomologyBasis(graph, *_reduce(graph, cycles))
 
 
 def homology_basis(graph):
-    """Canonical symplectic basis with period operators and cocycles.
-    Meshes built by the generators carry mesh-independent reference loops
-    (extended by tree-cotree cycles when the loops alone do not span);
-    otherwise cycles come from a tree-cotree split.  The rotation system
-    the cycles are read from leaves the graph's cache when the basis is
-    done: no later stage reads it, and it would sit under their peak
-    memory (4F darts twice)."""
+    """Canonical symplectic basis with period operators and cocycles, from
+    the first candidate cycle set that reduces.  The rotation system the
+    cycles are read from leaves the graph's cache when the basis is done:
+    no later stage reads it, and it would sit under their peak memory (4F
+    darts twice)."""
     try:
-        return _homology_basis(graph)
+        return HomologyBasis(graph, *_first_reduced(graph))
     finally:
         graph._cache.pop("rotation", None)
 
 
-def _homology_basis(graph):
+def _first_reduced(graph):
+    """_reduce of the first candidate set it accepts, each set made when
+    it is reached: tree-cotree cycles only when the loops alone fail."""
     loops = (graph.meta or {}).get("loops")
-    if loops:
-        cycles = _cycles_from_vertices(graph, loops["a"] + loops["b"])
-        P = _projections(graph, cycles)
-        rank = 2 * graph.genus()
-        if len(cycles) != rank or len(_independent_rows((P[0] @ P[1].T).toarray())) != rank:
-            more = basis_cycles(graph)
-            cycles += more
-            P = [sp.vstack(pair, format="csr") for pair in zip(P, _projections(graph, more))]
-        try:
-            parts = _reduce(graph, cycles, *P)
-        except HomologyError:
-            # the loops can generate a finite-index sublattice; fall back
-            # to the tree-cotree basis, which is always unimodular
-            pass
-        else:
-            return HomologyBasis(graph, *parts)
-    return basis_from_cycles(graph, basis_cycles(graph))
+    if not loops:
+        return _reduce(graph, basis_cycles(graph))
+    cycles = _cycles_from_vertices(graph, loops["a"] + loops["b"])
+    try:
+        return _reduce(graph, cycles)
+    except HomologyError:
+        more = basis_cycles(graph)
+    try:
+        return _reduce(graph, cycles + more)
+    except HomologyError:
+        return _reduce(graph, more)

@@ -229,10 +229,7 @@ def energy_form_discrete(full):
 def energy_form_continuous(pi):
     """2g x 2g analogue built from a g x g period matrix; carries an extra
     factor of two relative to the discrete form."""
-    R, M = pi.real, pi.imag
-    Mi = np.linalg.inv(M)
-    return np.block([[2 * R @ Mi @ R + 2 * M, -2 * R @ Mi],
-                     [-2 * Mi @ R, 2 * Mi]])
+    return 2 * energy_form_discrete(pi)
 
 
 def energy_identity_residual(graph, system, pm, p_real, tol=1e-10):

@@ -43,7 +43,6 @@ class RefinementLevel:
     level: int
     graph: QuadGraph
     stats: object
-    adapted: bool
 
 
 class RefineError(SurfaceError):
@@ -373,5 +372,5 @@ def sweep(surface, levels, adapted=False, base_cell=0.5, phi_floor=math.pi / 12)
                 raise RefineError("area changed across levels")
             if st.h >= out[-1].stats.h:
                 raise RefineError("h did not decrease")
-        out.append(RefinementLevel(level=l, graph=g, stats=st, adapted=adapted))
+        out.append(RefinementLevel(level=l, graph=g, stats=st))
     return out

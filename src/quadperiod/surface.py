@@ -864,13 +864,10 @@ def _reference_loops(surface, k, vertex_codes):
 
     along = 2 * np.arange(k)
     loops = {"a": [], "b": []}
-    for direction, cross, want in (("a", 1, 3), ("b", 2, 0)):
-        # the polygons across the right / top sides
-        q, f = surface.local[surface.partner[surface.first[:-1] + cross]].T
-        if np.any(f != want):
-            raise SurfaceError("horizontal gluing is not left-right"
-                               if direction == "a" else
-                               "vertical gluing is not bottom-top")
+    for direction, cross in (("a", 1), ("b", 2)):
+        # the polygons across the right / top sides, glued by translations
+        # (_square_tiled_data) to their left / bottom sides
+        q = surface.local[surface.partner[surface.first[:-1] + cross], 0]
         _, order, offsets = _cycles(q)
         for chain in np.split(order, offsets[1:-1]):
             polys = np.repeat(chain, k)

@@ -421,6 +421,8 @@ def test_malformed_option_exits_2_with_one_line(torus_doc, tmp_path, capsys,
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {option}:" in errors[0]
     assert "Traceback" not in err
+    if value == "nan,0;1,0":
+        assert errors[0].endswith("separated by ';': pair 1 of 'nan,0;1,0' is 'nan,0'")
 
 
 @pytest.mark.parametrize("option, value", [
@@ -530,6 +532,78 @@ def test_unreadable_document_exits_2_with_one_line(tmp_path, capsys, text, messa
     assert rc == 2
     assert err.startswith("quadperiod: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def _edited_raw_torus_doc(edit):
+    doc = formats.graph_to_doc(generate_torus(1j, 4))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _coincident_corners(doc):
+    doc["quads"][0][8:10] = doc["quads"][0][4:6]   # corner 2 onto corner 0
+
+
+_UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+_HEXAGON = [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]
+
+
+@pytest.mark.parametrize("command, text, options, message", [
+    ("check", _square_torus_doc(polygons=[[[0, 0], [1, 0]]], gluings=[[[0, 0], [0, 1]]]),
+     [], "polygon 0 has fewer than 3 vertices"),
+    ("check", _square_torus_doc(polygons=[[[0, 0], [0, 1], [1, 1], [1, 0]]]),
+     [], "polygon 0 not counterclockwise"),
+    ("check", _square_torus_doc(gluings=[[[0, 0], [0, 3]], [[0, 1], [0, 2]]]),
+     [], "genus 0 surfaces are not admitted"),
+    ("mesh", _square_torus_doc(polygons=[_HEXAGON],
+                               gluings=[[[0, 0], [0, 3]], [[0, 1], [0, 4]], [[0, 2], [0, 5]]]),
+     [], "polygon 0 is not a quadrilateral"),
+    # the L-shape with the corners of polygon 1 listed from its second corner
+    ("mesh", _square_torus_doc(
+        polygons=[_UNIT_SQUARE, [[2, 0], [2, 1], [1, 1], [1, 0]],
+                  [[0, 1], [1, 1], [1, 2], [0, 2]]],
+        gluings=[[[0, 0], [2, 2]], [[1, 3], [1, 1]], [[0, 3], [1, 0]], [[2, 3], [2, 1]],
+                 [[0, 2], [2, 0]], [[0, 1], [1, 2]]]),
+     [], "polygon 1 is not a translate of polygon 0"),
+    # genus 1, with the bottom of square 0 glued to its right side
+    ("mesh", _square_torus_doc(
+        polygons=[_UNIT_SQUARE, [[1, 0], [2, 0], [2, 1], [1, 1]]],
+        gluings=[[[0, 0], [0, 1]], [[0, 2], [1, 0]], [[0, 3], [1, 2]], [[1, 1], [1, 3]]]),
+     [], "gluing (0,0)~(0,1) is not a translation"),
+    ("check", json.dumps({"format": 1, "generator": {"kind": "sphere"}}),
+     [], "unknown generator kind 'sphere'"),
+    ("homology", _edited_raw_torus_doc(_coincident_corners), [], "degenerate black diagonal"),
+    ("homology", _raw_torus_doc(cones=[[16, 2 * math.pi, 0.1]]),
+     [], "cone vertex id out of range"),
+    ("homology", _raw_torus_doc(cones=[[0, 4 * math.pi, 0.1]]),
+     [], "cone angles inconsistent with Euler genus"),
+    ("homology", _edited_raw_torus_doc(lambda doc: doc["edges"][0].pop()),
+     [], "edge table must list 4 integer edge keys per quad"),
+    ("homology", _edited_raw_torus_doc(lambda doc: doc["quads"][0].pop()),
+     [], "each quad row must hold 4 integer vertex ids and 8 chart floats"),
+    ("mesh", json.dumps({"format": 1, "generator": {"kind": "l_shape"}}),
+     ["--levels", "1"], "a sweep needs at least 2 levels"),
+    ("converge", _raw_torus_doc(), ["--adapted"], "adapted sweeps need the glued surface"),
+    ("mesh", json.dumps({"format": 1, "generator": {"kind": "l_shape"}}),
+     ["--phi-floor", "x"], "argument --phi-floor: need a finite real, got 'x'"),
+], ids=["two-vertex-polygon", "clockwise-polygon", "genus-0", "hexagon-mesh",
+        "non-translate-polygon", "rotation-gluing", "unknown-generator", "coincident-corners",
+        "cone-id-out-of-range", "cone-angle-against-genus", "short-edges-row",
+        "ragged-quad-row", "one-level", "adapted-graph-document", "phi-floor-not-a-number"])
+def test_typed_error_exits_2_with_one_line(tmp_path, capsys, command, text, options, message):
+    """Each input error is one error line and exit code 2, from main()
+    ('quadperiod: error:') or from argparse ('quadperiod mesh: error:')."""
+    path = tmp_path / "surface.json"
+    path.write_text(text)
+    try:
+        rc = main(["--out", str(tmp_path), command, str(path)] + options)
+    except SystemExit as exit_:
+        rc = exit_.code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert rc == 2
+    assert len(errors) == 1 and errors[0].startswith("quadperiod") and message in errors[0]
+    assert "Traceback" not in err
 
 
 def test_singular_energy_factor_exits_2_with_one_line(tmp_path, capsys):

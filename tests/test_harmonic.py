@@ -190,6 +190,18 @@ class _ZeroAfterFirstFactor(_ScaledFactor):
         return x if self.calls == 1 else np.zeros_like(x)
 
 
+class _ColumnZeroAfterFirstFactor(_ScaledFactor):
+    """Stand-in whose solves are the factor's, except that `column` is
+    zero after the first solve, so that column alone meets r^T z = 0 at
+    the first CG step."""
+
+    def solve(self, b):
+        x = super().solve(b)
+        if self.calls > 1:
+            x[:, self.column] = 0.0
+        return x
+
+
 def _with_factor(system, gain, bad, column=None, stand_in=_ScaledFactor):
     """A copy of system whose every part's factor is a stand_in; returns
     the copy and the stand-ins, black part first."""
@@ -263,12 +275,13 @@ def test_accurate_factor_solves_elementary_block_once(lshape_sys):
 
 def test_perturbed_column_alone_is_refined(lshape_sys):
     """One column of the first block pass is off by 1e-6: only that
-    column goes through refinement, and it ends where a clean solve does;
-    the other columns are the clean solve's, bit for bit."""
+    column takes nonzero CG steps (the block keeps all four columns), and
+    it ends where a clean solve does; the other columns are the clean
+    solve's, bit for bit."""
     system, (factor, white) = _with_factor(lshape_sys, 1.0 + 1e-6, 1, column=3)
     sols = solve_elementary(system)
     assert 2 <= factor.calls <= 1 + REFINE_STEPS
-    assert factor.widths == [4] + [1] * (factor.calls - 1)
+    assert factor.widths == [4] * factor.calls
     assert white.calls == 0
     ref = solve_elementary(lshape_sys)
     for j in range(4):
@@ -297,6 +310,28 @@ def test_cg_breakdown_raises_without_nan(sheared_sys_16):
     with pytest.raises(HarmonicError, match=r"relative residual \d"):
         solve_elementary(system)
     assert [f.calls for f in factors] == [2, 2]
+
+
+def test_cg_columns_stop_apart_in_one_block(sheared_sys_16):
+    """Three columns stop at different steps for different reasons: zero
+    periods at the first pass, a breakdown at the first CG step and
+    convergence after several.  The block keeps all three columns to the
+    end with no warning (warnings are errors in this suite), the broken
+    column keeps its first-pass potential, and the converged one is its
+    own solve alone."""
+    float64 = dataclasses.replace(sheared_sys_16, dtype=np.float64, _factor=None)
+    system, factors = _with_factor(float64, 1.0, 0, column=1,
+                                   stand_in=_ColumnZeroAfterFirstFactor)
+    jumps = np.zeros((8, 3))
+    jumps[0, 1] = jumps[1, 2] = 1.0
+    x, residual = harmonic._potentials(system, PeriodData.from_flat(jumps), np.inf)
+    assert all(f.widths == [3] * f.calls and f.calls > 2 for f in factors)
+    assert residual[0] == 0.0 and residual[1] > REFINE_TARGET >= residual[2]
+    b = float64.rhs(PeriodData.from_flat(jumps))
+    b[list(float64.pinned)] = 0.0
+    assert np.array_equal(x[:, 1], harmonic._solve_parts(float64, b)[:, 1])
+    alone, _ = harmonic._potentials(float64, PeriodData.from_flat(jumps[:, 2]), 1e-10)
+    assert np.linalg.norm(x[:, 2] - alone) <= 1e-13 * np.linalg.norm(alone)
 
 
 def test_colour_split_cg_steps_stay_under_the_cap(sheared_sys_16):

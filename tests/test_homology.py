@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from quadperiod.surface import BLACK, WHITE, generate_torus
+from quadperiod.surface import BLACK, WHITE, build_quad_graph, generate_torus
 from quadperiod import dec, homology
 from quadperiod.homology import (
     Cycle,
@@ -22,6 +22,7 @@ from quadperiod.homology import (
     symplectic_reduction,
     tree_cotree,
 )
+from test_mesh_golden import CORPUS as MESH_CORPUS, _origami
 
 
 def test_tree_cotree_counts_torus(torus_i_2):
@@ -392,3 +393,29 @@ def test_independent_rows_match_greedy(n, rank, antisymmetric, seed):
     if antisymmetric:
         M = M - M.T
     assert_selection_is_greedy(M)
+
+
+def _three_square_torus():
+    """Three unit squares in a row glued to a 3 x 1 torus: one loop along
+    the row and three across it, four reference loops for g = 1."""
+    return build_quad_graph(_origami((1, 2, 0), (0, 1, 2)), 1 / 2)
+
+
+@pytest.mark.parametrize("mesh, rows, builds", [
+    ("lshape_mesh_8", [4], 0),
+    ("torus_i_4", [2], 0),
+    (_three_square_torus, [4], 0),   # the four loops span
+    (MESH_CORPUS["origami-one-cone-4"], [3, 7], 1),   # three loops of rank 2, for g = 2
+], ids=["lshape-8", "torus-i-4", "torus-3x1", "origami-one-cone-4"])
+def test_each_candidate_set_is_eliminated_once(mesh, rows, builds, request, monkeypatch):
+    """homology_basis eliminates each candidate set it tries once (the
+    row counts of the eliminations), and builds tree-cotree cycles only
+    when the reference loops alone fail."""
+    g = request.getfixturevalue(mesh) if isinstance(mesh, str) else mesh()
+    eliminated, built = [], []
+    independent_rows, cycles = homology._independent_rows, homology.basis_cycles
+    monkeypatch.setattr(homology, "_independent_rows",
+                        lambda M: eliminated.append(len(M)) or independent_rows(M))
+    monkeypatch.setattr(homology, "basis_cycles", lambda graph: built.append(1) or cycles(graph))
+    homology_basis(g)
+    assert eliminated == rows and len(built) == builds

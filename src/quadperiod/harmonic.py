@@ -18,7 +18,17 @@ two parts, each factored on its own when a load first reaches it; else
 all free vertices are one part and P = A.  The white part lists each
 white vertex in the order of a black neighbour, so minimum degree gives
 the white block the black block's fill or less (torus n = 256: 2.23 M ->
-1.56 M, as black).  EnergySystem.factorized makes every factor: a load
+1.56 M, as black).  The one part lists the free white vertices, then the
+free black ones, each in id order.  Id order interleaves the colours;
+this numbering takes 9-19 % off the fill on the adapted meshes at cells
+1/32 to 1/128 (L+U, id order -> white then black, at 1/32, 1/64, 1/128:
+adapted L-shape 494 518 -> 448 372, 2 236 418 -> 1 971 646,
+10 985 244 -> 8 915 362; two-cone origami 531 466 -> 477 628,
+2 449 888 -> 2 181 184, 11 246 493 -> 10 028 491).  Black first, the
+white part's order, cone distance, breadth-first and reversed ids all
+gave more.  Reordering the colour parts gains them nothing (L-shape
+1/128, each order reversed: black 1 098 246 -> 1 090 956, white
+1 055 158 -> 1 305 482).  EnergySystem.factorized makes every factor: a load
 that reaches two unfactored parts factors the second meanwhile on a
 one-worker executor local to the call (there is no module-level pool),
 and one part to factor starts no thread.  Matrix and load vector are
@@ -122,7 +132,12 @@ def _weights(graph):
 def assemble(graph, basis, pinned=None):
     """Sparse energy system on the vertex potentials: A = D^T W D for the
     stacked diagonal differences D = (D_b; D_w) and the per-quad weight
-    blocks W = [[w11, w12], [w12, w22]] of _weights."""
+    blocks W = [[w11, w12], [w12, w22]] of _weights.  Its parts are the
+    free black and the free white vertices (the latter in _white_order)
+    when every quad's |arg diagonal_ratio| <= SPLIT_ANGLE; else one part,
+    the free white vertices and then the free black ones, each in id
+    order, which SuperLU's minimum degree factors with less fill than id
+    order (module docstring)."""
     w11, w12, w22 = _weights(graph)
     Db, Dw = dec.difference_operators(graph)
     A = (Db.T @ (sp.diags(w11) @ Db + sp.diags(w12) @ Dw)
@@ -135,7 +150,8 @@ def assemble(graph, basis, pinned=None):
     if np.all(np.abs(np.angle(graph.diagonal_ratio)) <= SPLIT_ANGLE):
         parts = [np.flatnonzero(free & (graph.color == BLACK)), _white_order(graph, free)]
     else:
-        parts = [np.flatnonzero(free)]
+        parts = [np.concatenate([np.flatnonzero(free & (graph.color == c))
+                                 for c in (WHITE, BLACK)])]
     # where P != A the factors only precondition CG, and float32 serves
     dtype = np.float32 if len(parts) == 2 and np.any(w12) else np.float64
     return EnergySystem(graph=graph, basis=basis, matrix=A, pinned=pinned, dtype=dtype,

@@ -38,12 +38,19 @@ by P then runs on the same block, with condition number <= (1 + c)/(1 -
 c) <= 3 and step p^T r / p^T A p, which holds the residual at its
 roundoff floor.  A column stops for good when its relative residual
 reaches REFINE_TARGET or its step breaks down, and takes step 0 from
-then on.  Where P = A (w12 = 0, or one part) the factors are float64
-and no step runs.  Where P != A they only precondition, so they are
-float32 while the residual, CG and the tol check stay float64: skew
-tori take 6-10 steps, the sheared origami 10-11.  If CG reaches its cap
-or breaks down there, the parts are refactored once in float64 and the
-solve runs again.  A residual above tol, or nan, is rejected.
+then on.  Where w12 = 0 the colour factors solve the system on their
+own, so they are float64 and no step runs (float32 and CG there move
+the uniform L-shape's blocks by 1.1e-12 of scale at 1/128).  Where w12
+!= 0 the factors are float32 while the residual, CG and the tol check
+stay float64 (mixed-precision refinement).  Two colour parts only
+precondition: skew tori take 6-10 steps, the sheared origami 10-11.
+The one coupled part is A rounded to float32: adapted meshes take 2-3
+steps and one-part skew tori 2-4, and the result lies nearer a float64
+solve with four forced steps than a float64 one-pass solve does
+(adapted L-shape 1/128: 1.1e-14 against 3.7e-13 of scale).  If CG
+reaches its cap or breaks down on float32 factors, the parts are
+refactored once in float64 and the solve runs again.  A residual above
+tol, or nan, is rejected.
 solve_elementary returns real (F, 2g) stacks for the 2g black unit
 period vectors.
 """
@@ -72,7 +79,7 @@ class EnergySystem:
     basis: object
     matrix: sp.csr_matrix = field(repr=False)
     pinned: tuple = (0, 0)
-    dtype: type = np.float64  # of the factors; float32 where they only precondition CG
+    dtype: type = np.float64  # of the factors; float32 where w12 != 0 and CG refines them
     parts: list = field(default=None, repr=False)  # free vertex ids per factored part
     _factor: object = field(default=None, repr=False)  # per part; None until the first
 
@@ -152,8 +159,9 @@ def assemble(graph, basis, pinned=None):
     else:
         parts = [np.concatenate([np.flatnonzero(free & (graph.color == c))
                                  for c in (WHITE, BLACK)])]
-    # where P != A the factors only precondition CG, and float32 serves
-    dtype = np.float32 if len(parts) == 2 and np.any(w12) else np.float64
+    # where w12 != 0, CG on A with float64 residuals refines every solve,
+    # and float32 factors serve; where w12 = 0 they solve alone in float64
+    dtype = np.float32 if np.any(w12) else np.float64
     return EnergySystem(graph=graph, basis=basis, matrix=A, pinned=pinned, dtype=dtype,
                         parts=parts)
 

@@ -224,6 +224,23 @@ def sheared_sys_16(sheared_origami):
     return assemble(graph, homology_basis(graph))
 
 
+@pytest.fixture(scope="module")
+def adapted_lshape_8(lshape):
+    return generate_adapted(lshape, 1 / 8)
+
+
+@pytest.fixture(scope="module")
+def adapted_sys_8(adapted_lshape_8):
+    return assemble(adapted_lshape_8, homology_basis(adapted_lshape_8))
+
+
+@pytest.fixture(scope="module")
+def one_part_torus_16():
+    """A skew torus whose diagonals meet at |cos| = 0.55, above the
+    colour split's 1/2: one coupled part."""
+    return generate_torus(0.3 + 0.5j, 16)
+
+
 _PERIODS = PeriodData(a_black=[1.0, 0.0], b_black=[0.0, -2.0],
                       a_white=[0.5, 0.0], b_white=[0.0, 1.0])
 
@@ -404,14 +421,13 @@ def test_diagonals_at_60_degrees_or_more_split_by_colour(mesh, request):
     assert np.array_equal(np.sort(np.concatenate(system.parts)), free)
 
 
-def test_adapted_mesh_is_one_part(lshape):
+def test_adapted_mesh_is_one_part(adapted_lshape_8, adapted_sys_8):
     """The adapted L-shape's diagonals meet at up to |cos| = 0.84, so all
     its free vertices are one part, and P = A.  The part holds each free
     vertex once, the white ones before the black ones, each colour in id
     order."""
-    graph = generate_adapted(lshape, 1 / 8)
+    graph, system = adapted_lshape_8, adapted_sys_8
     assert np.max(np.abs(np.angle(graph.diagonal_ratio))) > np.pi / 6
-    system = assemble(graph, homology_basis(graph))
     free = np.setdiff1d(np.arange(graph.n_vertices), system.pinned)
     [rows] = system.parts
     assert np.array_equal(np.sort(rows), free)
@@ -431,7 +447,7 @@ def test_one_part_factors_with_less_fill_than_id_order(surface, request):
     assert len(system.parts) == 1
     factor, rows = system.factorized(0)
     ids = np.sort(rows)
-    by_id = harmonic._splu(system.matrix[ids][:, ids].tocsc())
+    by_id = harmonic._splu(system.matrix[ids][:, ids].tocsc().astype(system.dtype))
     assert factor.L.nnz + factor.U.nnz < by_id.L.nnz + by_id.U.nnz
 
 
@@ -466,26 +482,34 @@ def test_colour_split_matches_one_part_factor(make, sheared_origami, monkeypatch
 
 @pytest.mark.parametrize("mesh, dtype", [
     ("torus_skew_4", np.float32), ("sheared_origami_8", np.float32),
-    ("lshape_mesh_8", np.float64), ("adapted_lshape_8", np.float64),
+    ("lshape_mesh_8", np.float64), ("adapted_lshape_8", np.float32),
+    ("one_part_torus_16", np.float32),
 ])
-def test_factor_precision_follows_its_role(mesh, dtype, lshape, request):
-    """The two colour factors of a mesh with w12 != 0 only precondition
-    CG and are float32; where P = A (w12 = 0, or one part) the factor
-    solves on its own and stays float64."""
-    graph = (generate_adapted(lshape, 1 / 8) if mesh == "adapted_lshape_8"
-             else request.getfixturevalue(mesh))
+def test_factor_precision_follows_its_role(mesh, dtype, request):
+    """Where w12 != 0 the factors are float32 and CG on A, with float64
+    residuals, refines their solve: as a preconditioner of two colour
+    parts, or as the inexact solver of one coupled part.  Where w12 = 0
+    the colour factors solve the system on their own and stay float64."""
+    graph = request.getfixturevalue(mesh)
     system = assemble(graph, homology_basis(graph))
+    assert (len(system.parts) == 1) == (mesh in ("adapted_lshape_8", "one_part_torus_16"))
     assert system.dtype == dtype
     solve(system, PeriodData.from_flat(np.ones(4 * system.basis.genus)))
     assert system.dtype == dtype
     assert [f.L.dtype for f in system._factor] == [dtype] * len(system.parts)
 
 
-@_SPLIT_MESHES
-def test_float32_factors_match_float64_factors(make, sheared_origami):
-    """pi and the four blocks from the float32 colour factors equal those
-    of a forced float64 run to 1e-12 of the level scale."""
-    graph = make(sheared_origami)
+@pytest.mark.parametrize("surface, make", [
+    ("sheared_origami", lambda s: build_quad_graph(s, 1 / 16)),
+    ("sheared_origami", lambda s: generate_torus(0.4 + 0.6j, 32)),
+    ("lshape", lambda s: generate_adapted(s, 1 / 16)),
+    ("four_square_origami", lambda s: generate_adapted(s, 1 / 16)),
+], ids=["sheared_origami_16", "torus_skew_32", "adapted_lshape_16", "adapted_origami_16"])
+def test_float32_factors_match_float64_factors(surface, make, request):
+    """pi and the four blocks from the float32 factors, two colour parts
+    or one coupled part, equal those of a forced float64 run to 1e-12 of
+    the level scale."""
+    graph = make(request.getfixturevalue(surface))
     single = assemble(graph, homology_basis(graph))
     double = dataclasses.replace(single, dtype=np.float64)
     got, want = _periods(graph, single), _periods(graph, double)
@@ -496,21 +520,43 @@ def test_float32_factors_match_float64_factors(make, sheared_origami):
 
 
 @pytest.mark.parametrize("stand_in", [_LoadFactor, _ZeroAfterFirstFactor])
-def test_float32_factor_that_fails_cg_is_refactored_in_float64(stand_in, sheared_sys_16):
+@pytest.mark.parametrize("mesh", ["sheared_sys_16", "adapted_sys_8"])
+def test_float32_factor_that_fails_cg_is_refactored_in_float64(mesh, stand_in, request):
     """A float32 factor with which CG reaches its cap (_LoadFactor) or
     breaks down (_ZeroAfterFirstFactor) is replaced once by a float64
-    factor, and the same solve then succeeds."""
+    factor, and the same solve then succeeds: two colour parts (the
+    sheared origami) or one coupled part (the adapted L-shape)."""
     jumps = PeriodData.from_flat(np.eye(8, 4))
-    system, factors = _with_factor(sheared_sys_16, 1.0, 0, stand_in=stand_in)
+    original = request.getfixturevalue(mesh)
+    system, factors = _with_factor(original, 1.0, 0, stand_in=stand_in)
     assert system.dtype == np.float32
     x, residual = harmonic._potentials(system, jumps, 1e-10)
     assert all(f.calls >= 2 for f in factors)
     assert system.dtype == np.float64
-    assert [f.L.dtype for f in system._factor] == [np.float64] * 2
+    assert [f.L.dtype for f in system._factor] == [np.float64] * len(system.parts)
     assert np.all(residual <= REFINE_TARGET)
-    want, _ = harmonic._potentials(dataclasses.replace(sheared_sys_16, dtype=np.float64,
+    want, _ = harmonic._potentials(dataclasses.replace(original, dtype=np.float64,
                                                        _factor=None), jumps, 1e-10)
     assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("surface", ["lshape", "four_square_origami"])
+def test_one_part_float32_factor_meets_a_refined_float64_reference(surface, request,
+                                                                   monkeypatch):
+    """On the adapted meshes at cell 1/32, CG on the one coupled part's
+    float32 factor gives pi and the four blocks within 1e-13 of the level
+    scale of a float64 solve with four forced CG steps (measured 4.0e-15
+    and 3.6e-15; the float64 one-pass solve was 2.2e-14 and 2.8e-14 off)."""
+    graph = generate_adapted(request.getfixturevalue(surface), 1 / 32)
+    system = assemble(graph, homology_basis(graph))
+    got = _periods(graph, system)
+    assert (len(system.parts), system.dtype) == (1, np.float32)  # no float64 fallback
+    monkeypatch.setattr(harmonic, "REFINE_TARGET", 0.0)
+    monkeypatch.setattr(harmonic, "REFINE_STEPS", 4)
+    want = _periods(graph, dataclasses.replace(system, dtype=np.float64, _factor=None))
+    scale = max(np.max(np.abs(m)) for m in want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale
 
 
 def test_cg_holds_the_roundoff_floor(lshape_sys_16, monkeypatch):
@@ -616,11 +662,10 @@ def test_torus_solve_leaves_no_thread_behind(torus_skew_4, started_threads):
 
 
 @pytest.mark.parametrize("mesh", ["adapted_lshape_8", "lshape_mesh_8"])
-def test_one_loaded_part_starts_no_thread(mesh, lshape, request, started_threads):
+def test_one_loaded_part_starts_no_thread(mesh, request, started_threads):
     """A one-part system (the adapted L-shape) and a load on one part
     (the orthodiagonal L-shape's black periods) factor in the caller."""
-    graph = (generate_adapted(lshape, 1 / 8) if mesh == "adapted_lshape_8"
-             else request.getfixturevalue(mesh))
+    graph = request.getfixturevalue(mesh)
     system = assemble(graph, homology_basis(graph))
     solve_elementary(system)
     assert started_threads == []
